@@ -77,16 +77,7 @@ def canonical_json(obj) -> str:
 
 
 def load_algebra(path: str) -> NilpotentAlgebra2:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise BadInputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise BadInputError(
-            f"parse error in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    return NilpotentAlgebra2.from_json(obj)
+    return NilpotentAlgebra2.from_json(_load_json(path))
 
 
 def save_algebra(a: NilpotentAlgebra2, path: str) -> None:

@@ -1,9 +1,11 @@
 """Exact rational dense linear algebra.
 
 Everything is computed over ``fractions.Fraction``; there is no floating
-point anywhere.  Matrix products of all-integer matrices are routed through
-numpy int64 (with an explicit overflow bound check) purely as a speedup; the
-result is identical to the Fraction path.
+point anywhere.  Each matrix caches an integer form M = N / D (numerator
+rows N, least common denominator D), and every product or commutator whose
+numerators pass an explicit overflow bound is one numpy int64 product of
+the N's, divided exactly by D_a D_b; the result is identical to the pure
+Fraction path, which remains the fallback.
 
 The module provides:
 
@@ -14,14 +16,15 @@ The module provides:
 - ``SignatureForm``: a symmetric matrix together with its inertia,
 - ``MatrixSubspace``: a subspace of m x m matrices given by an independent
   basis, with exact membership and coordinate computations,
-- ``trace_gram``: the Gram matrix of the trace form <X, Y> = -tr(XY),
+- ``trace_pairing`` / ``trace_gram``: all traces tr(X_a Y_b) as one product,
+  and the Gram matrix of the trace form <X, Y> = -tr(XY),
 - canonical string/JSON serialization with bit-exact round-trip.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 
@@ -58,6 +61,8 @@ def rat(x) -> Fraction:
         return _frac_of_int(x)
     if t is str:
         return rat_from_str(x)
+    if t is bool:
+        raise BadInputError(f"boolean {x!r} is not a rational")
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
@@ -262,41 +267,70 @@ class RationalMatrix:
 _INT64_BOUND = 2**62
 
 
-def _int_rows(m: RationalMatrix):
-    """Rows as plain ints if every entry is an integer, else None; cached
-    on the (immutable) matrix."""
+def _int_form(m: RationalMatrix):
+    """``(N, D, bound)`` with M = N / D: N the numerator rows as an int64
+    array, D the least positive common denominator of the entries and bound
+    the largest |N_ij|.  None when some numerator does not fit int64.
+    Cached on the (immutable) matrix."""
     cached = m._int
-    if cached is not None:
-        return cached if cached is not False else None
-    for r in m._r:
-        for x in r:
-            if x.denominator != 1:
-                m._int = False
-                return None
-    out = tuple(tuple(x.numerator for x in r) for r in m._r)
-    m._int = out
-    return out
+    if cached is None:
+        d = lcm(*{x.denominator for r in m._r for x in r})
+        if d == 1:
+            nums = [[x.numerator for x in r] for r in m._r]
+        else:
+            nums = [[x.numerator * (d // x.denominator) for x in r] for r in m._r]
+        try:
+            arr = np.array(nums, dtype=np.int64).reshape(m.rows, m.cols)
+        except OverflowError:
+            cached = False
+        else:
+            cached = (arr, d, _max_abs(arr))
+        m._int = cached
+    return cached or None
 
 
-def _frac_rows_of_int_array(arr) -> tuple:
-    return tuple(tuple(_frac_of_int(int(x)) for x in row) for row in arr)
+def _max_abs(arr) -> int:
+    # in Python ints: np.abs wraps at -2**63
+    return max(int(arr.max()), -int(arr.min())) if arr.size else 0
+
+
+def _from_int(arr, d: int) -> RationalMatrix:
+    """The matrix arr / d for an int64 array and a positive int d, with its
+    integer form cached."""
+    g = gcd(int(np.gcd.reduce(arr, axis=None)), d)
+    if g > 1:
+        arr, d = arr // g, d // g
+    nested = arr.tolist()
+    # a product has few distinct entries: build each Fraction once
+    frac = {x: Fraction(x, d) for x in set().union(*nested)}.__getitem__
+    m = RationalMatrix._raw(tuple(tuple(map(frac, r)) for r in nested))
+    m._int = (arr, d, _max_abs(arr))
+    return m
+
+
+def _int_product(a: RationalMatrix, b: RationalMatrix, commute: bool):
+    """AB, or AB - BA when ``commute``, as one int64 product of the scaled
+    numerators divided exactly by D_a D_b; None when an operand has no int64
+    form or the overflow bound fails (the caller falls back to Fraction)."""
+    fa, fb = _int_form(a), _int_form(b)
+    if fa is None or fb is None:
+        return None
+    na, da, ma = fa
+    nb, db, mb = fb
+    if (2 if commute else 1) * ma * mb * max(a.cols, 1) >= _INT64_BOUND:
+        return None
+    prod = na @ nb
+    if commute:
+        prod = prod - nb @ na
+    return _from_int(prod, da * db)
 
 
 def _matmul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
     if a.cols != b.rows:
         raise DimensionMismatchError(f"inner dims {a.cols} != {b.rows}")
-    ia, ib = _int_rows(a), _int_rows(b)
-    if ia is not None and ib is not None:
-        try:
-            na = np.array(ia, dtype=np.int64)
-            nb = np.array(ib, dtype=np.int64)
-        except OverflowError:
-            na = None
-        if na is not None:
-            max_a = int(np.abs(na).max()) if na.size else 0
-            max_b = int(np.abs(nb).max()) if nb.size else 0
-            if max_a * max_b * max(a.cols, 1) < _INT64_BOUND:
-                return RationalMatrix._raw(_frac_rows_of_int_array(na @ nb))
+    out = _int_product(a, b, False)
+    if out is not None:
+        return out
     bt = list(zip(*b._r))
     return RationalMatrix(
         [[sum((x * y for x, y in zip(ra, cb)), ZERO) for cb in bt] for ra in a._r]
@@ -305,18 +339,9 @@ def _matmul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
 
 def commutator(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
     if a.rows == a.cols == b.rows == b.cols:
-        ia, ib = _int_rows(a), _int_rows(b)
-        if ia is not None and ib is not None:
-            try:
-                na = np.array(ia, dtype=np.int64)
-                nb = np.array(ib, dtype=np.int64)
-            except OverflowError:
-                na = None
-            if na is not None:
-                max_a = int(np.abs(na).max()) if na.size else 0
-                max_b = int(np.abs(nb).max()) if nb.size else 0
-                if 2 * max_a * max_b * max(a.cols, 1) < _INT64_BOUND:
-                    return RationalMatrix._raw(_frac_rows_of_int_array(na @ nb - nb @ na))
+        out = _int_product(a, b, True)
+        if out is not None:
+            return out
     return a * b - b * a
 
 
@@ -780,13 +805,29 @@ def independent_subset(ambient_dim: int, mats) -> MatrixSubspace:
     return MatrixSubspace(ambient_dim, keep)
 
 
+def trace_pairing(xs, ys) -> RationalMatrix:
+    """The matrix [tr(X_a Y_b)] for r x c matrices X_a and c x r matrices Y_b.
+
+    tr(XY) = sum_ij X_ij Y_ji, so this is one product of the stacked
+    row-major vec(X_a) with the stacked vec(Y_b^T) as columns."""
+    xs, ys = list(xs), list(ys)
+    if not (xs and ys):
+        return RationalMatrix.zeros(len(xs), len(ys))
+    r, c = xs[0].rows, xs[0].cols
+    if any(x.rows != r or x.cols != c for x in xs) or any(
+        y.rows != c or y.cols != r for y in ys
+    ):
+        raise DimensionMismatchError("trace pairing needs r x c against c x r matrices")
+    if not c:
+        return RationalMatrix.zeros(len(xs), len(ys))
+    vec_x = RationalMatrix._raw(tuple(tuple(x.entries()) for x in xs))
+    # row (i, j) of the right factor holds (Y_b^T)_ij = (Y_b)_ji for every b
+    vec_yt = RationalMatrix._raw(
+        tuple(zip(*(tuple(v for col in zip(*y._r) for v in col) for y in ys)))
+    )
+    return _matmul(vec_x, vec_yt)
+
+
 def trace_gram(s: MatrixSubspace) -> RationalMatrix:
     """Gram matrix of the trace form <X, Y> = -tr(XY) on the basis of s."""
-    k = s.dim
-    g = [[ZERO] * k for _ in range(k)]
-    for a in range(k):
-        for b in range(a, k):
-            v = -(s.basis[a] * s.basis[b]).trace()
-            g[a][b] = v
-            g[b][a] = v
-    return RationalMatrix(g)
+    return -trace_pairing(s.basis, s.basis)

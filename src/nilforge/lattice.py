@@ -21,7 +21,7 @@ from math import lcm
 
 from .clifford import CliffordModule, CliffordSignature, build_module
 from .errors import HomomorphismError
-from .exactlin import MatrixSubspace, RationalMatrix, rat
+from .exactlin import MatrixSubspace, RationalMatrix, rat, trace_pairing
 from .nilpotent import MetricAlgebra, NilpotentAlgebra2, algebra_from_J, bracket
 from .standardform import StandardPseudoMetricAlgebra, standard_algebra
 
@@ -140,8 +140,10 @@ def pseudo_H_pipeline_report(r: int, s: int) -> dict:
         for c in n_alg.structure
         for x in c.entries()
     )
-    # -tr(J_i^2) = -tr(-nu_i I_N) = 2l * nu_i
-    traces = [-(j * j).trace() for j in module.generators]
+    # -tr(J_i^2) = -tr(-nu_i I_N) = 2l * nu_i, read off the diagonal of the
+    # pairing rather than from the Gram that standard_algebra builds
+    pairing = trace_pairing(module.generators, module.generators)
+    traces = [-pairing.entry(i, i) for i in range(n)]
     trace_identity = all(
         t == rat(two_l * sig.nu(i + 1)) for i, t in enumerate(traces)
     )

@@ -279,7 +279,8 @@ def abelian_factor(ma: MetricAlgebra) -> tuple[NilpotentAlgebra2, int]:
         for j in range(i + 1, a.m):
             vec = tuple(c.entry(i, j) for c in a.structure)
             coords = span.coords({k: x for k, x in enumerate(vec) if x})
-            assert coords is not None
+            if coords is None:
+                raise HomomorphismError("bracket lies outside the derived ideal")
             for k in range(d):
                 val = coords.get(k, ZERO)
                 new_structure[k][i][j] = val

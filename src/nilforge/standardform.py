@@ -41,6 +41,7 @@ from .exactlin import (
     rank,
     rat,
     trace_gram,
+    trace_pairing,
 )
 from .nilpotent import MetricAlgebra, NilpotentAlgebra2
 
@@ -112,7 +113,8 @@ def eta_twist(c: MatrixSubspace, p: int, q: int, side: str = "right") -> MatrixS
     else:
         basis = [e * b for b in c.basis]
     out = MatrixSubspace(c.ambient_dim, basis)
-    assert all(in_so(b, p, q) for b in out.basis)
+    if not all(in_so(b, p, q) for b in out.basis):
+        raise HomomorphismError(f"eta twist does not land in so({p},{q})")
     return out
 
 
@@ -271,7 +273,8 @@ def gl_action(a: RationalMatrix, s: MatrixSubspace, p: int, q: int) -> MatrixSub
         raise SingularAError("A is not invertible")
     a_eta = eta_conjugate(a, p, q)
     out = MatrixSubspace(m, [a * z * a_eta for z in s.basis])
-    assert all(in_so(b, p, q) for b in out.basis)
+    if not all(in_so(b, p, q) for b in out.basis):
+        raise HomomorphismError(f"GL(m) action does not land in so({p},{q})")
     return out
 
 
@@ -341,9 +344,7 @@ def quotient_by_center_subspace(
         raise PreconditionError("K is not a subspace of the center")
     # trace-orthogonal complement of K inside W, in W coordinates
     if k.dim:
-        pairing = RationalMatrix(
-            [[-(kb * wb).trace() for wb in w.basis] for kb in k.basis]
-        )
+        pairing = -trace_pairing(k.basis, w.basis)
         from .exactlin import kernel_basis
 
         comp = [w.element(v) for v in kernel_basis(pairing)]
@@ -373,7 +374,8 @@ def quotient_by_center_subspace(
         for j in range(i + 1, m):
             val = f.W.element([c.entry(i, j) for c in f.algebra.structure])
             coords = coord_span.coords(matrix_to_sparse(val))
-            assert coords is not None
+            if coords is None:
+                raise HomomorphismError("bracket lies outside K (+) complement")
             for t in range(nq):
                 x = coords.get(k.dim + t, ZERO)
                 new_structure[t][i][j] = x

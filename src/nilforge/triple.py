@@ -20,12 +20,13 @@ from .errors import HomomorphismError, NotClosedError, SignatureError
 from .exactlin import (
     MatrixSubspace,
     RationalMatrix,
-    SignatureForm,
     SpanBuilder,
     commutator,
     eta,
     matrix_to_sparse,
     signature,
+    trace_gram,
+    trace_pairing,
 )
 
 
@@ -147,16 +148,7 @@ def _ad_matrices(l: MatrixSubspace) -> list[RationalMatrix]:
 def killing_form(l: MatrixSubspace) -> RationalMatrix:
     """Gram of B(x, y) = tr(ad_x ad_y) in the basis of l."""
     ads = _ad_matrices(l)
-    k = l.dim
-    from .exactlin import ZERO
-
-    g = [[ZERO] * k for _ in range(k)]
-    for a in range(k):
-        for b in range(a, k):
-            v = (ads[a] * ads[b]).trace()
-            g[a][b] = v
-            g[b][a] = v
-    return RationalMatrix(g)
+    return trace_pairing(ads, ads)
 
 
 def is_semisimple(l: MatrixSubspace) -> bool:
@@ -297,12 +289,8 @@ def theta_closure(d1: MatrixSubspace, d2: MatrixSubspace, p: int, q: int) -> dic
     sum_space = MatrixSubspace(d1.ambient_dim, sum_basis)
     transpose_closed = all(sum_space.contains(-b.transpose()) for b in sum_basis)
     theta_closed = all(sum_space.contains(theta(b)) for b in sum_basis)
-    from .exactlin import trace_gram
-
     gram1 = trace_gram(d1)
-    gram_theta = RationalMatrix(
-        [[-(x * y).trace() for y in theta_d1] for x in theta_d1]
-    )
+    gram_theta = -trace_pairing(theta_d1, theta_d1)
     return {
         "theta_maps_D1_onto_D2": theta_swaps,
         "sum_transpose_closed": transpose_closed,
@@ -347,24 +335,3 @@ def ideal_probe(l: MatrixSubspace, seed: int, trials: int = 8) -> dict | None:
         if 0 < ideal.dim < l.dim:
             return {"trial": trial, "coefficients": coeffs, "ideal_dim": ideal.dim}
     return None
-
-
-def restricted_killing_nondegenerate(l: MatrixSubspace, part: MatrixSubspace) -> bool:
-    """Non-degeneracy of the Killing form of L restricted to a subspace,
-    evaluated in L coordinates."""
-    ads = _ad_matrices(l)
-    coords = [l.coords(b) for b in part.basis]
-    if any(c is None for c in coords):
-        raise NotClosedError("subspace not inside L")
-    ad_of = [
-        sum(
-            (ads[i].scale(ci) for i, ci in enumerate(c) if ci),
-            RationalMatrix.zeros(l.dim, l.dim),
-        )
-        for c in coords
-    ]
-    gram = RationalMatrix(
-        [[(a * b).trace() for b in ad_of] for a in ad_of]
-    )
-    form = SignatureForm(gram)
-    return form.is_nondegenerate()

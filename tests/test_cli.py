@@ -215,5 +215,24 @@ def test_cli_rejects_non_antisymmetric(tmp_path, capsys):
     assert d["error"] == "ERR_NOT_ANTISYMMETRIC"
 
 
+def test_cli_rejects_boolean_entries(tmp_path, capsys):
+    path = tmp_path / "bool.json"
+    path.write_text(
+        json.dumps(
+            {
+                "m": 2,
+                "n": 1,
+                "C": [[[False, True], [-1, 0]]],
+                "form_V": None,
+                "form_Z": None,
+                "tag": "adapted",
+            }
+        )
+    )
+    code, d = _run_json(capsys, "reduce", str(path))
+    assert code == 2
+    assert d["error"] == "ERR_BAD_INPUT"
+
+
 def test_unknown_verb_exit_2(capsys):
     assert main(["frobnicate"]) == 2

@@ -1,0 +1,156 @@
+"""Property tests for the integer-form product kernel behind ``_matmul``,
+``commutator`` and ``trace_pairing``, against plain nested-loop Fraction
+references."""
+
+from fractions import Fraction
+from math import lcm
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nilforge.errors import DimensionMismatchError
+from nilforge.exactlin import (
+    MatrixSubspace,
+    RationalMatrix,
+    _int_form,
+    _int_product,
+    commutator,
+    trace_gram,
+    trace_pairing,
+)
+
+PROPS = settings(max_examples=60, deadline=None, derandomize=True)
+
+# mixed denominators, so the common-denominator scaling is exercised
+rationals = st.builds(
+    Fraction,
+    st.integers(-40, 40),
+    st.sampled_from([1, 1, 2, 3, 4, 6, 7, 9]),
+)
+
+
+def _matrix(rows, cols, elements=rationals):
+    return st.lists(
+        st.lists(elements, min_size=cols, max_size=cols), min_size=rows, max_size=rows
+    ).map(RationalMatrix)
+
+
+def _ref_matmul(a, b):
+    return RationalMatrix(
+        [
+            [sum((a.entry(i, t) * b.entry(t, j) for t in range(a.cols)), Fraction(0))
+             for j in range(b.cols)]
+            for i in range(a.rows)
+        ]
+    )
+
+
+def _ref_trace(x, y):
+    return sum(
+        (x.entry(i, j) * y.entry(j, i) for i in range(x.rows) for j in range(x.cols)),
+        Fraction(0),
+    )
+
+
+@st.composite
+def product_pairs(draw, elements=rationals):
+    r, k, c = (draw(st.integers(1, 5)) for _ in range(3))
+    return draw(_matrix(r, k, elements)), draw(_matrix(k, c, elements))
+
+
+@st.composite
+def square_pairs(draw, elements=rationals):
+    n = draw(st.integers(1, 5))
+    return draw(_matrix(n, n, elements)), draw(_matrix(n, n, elements))
+
+
+@PROPS
+@given(product_pairs())
+def test_matmul_matches_reference(pair):
+    a, b = pair
+    assert a * b == _ref_matmul(a, b)
+    # small mixed-denominator operands take the int64 kernel
+    assert _int_product(a, b, False) == _ref_matmul(a, b)
+
+
+@PROPS
+@given(square_pairs())
+def test_commutator_matches_reference(pair):
+    a, b = pair
+    ref = _ref_matmul(a, b) - _ref_matmul(b, a)
+    assert commutator(a, b) == ref
+    assert _int_product(a, b, True) == ref
+
+
+@PROPS
+@given(st.data())
+def test_trace_pairing_matches_reference(data):
+    r, c = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    xs = data.draw(st.lists(_matrix(r, c), min_size=1, max_size=4))
+    ys = data.draw(st.lists(_matrix(c, r), min_size=1, max_size=4))
+    assert trace_pairing(xs, ys) == RationalMatrix(
+        [[_ref_trace(x, y) for y in ys] for x in xs]
+    )
+
+
+@PROPS
+@given(product_pairs())
+def test_product_int_form_is_lowest_terms(pair):
+    a, b = pair
+    prod = a * b
+    arr, d, bound = _int_form(prod)
+    assert d == lcm(*{x.denominator for x in prod.entries()})
+    assert [[Fraction(x, d) for x in row] for row in arr.tolist()] == [
+        list(prod.row(i)) for i in range(prod.rows)
+    ]
+    assert bound == max(abs(x) for x in arr.flat)
+
+
+def test_empty_shapes():
+    # a matrix with no rows is 0 x 0 here; k x 0 has k empty rows
+    empty = RationalMatrix([])
+    k_by_0 = RationalMatrix([[], [], []])
+    one_by_0 = RationalMatrix([[]])
+    three_by_1 = RationalMatrix([[Fraction(1, 2)], [2], [-3]])
+    assert (k_by_0.rows, k_by_0.cols) == (3, 0)
+    assert k_by_0 * empty == k_by_0 == _ref_matmul(k_by_0, empty)
+    assert three_by_1 * one_by_0 == k_by_0
+    assert empty * empty == empty
+    assert commutator(empty, empty) == empty
+    assert trace_pairing([], []) == empty
+    assert trace_pairing([three_by_1], []) == one_by_0
+    assert trace_pairing([empty, empty], [empty]) == RationalMatrix.zeros(2, 1)
+    assert trace_gram(MatrixSubspace(3, [])) == empty
+    with pytest.raises(DimensionMismatchError):
+        trace_pairing([three_by_1], [three_by_1])
+
+
+big = st.builds(
+    Fraction,
+    st.integers(2**40, 2**40 + 1000) | st.integers(-(2**40) - 1000, -(2**40)),
+    st.sampled_from([1, 3, 5]),
+)
+
+
+@PROPS
+@given(product_pairs(big))
+def test_overflow_guard_falls_back_exactly(pair):
+    a, b = pair
+    assert _int_product(a, b, False) is None
+    assert a * b == _ref_matmul(a, b)
+
+
+@PROPS
+@given(square_pairs(big))
+def test_overflow_guard_commutator_exact(pair):
+    a, b = pair
+    assert _int_product(a, b, True) is None
+    assert commutator(a, b) == _ref_matmul(a, b) - _ref_matmul(b, a)
+
+
+def test_numerators_beyond_int64_fall_back():
+    huge = RationalMatrix([[2**70, Fraction(1, 3)], [0, -(2**65)]])
+    assert _int_form(huge) is None
+    assert huge * huge == _ref_matmul(huge, huge)
+    assert trace_pairing([huge], [huge]).entry(0, 0) == _ref_trace(huge, huge)

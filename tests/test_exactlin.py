@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 from nilforge.errors import (
+    BadInputError,
     DependentBasisError,
     DimensionMismatchError,
     SingularMatrixError,
@@ -306,6 +307,14 @@ def test_rational_string_round_trip():
         assert rat_from_str(rat_to_str(x)) == x
     assert rat_to_str(Fraction(3, 1)) == "3"
     assert rat_to_str(Fraction(-1, 2)) == "-1/2"
+
+
+def test_rat_rejects_booleans():
+    for x in (True, False):
+        with pytest.raises(BadInputError):
+            rat(x)
+    with pytest.raises(BadInputError):
+        RationalMatrix([[False, True], [-1, 0]])
 
 
 def test_matrix_json_round_trip():

@@ -1,0 +1,19 @@
+"""Source-level invariants of the package."""
+
+import ast
+from pathlib import Path
+
+import nilforge
+
+SRC = Path(nilforge.__file__).parent
+
+
+def test_no_assert_statements():
+    # python -O strips assert, so no invariant may rest on one
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
