@@ -28,7 +28,6 @@ from .exactlin import (
     MatrixSubspace,
     RationalMatrix,
     SignatureForm,
-    eta,
     rat_to_str,
     signature,
     trace_gram,
@@ -36,6 +35,7 @@ from .exactlin import (
 from .lattice import (
     LatticeVerdict,
     lattice_verdict,
+    pseudo_H_algebra,
     pseudo_H_pipeline_report,
 )
 from .nilpotent import MetricAlgebra, NilpotentAlgebra2, is_pseudo_H_type
@@ -113,8 +113,6 @@ def _cmd_clifford(args) -> int:
 
 
 def _cmd_build(args) -> int:
-    from .lattice import pseudo_H_algebra
-
     module = build_module(CliffordSignature(args.r, args.s))
     ma = pseudo_H_algebra(module)
     check = is_pseudo_H_type(ma)
@@ -128,18 +126,15 @@ def _cmd_reduce(args) -> int:
     a = load_algebra(args.input)
     realizations = find_realizations(a)
     reductions = []
-    for p in range(a.m + 1):
-        q = a.m - p
-        d = eta_twist(structure_space(a), p, q, "left")
-        sp, sq, nullity = signature(trace_gram(d))
-        if nullity:
-            continue
-        t, target = reduction_isomorphism(a, p, q)
+    # tr(eta C eta C') = tr(C eta C' eta): the left twist that the reduction
+    # uses has the Gram, hence the signature, of the right twist found here
+    for real in realizations:
+        t, target = reduction_isomorphism(a, real["p"], real["q"])
         reductions.append(
             {
-                "p": p,
-                "q": q,
-                "signature": [sp, sq],
+                "p": real["p"],
+                "q": real["q"],
+                "signature": real["signature"],
                 "T": t,
                 "standard_structure": list(target.algebra.structure),
             }

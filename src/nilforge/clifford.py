@@ -9,7 +9,7 @@ diagonal +-1 module form and r+s generator matrices J_i with entries in
 - eta J_i^T eta = -J_i  (skew-symmetry for the module form),
 
 with the form positive definite when s = 0 and neutral of index (N/2, N/2)
-when s > 0.
+when s > 0: the pseudo H-type laws of ``nilpotent.h_type_laws`` for eta_{r,s}.
 
 Construction: explicit integer tables for the base cases (1,0), (0,1),
 (2,0), (1,1), (0,2), then two Kronecker doubling steps that each add one
@@ -29,7 +29,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DimensionMismatchError, UnsupportedSignatureError
-from .exactlin import RationalMatrix, SignatureForm, rat
+from .exactlin import RationalMatrix, SignatureForm, lin_comb, rat
+from .nilpotent import h_type_laws
 
 #: largest r+s accepted by build_module
 SIGNATURE_CAP = 8
@@ -207,57 +208,16 @@ def build_module(sig: CliffordSignature) -> CliffordModule:
     return module
 
 
-def _check_skew(module: CliffordModule) -> bool:
-    e = module.module_form.matrix
-    return all(e * j.transpose() * e == -j for j in module.generators)
-
-
-def _check_square(module: CliffordModule) -> bool:
-    n = module.module_dim
-    ident = RationalMatrix.identity(n)
-    sig = module.signature
-    return all(
-        j * j == ident.scale(-sig.nu(i + 1))
-        for i, j in enumerate(module.generators)
-    )
-
-
-def _check_anticommute(module: CliffordModule) -> bool:
-    gens = module.generators
-    zero = RationalMatrix.zeros(module.module_dim, module.module_dim)
-    return all(
-        gens[i] * gens[j] + gens[j] * gens[i] == zero
-        for i in range(len(gens))
-        for j in range(i + 1, len(gens))
-    )
-
-
-def _check_orthogonality(module: CliffordModule) -> bool:
-    """<J_z u, J_z' v> polarized over generators: J_i^T eta J_j + J_j^T eta J_i
-    = 2 <z_i, z_j> eta, i.e. nu_i eta on the diagonal and 0 off it."""
-    e = module.module_form.matrix
-    gens = module.generators
-    sig = module.signature
-    n = len(gens)
-    zero = RationalMatrix.zeros(module.module_dim, module.module_dim)
-    for i in range(n):
-        if gens[i].transpose() * e * gens[i] != e.scale(sig.nu(i + 1)):
-            return False
-        for j in range(i + 1, n):
-            cross = gens[i].transpose() * e * gens[j] + gens[j].transpose() * e * gens[i]
-            if cross != zero:
-                return False
-    return True
-
-
 def verify_module(module: CliffordModule) -> dict:
     """Full certification report; failures are report entries, not errors."""
     sig = module.signature
     n = module.module_dim
     form = module.module_form
-    skew = _check_skew(module)
-    orth = _check_orthogonality(module)
-    square = _check_square(module)
+    # G_Z = eta_{r,s} on the generators given; diagonal nu_i keeps the
+    # report defined when their number is wrong
+    nus = RationalMatrix.diag([sig.nu(i + 1) for i in range(len(module.generators))])
+    laws = h_type_laws(module.generators, form.matrix, nus)
+    skew, orth, square = laws["skew"], laws["orthogonality"], laws["square"]
     if sig.s > 0:
         form_ok = (form.p, form.q, form.nullity) == (n // 2, n // 2, 0)
     else:
@@ -265,7 +225,7 @@ def verify_module(module: CliffordModule) -> dict:
     checks = {
         "generator_count": len(module.generators) == sig.n,
         "square_law": square,
-        "anticommutation": _check_anticommute(module),
+        "anticommutation": laws["anticommutation"],
         "admissible_skew": skew,
         "orthogonality": orth,
         "form_signature": form_ok,
@@ -295,8 +255,4 @@ def extend_J(module: CliffordModule, z) -> RationalMatrix:
         raise DimensionMismatchError(
             f"center vector length {len(zv)} != {module.signature.n}"
         )
-    acc = RationalMatrix.zeros(module.module_dim, module.module_dim)
-    for c, j in zip(zv, module.generators):
-        if c:
-            acc = acc + j.scale(c)
-    return acc
+    return lin_comb(zv, module.generators, module.module_dim)

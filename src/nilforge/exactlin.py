@@ -623,13 +623,13 @@ class SpanBuilder:
     """Row-echelon span of sparse vectors with coordinate tracking.
 
     Vectors are dicts {index: Fraction} with zero entries absent.  Each
-    echelon row remembers its expression in the originally added vectors, so
-    ``coords`` recovers exact coefficients.
+    echelon row remembers its expression in the vectors that enlarged the
+    span, numbered 0, 1, ... in the order they were added, so ``coords``
+    recovers exact coefficients over them.
     """
 
     def __init__(self):
         self._rows: list[tuple[int, dict, dict]] = []  # (pivot, vec, comb)
-        self._count = 0
 
     @property
     def dim(self) -> int:
@@ -658,11 +658,10 @@ class SpanBuilder:
 
     def add(self, vec: dict) -> bool:
         """Add a vector; returns True iff it enlarged the span."""
-        label = self._count
-        self._count += 1
         v, comb = self._reduce(vec)
         if not v:
             return False
+        label = len(self._rows)
         piv = min(v)
         d = v[piv]
         row = {i: x / d for i, x in v.items()}
@@ -731,18 +730,11 @@ class MatrixSubspace:
     __slots__ = ("ambient_dim", "basis", "_span")
 
     def __init__(self, ambient_dim: int, basis):
-        self.ambient_dim = ambient_dim
-        self.basis = tuple(basis)
-        for b in self.basis:
-            if b.rows != ambient_dim or b.cols != ambient_dim:
-                raise DimensionMismatchError(
-                    f"basis matrix is {b.rows}x{b.cols}, ambient is {ambient_dim}"
-                )
-        span = SpanBuilder()
-        for b in self.basis:
-            if not span.add(matrix_to_sparse(b)):
-                raise DependentBasisError("generator list is linearly dependent")
-        self._span = span
+        basis = tuple(basis)
+        s = independent_subset(ambient_dim, basis)
+        if s.dim != len(basis):
+            raise DependentBasisError("generator list is linearly dependent")
+        self.ambient_dim, self.basis, self._span = ambient_dim, basis, s._span
 
     @property
     def dim(self) -> int:
@@ -763,12 +755,7 @@ class MatrixSubspace:
         return tuple(comb.get(i, ZERO) for i in range(self.dim))
 
     def element(self, coeffs) -> RationalMatrix:
-        acc = RationalMatrix.zeros(self.ambient_dim, self.ambient_dim)
-        for c, b in zip(coeffs, self.basis):
-            c = rat(c)
-            if c:
-                acc = acc + b.scale(c)
-        return acc
+        return lin_comb(coeffs, self.basis, self.ambient_dim)
 
     def equals(self, other: "MatrixSubspace") -> bool:
         """Subspace equality by mutual containment."""
@@ -796,13 +783,37 @@ class MatrixSubspace:
 
 
 def independent_subset(ambient_dim: int, mats) -> MatrixSubspace:
-    """Span of an arbitrary matrix list as a subspace (independent subset kept)."""
+    """Span of an arbitrary matrix list as a subspace: its basis is the
+    matrices that enlarge the span, in order.  One pass; the span built while
+    choosing them is the subspace's own."""
     span = SpanBuilder()
     keep = []
     for m in mats:
+        if m.rows != ambient_dim or m.cols != ambient_dim:
+            raise DimensionMismatchError(
+                f"basis matrix is {m.rows}x{m.cols}, ambient is {ambient_dim}"
+            )
         if span.add(matrix_to_sparse(m)):
             keep.append(m)
-    return MatrixSubspace(ambient_dim, keep)
+    s = object.__new__(MatrixSubspace)
+    s.ambient_dim, s.basis, s._span = ambient_dim, tuple(keep), span
+    return s
+
+
+def lin_comb(coeffs, mats, dim: int) -> RationalMatrix:
+    """The dim x dim matrix sum_i c_i M_i (zero for an empty list)."""
+    rows = [[ZERO] * dim for _ in range(dim)]
+    for c, m in zip(coeffs, mats):
+        c = rat(c)
+        if not c:
+            continue
+        if m.rows != dim or m.cols != dim:
+            raise DimensionMismatchError(f"{m.rows}x{m.cols} term in a {dim}x{dim} sum")
+        for acc, r in zip(rows, m._r):
+            for j, x in enumerate(r):
+                if x:
+                    acc[j] += c * x
+    return RationalMatrix._raw(tuple(map(tuple, rows)))
 
 
 def trace_pairing(xs, ys) -> RationalMatrix:

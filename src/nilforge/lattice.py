@@ -21,7 +21,14 @@ from math import lcm
 
 from .clifford import CliffordModule, CliffordSignature, build_module
 from .errors import HomomorphismError
-from .exactlin import MatrixSubspace, RationalMatrix, rat, trace_pairing
+from .exactlin import (
+    MatrixSubspace,
+    RationalMatrix,
+    SignatureForm,
+    eta,
+    rat,
+    trace_pairing,
+)
 from .nilpotent import MetricAlgebra, NilpotentAlgebra2, algebra_from_J, bracket
 from .standardform import StandardPseudoMetricAlgebra, standard_algebra
 
@@ -111,8 +118,6 @@ def lattice_verdict(a: NilpotentAlgebra2) -> LatticeVerdict:
 
 def pseudo_H_algebra(module: CliffordModule) -> MetricAlgebra:
     """n_{r,s}: V = module space with its form, Z = R^{r,s}, J as given."""
-    from .exactlin import SignatureForm, eta
-
     sig = module.signature
     form_z = SignatureForm(eta(sig.r, sig.s))
     return algebra_from_J(module.generators, module.module_form, form_z)
@@ -149,8 +154,6 @@ def pseudo_H_pipeline_report(r: int, s: int) -> dict:
     )
     w = MatrixSubspace(big_n, module.generators)
     std = standard_algebra(p, q, w)
-    from .exactlin import eta
-
     gram_ok = std.gram_W == eta(r, s).scale(two_l)
     # T fixes V and sends z_k -> w_k / (2l): structure must satisfy
     # C_std^k = C_n^k / (2l)

@@ -9,7 +9,8 @@ bracket and the J-map determine each other through the duality
 
 which in Gram-matrix terms reads J_z = -G_V^{-1} sum_k (G_Z z)_k C^k.
 Both directions (``j_map`` / ``algebra_from_J``) are implemented, and
-``is_pseudo_H_type`` certifies the polarized orthogonality and square laws.
+``h_type_laws`` certifies the polarized skew, square, anticommutation and
+orthogonality laws, for ``is_pseudo_H_type`` and for Clifford modules alike.
 """
 
 from __future__ import annotations
@@ -36,8 +37,10 @@ from .exactlin import (
     SignatureForm,
     SpanBuilder,
     char_poly,
+    independent_subset,
     kernel_basis,
     inverse,
+    lin_comb,
     rat,
     rat_to_str,
     rational_roots,
@@ -78,14 +81,12 @@ class NilpotentAlgebra2:
         if self.tag not in ("adapted", "raw"):
             raise BadInputError(f"unknown tag {self.tag!r}")
         if self.tag == "adapted":
-            span = SpanBuilder()
-            from .exactlin import matrix_to_sparse
-
-            for c in self.structure:
-                if not span.add(matrix_to_sparse(c)):
-                    raise DependentBasisError(
-                        "adapted tag requires independent structure matrices"
-                    )
+            if not self.n:
+                raise BadInputError("adapted tag requires a nonzero center")
+            if independent_subset(self.m, self.structure).dim != self.n:
+                raise DependentBasisError(
+                    "adapted tag requires independent structure matrices"
+                )
 
     @property
     def total_dim(self) -> int:
@@ -105,8 +106,20 @@ class NilpotentAlgebra2:
         return obj
 
     @classmethod
+    def tagged(cls, **fields) -> "NilpotentAlgebra2":
+        """The algebra tagged "adapted" when its C^k are independent (and
+        n > 0), "raw" otherwise; independence is checked once."""
+        try:
+            return cls(tag="adapted" if fields["n"] else "raw", **fields)
+        except DependentBasisError:
+            return cls(tag="raw", **fields)
+
+    @classmethod
     def from_json(cls, obj: dict) -> "NilpotentAlgebra2":
         try:
+            for key in ("m", "n"):
+                if type(obj[key]) is not int:
+                    raise BadInputError(f"{key} must be an integer, not {obj[key]!r}")
             structure = tuple(RationalMatrix(c) for c in obj["C"])
             return cls(
                 m=obj["m"],
@@ -176,21 +189,13 @@ def bracket(a: NilpotentAlgebra2, x, y) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def _weighted_structure(a: NilpotentAlgebra2, weights) -> RationalMatrix:
-    acc = RationalMatrix.zeros(a.m, a.m)
-    for w, c in zip(weights, a.structure):
-        if w:
-            acc = acc + c.scale(w)
-    return acc
-
-
 def j_map(ma: MetricAlgebra, z) -> RationalMatrix:
     """The map J_z on V defined by <J_z v, w>_V = <z, [v,w]>_Z."""
     zv = [rat(t) for t in z]
     if len(zv) != ma.n:
         raise DimensionMismatchError("center vector length != n")
     w = ma.form_Z.matrix.apply(zv)
-    return -(ma.form_V.inverse_matrix() * _weighted_structure(ma.algebra, w))
+    return -(ma.form_V.inverse_matrix() * lin_comb(w, ma.structure, ma.m))
 
 
 def algebra_from_J(
@@ -217,25 +222,12 @@ def algebra_from_J(
     gz_inv = form_Z.inverse_matrix()
     # J_l^T G_V = sum_k (G_Z)_{kl} C^k  =>  C^k = sum_l (G_Z^{-1})_{kl} J_l^T G_V
     rhs = [j.transpose() * gv for j in j_list]
-    structure = []
-    for k in range(n):
-        acc = RationalMatrix.zeros(m, m)
-        for l in range(n):
-            c = gz_inv.entry(k, l)
-            if c:
-                acc = acc + rhs[l].scale(c)
-        structure.append(acc)
-    span = SpanBuilder()
-    from .exactlin import matrix_to_sparse
-
-    independent = all(span.add(matrix_to_sparse(c)) for c in structure)
-    algebra = NilpotentAlgebra2(
+    algebra = NilpotentAlgebra2.tagged(
         m=m,
         n=n,
-        structure=tuple(structure),
+        structure=tuple(lin_comb(gz_inv.row(k), rhs, m) for k in range(n)),
         form_V=form_V,
         form_Z=form_Z,
-        tag="adapted" if (independent and n > 0) else "raw",
         symbolic=symbolic,
     )
     return MetricAlgebra(algebra)
@@ -297,26 +289,57 @@ def abelian_factor(ma: MetricAlgebra) -> tuple[NilpotentAlgebra2, int]:
     return g_star, a_dim
 
 
+def h_type_laws(js, g_v: RationalMatrix, g_z: RationalMatrix) -> dict:
+    """The pseudo H-type laws of maps J_1..J_n on (V, G_V) over (Z, G_Z),
+    polarized on basis pairs; for G_Z = eta_{r,s} they are the laws of an
+    admissible Clifford module.
+
+    - skew: J_k^T G_V = -G_V J_k,
+    - square: J_k^2 = -(G_Z)_kk I,
+    - anticommutation: J_k J_l + J_l J_k = -2 (G_Z)_kl I for k < l,
+    - orthogonality: J_k^T G_V J_l + J_l^T G_V J_k = 2 (G_Z)_kl G_V for
+      k <= l (J_k^T G_V J_k = (G_Z)_kk G_V on the diagonal).
+    """
+    js = list(js)
+    n = len(js)
+    if g_z.rows != n or g_z.cols != n:
+        raise DimensionMismatchError(f"{n} maps against a {g_z.rows}x{g_z.cols} G_Z")
+    ident = RationalMatrix.identity(g_v.rows)
+    multiples = {}
+
+    def times(base, c):
+        # each right-hand side is built once per distinct coefficient
+        key = (base is g_v, c)
+        if key not in multiples:
+            multiples[key] = base.scale(c)
+        return multiples[key]
+
+    jts = [j.transpose() for j in js]
+    gjs = [g_v * j for j in js]
+    pairs = [(k, l) for k in range(n) for l in range(k + 1, n)]
+    return {
+        "skew": all(jt * g_v == -gj for jt, gj in zip(jts, gjs)),
+        "square": all(j * j == times(ident, -g_z.entry(k, k)) for k, j in enumerate(js)),
+        "anticommutation": all(
+            js[k] * js[l] + js[l] * js[k] == times(ident, -2 * g_z.entry(k, l))
+            for k, l in pairs
+        ),
+        "orthogonality": all(
+            jts[k] * gjs[k] == times(g_v, g_z.entry(k, k)) for k in range(n)
+        )
+        and all(
+            jts[k] * gjs[l] + jts[l] * gjs[k] == times(g_v, 2 * g_z.entry(k, l))
+            for k, l in pairs
+        ),
+    }
+
+
 def is_pseudo_H_type(ma: MetricAlgebra) -> dict:
     """Certify the pseudo H-type laws on polarized basis identities."""
-    gv = ma.form_V.matrix
-    gz = ma.form_Z.matrix
-    m = ma.m
-    ident = RationalMatrix.identity(m)
-    zero = RationalMatrix.zeros(m, m)
     js = [j_map(ma, [ONE if k == l else ZERO for l in range(ma.n)]) for k in range(ma.n)]
-    skew = all(j.transpose() * gv == -(gv * j) for j in js)
-    square = True
-    orth = True
-    for k in range(ma.n):
-        for l in range(k, ma.n):
-            gkl = gz.entry(k, l)
-            anti = js[k] * js[l] + js[l] * js[k]
-            if anti != ident.scale(-2 * gkl):
-                square = False
-            pol = js[k].transpose() * gv * js[l] + js[l].transpose() * gv * js[k]
-            if pol != gv.scale(2 * gkl):
-                orth = False
+    laws = h_type_laws(js, ma.form_V.matrix, ma.form_Z.matrix)
+    skew, orth = laws["skew"], laws["orthogonality"]
+    square = laws["square"] and laws["anticommutation"]
     checks = {
         "skew_symmetry": skew,
         "square_law": square,
@@ -393,16 +416,7 @@ def scaling_isomorphism(
     basis_z = [[ONE if k == l else ZERO for l in range(a1.n)] for k in range(a1.n)]
     js1 = [j_map(a1, z) for z in basis_z]
     js2 = [j_map(a2, z) for z in basis_z]
-    from .exactlin import matrix_to_sparse
-
-    span1, span2 = SpanBuilder(), SpanBuilder()
-    for j in js1:
-        span1.add(matrix_to_sparse(j))
-    for j in js2:
-        span2.add(matrix_to_sparse(j))
-    if not all(span1.contains(matrix_to_sparse(j)) for j in js2) or not all(
-        span2.contains(matrix_to_sparse(j)) for j in js1
-    ):
+    if not independent_subset(m, js1).equals(independent_subset(m, js2)):
         raise PreconditionError("the two algebras do not share a J-image")
     g1, g2 = a1.form_V.matrix, a2.form_V.matrix
     s = a1.form_V.inverse_matrix() * g2

@@ -24,7 +24,6 @@ from .errors import (
     DimensionMismatchError,
     HomomorphismError,
     NotAdaptedError,
-    NotSkewError,
     PreconditionError,
     SingularAError,
 )
@@ -34,16 +33,17 @@ from .exactlin import (
     MatrixSubspace,
     RationalMatrix,
     SignatureForm,
-    SpanBuilder,
     eta,
-    inverse,
-    matrix_to_sparse,
+    independent_subset,
+    kernel_basis,
+    lin_comb,
     rank,
     rat,
+    signature,
     trace_gram,
     trace_pairing,
 )
-from .nilpotent import MetricAlgebra, NilpotentAlgebra2
+from .nilpotent import NilpotentAlgebra2, algebra_from_J
 
 
 def nu(p: int, q: int, i: int) -> int:
@@ -128,8 +128,6 @@ def find_realizations(a: NilpotentAlgebra2) -> list[dict]:
     for p in range(a.m + 1):
         q = a.m - p
         d = eta_twist(c, p, q, "right")
-        from .exactlin import signature
-
         sp, sq, nullity = signature(trace_gram(d))
         if nullity == 0:
             out.append({"p": p, "q": q, "signature": (sp, sq)})
@@ -137,38 +135,19 @@ def find_realizations(a: NilpotentAlgebra2) -> list[dict]:
 
 
 def standard_algebra(p: int, q: int, w: MatrixSubspace) -> StandardPseudoMetricAlgebra:
-    """The standard pseudo-metric algebra R^{p,q} (+) W."""
+    """The standard pseudo-metric algebra R^{p,q} (+) W: the metric algebra
+    whose J-map sends the k-th basis vector of W to itself, for the form
+    eta_{p,q} on V and the trace form on W.  ``algebra_from_J``'s skew check
+    for G_V = eta_{p,q} is the so(p,q) membership of W (NotSkewError)."""
     m = p + q
     if w.ambient_dim != m:
         raise DimError(f"W ambient {w.ambient_dim} != p+q = {m}")
-    for b in w.basis:
-        if not in_so(b, p, q):
-            raise NotSkewError("W basis element is not in so(p,q)")
     gram = trace_gram(w)
     form_z = SignatureForm(gram)
-    if w.dim and not form_z.is_nondegenerate():
+    if not form_z.is_nondegenerate():
         raise DegenerateWError("trace form degenerates on W")
-    e = eta(p, q)
-    g_inv = inverse(gram) if w.dim else None
-    # r_a(i, j) = <w_a e_i, e_j> = (w_a^T eta)_{ij}; beta = G^{-1} r
-    rhs = [b.transpose() * e for b in w.basis]
-    structure = []
-    for k in range(w.dim):
-        acc = RationalMatrix.zeros(m, m)
-        for l in range(w.dim):
-            coef = g_inv.entry(k, l)
-            if coef:
-                acc = acc + rhs[l].scale(coef)
-        structure.append(acc)
-    algebra = NilpotentAlgebra2(
-        m=m,
-        n=w.dim,
-        structure=tuple(structure),
-        form_V=SignatureForm.standard(p, q),
-        form_Z=form_z,
-        tag="adapted" if w.dim else "raw",
-    )
-    return StandardPseudoMetricAlgebra(p=p, q=q, W=w, gram_W=gram, algebra=algebra)
+    ma = algebra_from_J(w.basis, SignatureForm.standard(p, q), form_z)
+    return StandardPseudoMetricAlgebra(p=p, q=q, W=w, gram_W=gram, algebra=ma.algebra)
 
 
 def reduction_isomorphism(
@@ -182,14 +161,8 @@ def reduction_isomorphism(
     """
     if a.tag != "adapted":
         raise NotAdaptedError("reduction requires an adapted algebra")
-    c = structure_space(a)
-    d = eta_twist(c, p, q, "left")
-    gram = trace_gram(d)
-    form = SignatureForm(gram)
-    if not form.is_nondegenerate():
-        raise DegenerateWError(f"left twist is degenerate for (p,q)=({p},{q})")
-    target = standard_algebra(p, q, d)
-    g_inv = inverse(gram)
+    target = standard_algebra(p, q, eta_twist(structure_space(a), p, q, "left"))
+    g_inv = target.algebra.form_Z.inverse_matrix()
     m, n = a.m, a.n
     rows = []
     for i in range(m + n):
@@ -202,21 +175,11 @@ def reduction_isomorphism(
                 row[m + k] = -g_inv.entry(i - m, k)
         rows.append(row)
     t = RationalMatrix(rows)
-    # certify on all basis pairs
-    for i in range(m):
-        for j in range(i + 1, m):
-            lhs = [
-                -sum(
-                    (g_inv.entry(k, l) * a.structure[l].entry(i, j) for l in range(n)),
-                    ZERO,
-                )
-                for k in range(n)
-            ]
-            rhs = [target.algebra.structure[k].entry(i, j) for k in range(n)]
-            if lhs != rhs:
-                raise HomomorphismError(
-                    "reduction certificate failed; convention bug"
-                )
+    # certify on all basis pairs: the k-th coordinate of T([v_i, v_j]) is
+    # -sum_l (G^{-1})_{kl} C^l_ij (both sides antisymmetric)
+    for k in range(n):
+        if -lin_comb(g_inv.row(k), a.structure, m) != target.algebra.structure[k]:
+            raise HomomorphismError("reduction certificate failed; convention bug")
     return t, target
 
 
@@ -322,10 +285,9 @@ def apply_free_automorphism(
                 raise HomomorphismError("free automorphism certificate failed")
     xv = [rat(t) for t in x[0]]
     new_v = a.apply(xv)
-    new_z = a * x[1] * a_eta if x[1] is not None else RationalMatrix.zeros(m, m)
-    for c, s in zip(xv, s_hom):
-        if c:
-            new_z = new_z + s.scale(c)
+    new_z = lin_comb(xv, s_hom, m)
+    if x[1] is not None:
+        new_z = a * x[1] * a_eta + new_z
     return new_v, new_z
 
 
@@ -343,60 +305,42 @@ def quotient_by_center_subspace(
     if not w.contains_subspace(k):
         raise PreconditionError("K is not a subspace of the center")
     # trace-orthogonal complement of K inside W, in W coordinates
+    m = f.p + f.q
     if k.dim:
         pairing = -trace_pairing(k.basis, w.basis)
-        from .exactlin import kernel_basis
-
         comp = [w.element(v) for v in kernel_basis(pairing)]
     else:
         comp = list(w.basis)
-    metric = True
-    span = SpanBuilder()
-    for b in k.basis:
-        span.add(matrix_to_sparse(b))
-    if len(comp) != w.dim - k.dim or any(
-        not span.add(matrix_to_sparse(b)) for b in comp
-    ):
+    # K (+) complement, whose coordinates express the brackets below
+    k_comp = independent_subset(m, list(k.basis) + comp)
+    metric = len(comp) == w.dim - k.dim and k_comp.dim == w.dim
+    if not metric:
         # K meets its orthogonal complement; fall back to greedy extension
-        metric = False
-        span = SpanBuilder()
-        for b in k.basis:
-            span.add(matrix_to_sparse(b))
-        comp = [b for b in w.basis if span.add(matrix_to_sparse(b))]
-    # express brackets in K (+) complement coordinates, keep the complement part
-    coord_span = SpanBuilder()
-    for b in list(k.basis) + comp:
-        coord_span.add(matrix_to_sparse(b))
-    m = f.p + f.q
+        k_comp = independent_subset(m, list(k.basis) + list(w.basis))
+        comp = list(k_comp.basis[k.dim:])
     nq = len(comp)
     new_structure = [[[ZERO] * m for _ in range(m)] for _ in range(nq)]
     for i in range(m):
         for j in range(i + 1, m):
-            val = f.W.element([c.entry(i, j) for c in f.algebra.structure])
-            coords = coord_span.coords(matrix_to_sparse(val))
+            coords = k_comp.coords(w.element([c.entry(i, j) for c in f.algebra.structure]))
             if coords is None:
                 raise HomomorphismError("bracket lies outside K (+) complement")
             for t in range(nq):
-                x = coords.get(k.dim + t, ZERO)
+                x = coords[k.dim + t]
                 new_structure[t][i][j] = x
                 new_structure[t][j][i] = -x
-    comp_space = MatrixSubspace(m, comp) if comp else MatrixSubspace(m, [])
-    gram = trace_gram(comp_space)
+    gram = trace_gram(MatrixSubspace(m, comp))
     form_z = None
     if nq:
         candidate = SignatureForm(gram)
         if candidate.is_nondegenerate():
             form_z = candidate
-    structure = tuple(RationalMatrix(c) for c in new_structure)
-    span2 = SpanBuilder()
-    independent = all(span2.add(matrix_to_sparse(c)) for c in structure)
-    algebra = NilpotentAlgebra2(
+    algebra = NilpotentAlgebra2.tagged(
         m=m,
         n=nq,
-        structure=structure,
+        structure=tuple(RationalMatrix(c) for c in new_structure),
         form_V=SignatureForm.standard(f.p, f.q),
         form_Z=form_z,
-        tag="adapted" if (nq and independent) else "raw",
     )
     return algebra, metric
 

@@ -23,6 +23,8 @@ from .exactlin import (
     SpanBuilder,
     commutator,
     eta,
+    independent_subset,
+    kernel_basis,
     matrix_to_sparse,
     signature,
     trace_gram,
@@ -63,20 +65,9 @@ def triple_center(w: MatrixSubspace) -> MatrixSubspace:
             col.extend(commutator(w.basis[a], w.basis[b]).entries())
         cols.append(col)
     stacked = RationalMatrix(cols).transpose()
-    from .exactlin import kernel_basis
-
     return MatrixSubspace(
         w.ambient_dim, [w.element(v) for v in kernel_basis(stacked)]
     )
-
-
-def _bracket_span(mats, ambient: int) -> list[RationalMatrix]:
-    span = SpanBuilder()
-    keep = []
-    for m in mats:
-        if span.add(matrix_to_sparse(m)):
-            keep.append(m)
-    return keep
 
 
 def generated_algebra(w: MatrixSubspace) -> TripleSystemReport:
@@ -94,27 +85,20 @@ def generated_algebra(w: MatrixSubspace) -> TripleSystemReport:
         for a in range(w.dim)
         for b in range(a + 1, w.dim)
     ]
-    t_basis = _bracket_span(pair_brackets, w.ambient_dim)
-    t_span = SpanBuilder()
-    for m in t_basis:
-        t_span.add(matrix_to_sparse(m))
-    l_span = SpanBuilder()
-    l_list = []
-    for m in list(w.basis) + t_basis:
-        if l_span.add(matrix_to_sparse(m)):
-            l_list.append(m)
-    l_basis = MatrixSubspace(w.ambient_dim, l_list)
+    t = independent_subset(w.ambient_dim, pair_brackets)
+    t_basis = t.basis
+    l_basis = independent_subset(w.ambient_dim, w.basis + t_basis)
     # Cartan pair inclusions: [t,t] in t, [t,p] in p, [p,p] in t
     cartan = all(
-        t_span.contains(matrix_to_sparse(commutator(t_basis[a], t_basis[b])))
+        t.contains(commutator(t_basis[a], t_basis[b]))
         for a in range(len(t_basis))
         for b in range(a + 1, len(t_basis))
     )
     cartan = cartan and all(
-        w.contains(commutator(t, p)) for t in t_basis for p in w.basis
+        w.contains(commutator(x, p)) for x in t_basis for p in w.basis
     )
     cartan = cartan and all(
-        t_span.contains(matrix_to_sparse(commutator(w.basis[a], w.basis[b])))
+        t.contains(commutator(w.basis[a], w.basis[b]))
         for a in range(w.dim)
         for b in range(a + 1, w.dim)
     )
@@ -210,11 +194,10 @@ def special_ideal_split(
     h_plus, h_minus = out
     report = generated_algebra(clifford_triple_system(module))
     l = report.L_basis
-    span = SpanBuilder()
-    for b in list(h_plus.basis) + list(h_minus.basis):
-        if not span.add(matrix_to_sparse(b)):
-            raise HomomorphismError("ideal split basis is dependent")
-    if span.dim != l.dim:
+    split = independent_subset(n, h_plus.basis + h_minus.basis)
+    if split.dim != h_plus.dim + h_minus.dim:
+        raise HomomorphismError("ideal split basis is dependent")
+    if split.dim != l.dim:
         raise HomomorphismError("h_+ (+) h_- does not fill L")
     zero = RationalMatrix.zeros(n, n)
     if any(
@@ -242,21 +225,17 @@ def decomposition_checks(w: MatrixSubspace) -> dict:
     stacked = RationalMatrix(
         [sum(([x for x in ad.column(j)] for ad in ads), []) for j in range(l.dim)]
     ).transpose()
-    from .exactlin import kernel_basis
-
     z_l = [l.element(v) for v in kernel_basis(stacked)]
-    ll = _bracket_span(
+    ll = independent_subset(
+        l.ambient_dim,
         [
             commutator(l.basis[a], l.basis[b])
             for a in range(l.dim)
             for b in range(a + 1, l.dim)
         ],
-        l.ambient_dim,
-    )
-    span = SpanBuilder()
-    for m in z_l + ll:
-        span.add(matrix_to_sparse(m))
-    direct_sum = span.dim == len(z_l) + len(ll) and span.dim == l.dim
+    ).basis
+    span_dim = independent_subset(l.ambient_dim, z_l + list(ll)).dim
+    direct_sum = span_dim == len(z_l) + len(ll) and span_dim == l.dim
     zw = triple_center(w).dim
     return {
         "is_triple": True,
@@ -281,14 +260,9 @@ def theta_closure(d1: MatrixSubspace, d2: MatrixSubspace, p: int, q: int) -> dic
     theta_swaps = d1.dim == d2.dim and all(d2.contains(t) for t in theta_d1) and all(
         d1.contains(theta(b)) for b in d2.basis
     )
-    span = SpanBuilder()
-    sum_basis = []
-    for b in list(d1.basis) + list(d2.basis):
-        if span.add(matrix_to_sparse(b)):
-            sum_basis.append(b)
-    sum_space = MatrixSubspace(d1.ambient_dim, sum_basis)
-    transpose_closed = all(sum_space.contains(-b.transpose()) for b in sum_basis)
-    theta_closed = all(sum_space.contains(theta(b)) for b in sum_basis)
+    sum_space = independent_subset(d1.ambient_dim, d1.basis + d2.basis)
+    transpose_closed = all(sum_space.contains(-b.transpose()) for b in sum_space.basis)
+    theta_closed = all(sum_space.contains(theta(b)) for b in sum_space.basis)
     gram1 = trace_gram(d1)
     gram_theta = -trace_pairing(theta_d1, theta_d1)
     return {

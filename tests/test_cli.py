@@ -234,5 +234,33 @@ def test_cli_rejects_boolean_entries(tmp_path, capsys):
     assert d["error"] == "ERR_BAD_INPUT"
 
 
+def test_cli_rejects_adapted_algebra_without_center(tmp_path, capsys):
+    path = tmp_path / "n0.json"
+    path.write_text(json.dumps({"m": 2, "n": 0, "C": [], "tag": "adapted"}))
+    code, d = _run_json(capsys, "reduce", str(path))
+    assert code == 2
+    assert d["error"] == "ERR_BAD_INPUT"
+
+
+def test_cli_rejects_boolean_dimensions(tmp_path, capsys):
+    path = tmp_path / "bool_dims.json"
+    path.write_text(json.dumps({"m": True, "n": True, "C": [[[0]]], "tag": "raw"}))
+    code, d = _run_json(capsys, "lattice", str(path))
+    assert code == 2
+    assert d["error"] == "ERR_BAD_INPUT"
+    assert "m must be an integer" in d["detail"]
+
+
+def test_cli_rejects_float_dimensions(tmp_path, capsys):
+    path = tmp_path / "float_dims.json"
+    path.write_text(
+        json.dumps({"m": 2.0, "n": 1, "C": [[[0, 1], [-1, 0]]], "tag": "raw"})
+    )
+    code, d = _run_json(capsys, "lattice", str(path))
+    assert code == 2
+    assert d["error"] == "ERR_BAD_INPUT"
+    assert "m must be an integer" in d["detail"]
+
+
 def test_unknown_verb_exit_2(capsys):
     assert main(["frobnicate"]) == 2

@@ -133,6 +133,28 @@ def test_two_of_three_never_holds_for_tampered_generators():
                 gens[idx] = RationalMatrix(rows)
                 laws = _laws(gens, form, nus)
                 assert list(laws).count(True) != 2, (r, total - r, laws)
+                tampered = CliffordModule(
+                    module.signature, n, module.module_form, tuple(gens)
+                )
+                checks = verify_module(tampered)["checks"]
+                assert (
+                    checks["admissible_skew"],
+                    checks["orthogonality"],
+                    checks["square_law"],
+                ) == laws
+
+
+def test_verify_module_reports_wrong_generator_count():
+    module = build_module(CliffordSignature(2, 1))
+    extra = CliffordModule(
+        signature=CliffordSignature(2, 0),
+        module_dim=module.module_dim,
+        module_form=module.module_form,
+        generators=module.generators,
+    )
+    report = verify_module(extra)
+    assert report["checks"]["generator_count"] is False
+    assert not report["passed"]
 
 
 def test_verify_module_flags_broken_module():

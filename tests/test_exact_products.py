@@ -1,6 +1,6 @@
 """Property tests for the integer-form product kernel behind ``_matmul``,
-``commutator`` and ``trace_pairing``, against plain nested-loop Fraction
-references."""
+``commutator`` and ``trace_pairing``, and for ``lin_comb``, against plain
+nested-loop Fraction references."""
 
 from fractions import Fraction
 from math import lcm
@@ -16,6 +16,7 @@ from nilforge.exactlin import (
     _int_form,
     _int_product,
     commutator,
+    lin_comb,
     trace_gram,
     trace_pairing,
 )
@@ -105,6 +106,32 @@ def test_product_int_form_is_lowest_terms(pair):
         list(prod.row(i)) for i in range(prod.rows)
     ]
     assert bound == max(abs(x) for x in arr.flat)
+
+
+@PROPS
+@given(st.data())
+def test_lin_comb_matches_reference(data):
+    n = data.draw(st.integers(0, 4))
+    mats = data.draw(st.lists(_matrix(n, n), max_size=5))
+    coeffs = data.draw(
+        st.lists(rationals | st.just(Fraction(0)), min_size=len(mats), max_size=len(mats))
+    )
+    ref = [
+        [
+            sum((c * m.entry(i, j) for c, m in zip(coeffs, mats)), Fraction(0))
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    assert lin_comb(coeffs, mats, n) == RationalMatrix(ref)
+    assert lin_comb([0] * len(mats), mats, n) == RationalMatrix.zeros(n, n)
+
+
+def test_lin_comb_empty_and_shape_check():
+    assert lin_comb([], [], 3) == RationalMatrix.zeros(3, 3)
+    assert lin_comb([], [], 0) == RationalMatrix([])
+    with pytest.raises(DimensionMismatchError):
+        lin_comb([1], [RationalMatrix.identity(2)], 3)
 
 
 def test_empty_shapes():

@@ -139,6 +139,19 @@ def test_find_realizations_requires_adapted():
 # certified reductions
 
 
+def test_left_and_right_twists_share_the_trace_gram():
+    """tr(eta C eta C') = tr(C eta C' eta): the two twists of a structure
+    space have one Gram, so one signature, for every split p + q = m."""
+    rng = random.Random(314)
+    for _ in range(25):
+        c = structure_space(random_adapted_algebra(rng, max_m=5).algebra)
+        for p in range(c.ambient_dim + 1):
+            q = c.ambient_dim - p
+            assert trace_gram(eta_twist(c, p, q, "left")) == trace_gram(
+                eta_twist(c, p, q, "right")
+            )
+
+
 def _check_T_is_homomorphism(a, t, target):
     """Independent re-certification: T[x,y]_a = [Tx, Ty]_target on basis pairs."""
     dim = a.m + a.n
