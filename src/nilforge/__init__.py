@@ -16,12 +16,12 @@ from .exactlin import (
     MatrixSubspace,
     RationalMatrix,
     SignatureForm,
-    SpanBuilder,
     char_poly,
     commutator,
     eta,
     inverse,
     kernel_basis,
+    nu,
     rank,
     rat,
     rat_from_str,
@@ -65,7 +65,6 @@ from .standardform import (
     free_isomorphism,
     gl_action,
     in_so,
-    nu,
     orbit_witness_check,
     quotient_by_center_subspace,
     reduction_isomorphism,

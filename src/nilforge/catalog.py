@@ -8,7 +8,7 @@ from __future__ import annotations
 import random
 
 from .clifford import CliffordSignature, build_module
-from .exactlin import RationalMatrix, SignatureForm, SpanBuilder, matrix_to_sparse
+from .exactlin import MatrixSubspace, RationalMatrix, SignatureForm
 from .lattice import pseudo_H_algebra
 from .nilpotent import MetricAlgebra, NilpotentAlgebra2
 
@@ -60,26 +60,21 @@ def random_adapted_algebra(rng: random.Random, max_m: int = 4) -> MetricAlgebra:
     m = rng.randint(2, max_m)
     max_n = m * (m - 1) // 2
     n = rng.randint(1, min(3, max_n))
-    span = SpanBuilder()
-    structure = []
-    while len(structure) < n:
+    space = MatrixSubspace(m)
+    while space.dim < n:
         rows = [[0] * m for _ in range(m)]
         for i in range(m):
             for j in range(i + 1, m):
                 v = rng.randint(-2, 2)
                 rows[i][j] = v
                 rows[j][i] = -v
-        c = RationalMatrix(rows)
-        if c.is_zero():
-            continue
-        if span.add(matrix_to_sparse(c)):
-            structure.append(c)
+        space.adjoin(RationalMatrix(rows))
     p = rng.randint(0, m)
     pz = rng.randint(0, n)
     algebra = NilpotentAlgebra2(
         m=m,
         n=n,
-        structure=tuple(structure),
+        structure=space.basis,
         form_V=SignatureForm.standard(p, m - p),
         form_Z=SignatureForm.standard(pz, n - pz),
         tag="adapted",

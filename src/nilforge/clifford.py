@@ -28,8 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DimensionMismatchError, UnsupportedSignatureError
-from .exactlin import RationalMatrix, SignatureForm, lin_comb, rat
+from .errors import BadInputError, DimensionMismatchError, UnsupportedSignatureError
+from .exactlin import RationalMatrix, SignatureForm, lin_comb, nu, rat
 from .nilpotent import h_type_laws
 
 #: largest r+s accepted by build_module
@@ -55,7 +55,7 @@ class CliffordSignature:
 
     def nu(self, i: int) -> int:
         """Sign of the i-th basis vector (1-based): +1 for i <= r."""
-        return 1 if i <= self.r else -1
+        return nu(self.r, self.s, i)
 
 
 @dataclass(frozen=True)
@@ -77,10 +77,13 @@ class CliffordModule:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CliffordModule":
-        sig = CliffordSignature(obj["r"], obj["s"])
-        form = SignatureForm(RationalMatrix.diag(obj["eta"]))
-        gens = tuple(RationalMatrix.from_json(g) for g in obj["generators"])
-        return cls(sig, obj["N"], form, gens)
+        try:
+            sig = CliffordSignature(obj["r"], obj["s"])
+            form = SignatureForm(RationalMatrix.diag(obj["eta"]))
+            gens = tuple(RationalMatrix.from_json(g) for g in obj["generators"])
+            return cls(sig, obj["N"], form, gens)
+        except (KeyError, TypeError) as exc:
+            raise BadInputError(f"bad module object: {exc}") from exc
 
 
 def clifford_dim(sig: CliffordSignature) -> int:
@@ -208,8 +211,11 @@ def build_module(sig: CliffordSignature) -> CliffordModule:
     return module
 
 
+@lru_cache(maxsize=None)
 def verify_module(module: CliffordModule) -> dict:
-    """Full certification report; failures are report entries, not errors."""
+    """Full certification report; failures are report entries, not errors.
+    Memoized (a pure function of the immutable module), so the report that
+    ``build_module`` checked is the one a later call reads."""
     sig = module.signature
     n = module.module_dim
     form = module.module_form

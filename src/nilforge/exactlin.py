@@ -7,6 +7,13 @@ numerators pass an explicit overflow bound is one numpy int64 product of
 the N's, divided exactly by D_a D_b; the result is identical to the pure
 Fraction path, which remains the fallback.
 
+``SpanBuilder``, an incremental reduced echelon span of matrices, coordinate
+sequences or sparse dicts, is the one Gaussian elimination: rref and rank
+read the span of a matrix's rows, kernel_basis and solve the coordinates of
+its columns, inverse the coordinates of e_j over its rows, and
+``MatrixSubspace`` keeps the span of its basis.  ``signature`` alone reduces
+by symmetric congruence.
+
 The module provides:
 
 - ``RationalMatrix``: immutable dense matrix over the rationals,
@@ -156,9 +163,6 @@ class RationalMatrix:
 
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.entries())
 
     def is_symmetric(self) -> bool:
         return self.is_square() and all(
@@ -345,88 +349,78 @@ def commutator(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
     return a * b - b * a
 
 
+def nu(p: int, q: int, i: int) -> int:
+    """Sign of the i-th basis vector (1-based) of R^{p,q}."""
+    return 1 if i <= p else -1
+
+
 def eta(p: int, q: int) -> RationalMatrix:
     """The form matrix diag(I_p, -I_q)."""
     return RationalMatrix.diag([1] * p + [-1] * q)
 
 
 # ---------------------------------------------------------------------------
-# elimination-based operations (dense, small sizes)
+# elimination: every routine below reads a SpanBuilder
 
 
-def _rows_copy(m: RationalMatrix) -> list[list[Fraction]]:
-    return [list(r) for r in m._r]
+def _dense(sparse: dict, n: int) -> tuple[Fraction, ...]:
+    return tuple(sparse.get(i, ZERO) for i in range(n))
 
 
 def rref(m: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
-    """Reduced row echelon form and pivot column indices."""
-    a = _rows_copy(m)
-    nrows, ncols = m.rows, m.cols
-    pivots = []
-    prow = 0
-    for col in range(ncols):
-        piv = next((r for r in range(prow, nrows) if a[r][col] != 0), None)
-        if piv is None:
-            continue
-        a[prow], a[piv] = a[piv], a[prow]
-        d = a[prow][col]
-        a[prow] = [x / d for x in a[prow]]
-        for r in range(nrows):
-            if r != prow and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[prow])]
-        pivots.append(col)
-        prow += 1
-        if prow == nrows:
-            break
-    return RationalMatrix(a), tuple(pivots)
+    """Reduced row echelon form and pivot column indices: the echelon rows
+    of the span of m's rows, padded with zero rows."""
+    echelon = SpanBuilder(m._r)._rows
+    rows = [_dense(row, m.cols) for _, row, _ in echelon]
+    rows += [(ZERO,) * m.cols] * (m.rows - len(rows))
+    return RationalMatrix._raw(tuple(rows)), tuple(piv for piv, _, _ in echelon)
 
 
 def rank(m: RationalMatrix) -> int:
-    _, pivots = rref(m)
-    return len(pivots)
+    return SpanBuilder(m._r).dim
 
 
 def kernel_basis(m: RationalMatrix) -> list[tuple[Fraction, ...]]:
-    """Basis of the right null space {v : Mv = 0}; empty iff full column rank."""
-    r, pivots = rref(m)
-    pivset = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivset]
+    """Basis of the right null space {v : Mv = 0}; empty iff full column rank.
+    Each column in the span of the pivot columns before it gives e_j minus
+    its coordinates over them."""
+    cols = list(zip(*m._r))
+    span, pivots, free = SpanBuilder(), [], []
+    for j, col in enumerate(cols):
+        (pivots if span.add(col) else free).append(j)
     basis = []
     for fc in free:
         v = [ZERO] * m.cols
         v[fc] = ONE
-        for prow, pcol in enumerate(pivots):
-            v[pcol] = -r.entry(prow, fc)
+        for k, c in span.coords(cols[fc]).items():
+            v[pivots[k]] = -c
         basis.append(tuple(v))
     return basis
 
 
 def solve(a: RationalMatrix, b) -> tuple[Fraction, ...]:
-    """Solve Ax = b for square invertible A."""
+    """Solve Ax = b for square invertible A: x is b's coordinates over the
+    columns of A."""
     if not a.is_square():
         raise DimensionMismatchError("solve requires a square matrix")
     bv = [rat(x) for x in b]
     if len(bv) != a.rows:
         raise DimensionMismatchError("right-hand side length mismatch")
-    aug = RationalMatrix([list(r) + [x] for r, x in zip(a._r, bv)])
-    red, pivots = rref(aug)
-    if len(pivots) != a.cols or (pivots and pivots[-1] == a.cols):
+    span = SpanBuilder(zip(*a._r))
+    if span.dim != a.cols:
         raise SingularMatrixError("matrix is singular")
-    return tuple(red.entry(i, a.cols) for i in range(a.rows))
+    return _dense(span.coords(bv), a.cols)
 
 
 def inverse(a: RationalMatrix) -> RationalMatrix:
+    """A^{-1}: its row j is the coordinates of e_j over the rows of A."""
     if not a.is_square():
         raise DimensionMismatchError("inverse of non-square matrix")
     n = a.rows
-    aug = RationalMatrix(
-        [list(r) + [ONE if i == j else ZERO for j in range(n)] for i, r in enumerate(a._r)]
-    )
-    red, pivots = rref(aug)
-    if tuple(pivots[:n]) != tuple(range(n)) or len(pivots) != n:
+    span = SpanBuilder(a._r)
+    if span.dim != n:
         raise SingularMatrixError("matrix is singular")
-    return RationalMatrix([[red.entry(i, n + j) for j in range(n)] for i in range(n)])
+    return RationalMatrix._raw(tuple(_dense(span.coords({j: ONE}), n) for j in range(n)))
 
 
 def char_poly(m: RationalMatrix) -> list[Fraction]:
@@ -517,7 +511,7 @@ def signature(m: RationalMatrix) -> tuple[int, int, int]:
     """
     if not m.is_symmetric():
         raise NotSymmetricError("signature requires a symmetric matrix")
-    a = _rows_copy(m)
+    a = [list(r) for r in m._r]
     n = m.rows
     pos = neg = 0
     k = 0
@@ -616,96 +610,17 @@ class SignatureForm:
 
 
 # ---------------------------------------------------------------------------
-# incremental sparse span (internal engine for subspace arithmetic)
+# incremental sparse span: the package's one Gaussian elimination
 
 
-class SpanBuilder:
-    """Row-echelon span of sparse vectors with coordinate tracking.
-
-    Vectors are dicts {index: Fraction} with zero entries absent.  Each
-    echelon row remembers its expression in the vectors that enlarged the
-    span, numbered 0, 1, ... in the order they were added, so ``coords``
-    recovers exact coefficients over them.
-    """
-
-    def __init__(self):
-        self._rows: list[tuple[int, dict, dict]] = []  # (pivot, vec, comb)
-
-    @property
-    def dim(self) -> int:
-        return len(self._rows)
-
-    def _reduce(self, vec: dict) -> tuple[dict, dict]:
-        v = dict(vec)
-        comb: dict[int, Fraction] = {}
-        for piv, row, rcomb in self._rows:
-            c = v.get(piv)
-            if not c:
-                continue
-            for idx, x in row.items():
-                nv = v.get(idx, ZERO) - c * x
-                if nv:
-                    v[idx] = nv
-                else:
-                    v.pop(idx, None)
-            for lbl, x in rcomb.items():
-                nc = comb.get(lbl, ZERO) + c * x
-                if nc:
-                    comb[lbl] = nc
-                else:
-                    comb.pop(lbl, None)
-        return v, comb
-
-    def add(self, vec: dict) -> bool:
-        """Add a vector; returns True iff it enlarged the span."""
-        v, comb = self._reduce(vec)
-        if not v:
-            return False
-        label = len(self._rows)
-        piv = min(v)
-        d = v[piv]
-        row = {i: x / d for i, x in v.items()}
-        rcomb = {lbl: -x / d for lbl, x in comb.items()}
-        rcomb[label] = rcomb.get(label, ZERO) + ONE / d
-        if rcomb[label] == 0:
-            del rcomb[label]
-        # keep full reduced echelon form: clear the new pivot column in the
-        # existing rows so every reduction pass terminates with a canonical
-        # residual
-        updated = []
-        for opiv, orow, ocomb in self._rows:
-            c = orow.get(piv)
-            if c:
-                orow = dict(orow)
-                ocomb = dict(ocomb)
-                for idx, x in row.items():
-                    nv = orow.get(idx, ZERO) - c * x
-                    if nv:
-                        orow[idx] = nv
-                    else:
-                        orow.pop(idx, None)
-                for lbl, x in rcomb.items():
-                    nc = ocomb.get(lbl, ZERO) - c * x
-                    if nc:
-                        ocomb[lbl] = nc
-                    else:
-                        ocomb.pop(lbl, None)
-            updated.append((opiv, orow, ocomb))
-        updated.append((piv, row, rcomb))
-        updated.sort(key=lambda t: t[0])
-        self._rows = updated
-        return True
-
-    def contains(self, vec: dict) -> bool:
-        v, _ = self._reduce(vec)
-        return not v
-
-    def coords(self, vec: dict) -> dict | None:
-        """Coefficients over the added vectors, or None if outside the span."""
-        v, comb = self._reduce(vec)
-        if v:
-            return None
-        return comb
+def _axpy(dst: dict, c: Fraction, src: dict) -> None:
+    """dst += c * src on sparse dicts, dropping the entries that cancel."""
+    for i, x in src.items():
+        y = dst.get(i, ZERO) + c * x
+        if y:
+            dst[i] = y
+        else:
+            dst.pop(i, None)
 
 
 def matrix_to_sparse(m: RationalMatrix) -> dict:
@@ -719,22 +634,105 @@ def matrix_to_sparse(m: RationalMatrix) -> dict:
     return out
 
 
+def _sparse(vec) -> dict:
+    """A fresh sparse dict of a RationalMatrix (row-major), of a sparse dict
+    or of a coordinate sequence."""
+    if isinstance(vec, RationalMatrix):
+        return matrix_to_sparse(vec)
+    if isinstance(vec, dict):
+        return dict(vec)
+    return {i: x for i, x in enumerate(map(rat, vec)) if x}
+
+
+class SpanBuilder:
+    """Reduced row-echelon span of ``vectors``, grown by ``add``, with
+    coordinate tracking.
+
+    A vector is a ``RationalMatrix`` (read row-major), a coordinate sequence
+    or a dict {index: Fraction} with zero entries absent.  Each echelon row
+    remembers its expression in the vectors that enlarged the span, numbered
+    0, 1, ... in the order they were added, so ``coords`` recovers exact
+    coefficients over them.
+    """
+
+    def __init__(self, vectors=()):
+        self._rows: list[tuple[int, dict, dict]] = []  # (pivot, vec, comb)
+        for v in vectors:
+            self.add(v)
+
+    @property
+    def dim(self) -> int:
+        return len(self._rows)
+
+    def _reduce(self, vec) -> tuple[dict, dict]:
+        v = _sparse(vec)
+        comb: dict[int, Fraction] = {}
+        for piv, row, rcomb in self._rows:
+            c = v.get(piv)
+            if c:
+                _axpy(v, -c, row)
+                _axpy(comb, c, rcomb)
+        return v, comb
+
+    def add(self, vec) -> bool:
+        """Add a vector; returns True iff it enlarged the span."""
+        v, comb = self._reduce(vec)
+        if not v:
+            return False
+        piv = min(v)
+        d = v[piv]
+        row = {i: x / d for i, x in v.items()}
+        rcomb = {lbl: -x / d for lbl, x in comb.items()}
+        rcomb[len(self._rows)] = ONE / d
+        # keep full reduced echelon form: clear the new pivot column in the
+        # existing rows so every reduction pass terminates with a canonical
+        # residual
+        for _, orow, ocomb in self._rows:
+            c = orow.get(piv)
+            if c:
+                _axpy(orow, -c, row)
+                _axpy(ocomb, -c, rcomb)
+        self._rows.append((piv, row, rcomb))
+        self._rows.sort(key=lambda t: t[0])
+        return True
+
+    def contains(self, vec) -> bool:
+        v, _ = self._reduce(vec)
+        return not v
+
+    def coords(self, vec) -> dict | None:
+        """Coefficients over the added vectors, or None if outside the span."""
+        v, comb = self._reduce(vec)
+        return None if v else comb
+
+
 # ---------------------------------------------------------------------------
 # matrix subspaces
 
 
 class MatrixSubspace:
-    """A subspace of ambient_dim x ambient_dim matrices with a fixed
-    independent basis.  Dependent generator lists are rejected, not pruned."""
+    """A subspace of ambient_dim x ambient_dim matrices with an independent
+    basis, grown only by ``adjoin``; dependent generator lists are rejected."""
 
     __slots__ = ("ambient_dim", "basis", "_span")
 
-    def __init__(self, ambient_dim: int, basis):
-        basis = tuple(basis)
-        s = independent_subset(ambient_dim, basis)
-        if s.dim != len(basis):
+    def __init__(self, ambient_dim: int, basis=()):
+        self.ambient_dim, self.basis, self._span = ambient_dim, (), SpanBuilder()
+        enlarged = [self.adjoin(m) for m in basis]
+        if not all(enlarged):
             raise DependentBasisError("generator list is linearly dependent")
-        self.ambient_dim, self.basis, self._span = ambient_dim, basis, s._span
+
+    def adjoin(self, m: RationalMatrix) -> bool:
+        """Append m to the basis iff it lies outside the subspace; returns
+        whether it did.  Only for building: never extend a held subspace."""
+        if m.rows != self.ambient_dim or m.cols != self.ambient_dim:
+            raise DimensionMismatchError(
+                f"basis matrix is {m.rows}x{m.cols}, ambient is {self.ambient_dim}"
+            )
+        if not self._span.add(m):
+            return False
+        self.basis += (m,)
+        return True
 
     @property
     def dim(self) -> int:
@@ -743,25 +741,21 @@ class MatrixSubspace:
     def contains(self, m: RationalMatrix) -> bool:
         if m.rows != self.ambient_dim or m.cols != self.ambient_dim:
             return False
-        return self._span.contains(matrix_to_sparse(m))
+        return self._span.contains(m)
 
     def coords(self, m: RationalMatrix) -> tuple[Fraction, ...] | None:
         """Coefficients of m over the basis, or None if m is outside."""
         if m.rows != self.ambient_dim or m.cols != self.ambient_dim:
             return None
-        comb = self._span.coords(matrix_to_sparse(m))
-        if comb is None:
-            return None
-        return tuple(comb.get(i, ZERO) for i in range(self.dim))
+        comb = self._span.coords(m)
+        return None if comb is None else _dense(comb, self.dim)
 
     def element(self, coeffs) -> RationalMatrix:
         return lin_comb(coeffs, self.basis, self.ambient_dim)
 
     def equals(self, other: "MatrixSubspace") -> bool:
-        """Subspace equality by mutual containment."""
-        if self.ambient_dim != other.ambient_dim or self.dim != other.dim:
-            return False
-        return all(other.contains(b) for b in self.basis)
+        """Subspace equality: equal dimension and containment."""
+        return self.dim == other.dim and other.contains_subspace(self)
 
     def contains_subspace(self, other: "MatrixSubspace") -> bool:
         return self.ambient_dim == other.ambient_dim and all(
@@ -784,19 +778,10 @@ class MatrixSubspace:
 
 def independent_subset(ambient_dim: int, mats) -> MatrixSubspace:
     """Span of an arbitrary matrix list as a subspace: its basis is the
-    matrices that enlarge the span, in order.  One pass; the span built while
-    choosing them is the subspace's own."""
-    span = SpanBuilder()
-    keep = []
+    matrices that enlarge the span, in order."""
+    s = MatrixSubspace(ambient_dim)
     for m in mats:
-        if m.rows != ambient_dim or m.cols != ambient_dim:
-            raise DimensionMismatchError(
-                f"basis matrix is {m.rows}x{m.cols}, ambient is {ambient_dim}"
-            )
-        if span.add(matrix_to_sparse(m)):
-            keep.append(m)
-    s = object.__new__(MatrixSubspace)
-    s.ambient_dim, s.basis, s._span = ambient_dim, tuple(keep), span
+        s.adjoin(m)
     return s
 
 

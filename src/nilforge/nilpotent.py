@@ -33,9 +33,9 @@ from .errors import (
 from .exactlin import (
     ONE,
     ZERO,
+    MatrixSubspace,
     RationalMatrix,
     SignatureForm,
-    SpanBuilder,
     char_poly,
     independent_subset,
     kernel_basis,
@@ -44,6 +44,7 @@ from .exactlin import (
     rat,
     rat_to_str,
     rational_roots,
+    rref,
 )
 
 
@@ -52,6 +53,7 @@ class NilpotentAlgebra2:
     """2-step algebra in an adapted-or-raw basis.
 
     ``tag`` is "adapted" when the C^k are certified linearly independent;
+    their span, built by that check, is kept as ``structure_span``.
     ``symbolic`` marks imported constants defined only up to an unknown real
     scale (they then carry no lattice information).
     """
@@ -63,8 +65,13 @@ class NilpotentAlgebra2:
     form_Z: SignatureForm | None = None
     tag: str = "raw"
     symbolic: bool = False
+    structure_span: MatrixSubspace | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
+        if self.m < 0 or self.n < 0:
+            raise BadInputError(f"dimensions must be non-negative, not m={self.m}, n={self.n}")
         if len(self.structure) != self.n:
             raise DimensionMismatchError(
                 f"{len(self.structure)} structure matrices for center dim {self.n}"
@@ -83,10 +90,12 @@ class NilpotentAlgebra2:
         if self.tag == "adapted":
             if not self.n:
                 raise BadInputError("adapted tag requires a nonzero center")
-            if independent_subset(self.m, self.structure).dim != self.n:
+            span = independent_subset(self.m, self.structure)
+            if span.dim != self.n:
                 raise DependentBasisError(
                     "adapted tag requires independent structure matrices"
                 )
+            object.__setattr__(self, "structure_span", span)
 
     @property
     def total_dim(self) -> int:
@@ -233,17 +242,20 @@ def algebra_from_J(
     return MetricAlgebra(algebra)
 
 
+def _derived(a: NilpotentAlgebra2):
+    """(basis, pairs i < j, echelon form) of the derived ideal: the columns of
+    the n x len(pairs) matrix are the center coordinates of the [v_i, v_j];
+    its pivot columns are the basis, and its reduced echelon rows hold every
+    column's coordinates over that basis."""
+    pairs = [(i, j) for i in range(a.m) for j in range(i + 1, a.m)]
+    brackets = RationalMatrix([[c.entry(i, j) for i, j in pairs] for c in a.structure])
+    red, pivots = rref(brackets)
+    return [tuple(c.entry(*pairs[p]) for c in a.structure) for p in pivots], pairs, red
+
+
 def derived_ideal(a: NilpotentAlgebra2) -> list[tuple[Fraction, ...]]:
     """Basis of span{[v_i, v_j]} in center coordinates."""
-    span = SpanBuilder()
-    basis = []
-    for i in range(a.m):
-        for j in range(i + 1, a.m):
-            vec = tuple(c.entry(i, j) for c in a.structure)
-            sparse = {k: x for k, x in enumerate(vec) if x}
-            if sparse and span.add(sparse):
-                basis.append(vec)
-    return basis
+    return _derived(a)[0]
 
 
 def abelian_factor(ma: MetricAlgebra) -> tuple[NilpotentAlgebra2, int]:
@@ -253,30 +265,18 @@ def abelian_factor(ma: MetricAlgebra) -> tuple[NilpotentAlgebra2, int]:
     and the abelian factor dimension d = dim ker(J) = n - dim[g, g].
     """
     a = ma.algebra
-    derived = derived_ideal(a)
+    derived, pairs, red = _derived(a)
     d = len(derived)
     a_dim = a.n - d
-    gz = ma.form_Z.matrix
-    gram = RationalMatrix(
-        [[sum((x * y for x, y in zip(u, gz.apply(v))), ZERO) for v in derived] for u in derived]
-    )
+    gram = RationalMatrix([[ma.form_Z.pair(u, v) for v in derived] for u in derived])
     restricted = SignatureForm(gram)
     if d and not restricted.is_nondegenerate():
         raise DegenerateRestrictionError("form_Z degenerates on the derived ideal")
-    span = SpanBuilder()
-    for vec in derived:
-        span.add({k: x for k, x in enumerate(vec) if x})
     new_structure = [[[ZERO] * a.m for _ in range(a.m)] for _ in range(d)]
-    for i in range(a.m):
-        for j in range(i + 1, a.m):
-            vec = tuple(c.entry(i, j) for c in a.structure)
-            coords = span.coords({k: x for k, x in enumerate(vec) if x})
-            if coords is None:
-                raise HomomorphismError("bracket lies outside the derived ideal")
-            for k in range(d):
-                val = coords.get(k, ZERO)
-                new_structure[k][i][j] = val
-                new_structure[k][j][i] = -val
+    for col, (i, j) in enumerate(pairs):
+        for k in range(d):
+            new_structure[k][i][j] = red.entry(k, col)
+            new_structure[k][j][i] = -red.entry(k, col)
     g_star = NilpotentAlgebra2(
         m=a.m,
         n=d,

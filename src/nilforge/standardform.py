@@ -37,6 +37,7 @@ from .exactlin import (
     independent_subset,
     kernel_basis,
     lin_comb,
+    nu,
     rank,
     rat,
     signature,
@@ -44,11 +45,6 @@ from .exactlin import (
     trace_pairing,
 )
 from .nilpotent import NilpotentAlgebra2, algebra_from_J
-
-
-def nu(p: int, q: int, i: int) -> int:
-    """Sign of the i-th basis vector (1-based) of R^{p,q}."""
-    return 1 if i <= p else -1
 
 
 def in_so(m: RationalMatrix, p: int, q: int) -> bool:
@@ -67,8 +63,8 @@ def so_basis(p: int, q: int, normalized: bool = True) -> MatrixSubspace:
         for j in range(i + 1, m):
             rows = [[ZERO] * m for _ in range(m)]
             # -c (E_ij - E_ji) eta: column scaling by eta diagonal
-            rows[i][j] = -half * (1 if j < p else -1)
-            rows[j][i] = half * (1 if i < p else -1)
+            rows[i][j] = -half * nu(p, q, j + 1)
+            rows[j][i] = half * nu(p, q, i + 1)
             basis.append(RationalMatrix(rows))
     return MatrixSubspace(m, basis)
 
@@ -95,10 +91,11 @@ class StandardPseudoMetricAlgebra:
 
 
 def structure_space(a: NilpotentAlgebra2) -> MatrixSubspace:
-    """span{C^1, ..., C^n} in so(m); empty for raw-tagged algebras."""
+    """span{C^1, ..., C^n} in so(m), as built by the algebra's adapted
+    check; empty for raw-tagged algebras."""
     if a.tag != "adapted":
-        return MatrixSubspace(a.m, [])
-    return MatrixSubspace(a.m, a.structure)
+        return MatrixSubspace(a.m)
+    return a.structure_span
 
 
 def eta_twist(c: MatrixSubspace, p: int, q: int, side: str = "right") -> MatrixSubspace:
@@ -251,7 +248,7 @@ def free_bracket(p: int, q: int, x: FreeElement, y: FreeElement) -> RationalMatr
     yv = [rat(t) for t in y[0]]
     rows = [
         [
-            -Fraction(1, 2) * (xv[i] * yv[j] - yv[i] * xv[j]) * (1 if j < p else -1)
+            -Fraction(1, 2) * (xv[i] * yv[j] - yv[i] * xv[j]) * nu(p, q, j + 1)
             for j in range(m)
         ]
         for i in range(m)
@@ -329,7 +326,7 @@ def quotient_by_center_subspace(
                 x = coords[k.dim + t]
                 new_structure[t][i][j] = x
                 new_structure[t][j][i] = -x
-    gram = trace_gram(MatrixSubspace(m, comp))
+    gram = -trace_pairing(comp, comp)
     form_z = None
     if nq:
         candidate = SignatureForm(gram)

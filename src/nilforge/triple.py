@@ -12,7 +12,7 @@ randomized probe for proper ideals.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .clifford import CliffordModule
@@ -20,12 +20,10 @@ from .errors import HomomorphismError, NotClosedError, SignatureError
 from .exactlin import (
     MatrixSubspace,
     RationalMatrix,
-    SpanBuilder,
     commutator,
     eta,
     independent_subset,
     kernel_basis,
-    matrix_to_sparse,
     signature,
     trace_gram,
     trace_pairing,
@@ -154,19 +152,8 @@ def clifford_triple_report(module: CliffordModule) -> TripleSystemReport:
     Memoized: the report is a pure function of the (immutable) module and
     the computation is the most expensive in the package."""
     report = generated_algebra(clifford_triple_system(module))
-    sig = (module.signature.r, module.signature.s)
-    if report.is_triple and sig in ((3, 0), (1, 2)):
-        split = special_ideal_split(sig[0], sig[1], module)
-        report = TripleSystemReport(
-            is_triple=report.is_triple,
-            center_dim=report.center_dim,
-            L_basis=report.L_basis,
-            L_dim=report.L_dim,
-            killing=report.killing,
-            killing_signature=report.killing_signature,
-            cartan_certified=report.cartan_certified,
-            special_split=split,
-        )
+    if report.is_triple and (module.signature.r, module.signature.s) in ((3, 0), (1, 2)):
+        report = replace(report, special_split=_ideal_split(module, report.L_basis))
     return report
 
 
@@ -177,12 +164,21 @@ def special_ideal_split(
 
     h_pm = J_1 pm J_2 J_3 together with its brackets against J_2 and J_3.
     Certifies: both spans are 3-dimensional, L = h_+ (+) h_-, the summands
-    commute, and each is an ideal of L.
+    commute, and each is an ideal of L.  Read from ``clifford_triple_report``.
     """
     if (r, s) not in ((3, 0), (1, 2)):
         raise SignatureError(f"ideal split exists only for (3,0) and (1,2), not ({r},{s})")
     if (module.signature.r, module.signature.s) != (r, s):
         raise SignatureError("module signature does not match (r, s)")
+    split = clifford_triple_report(module).special_split
+    if split is None:
+        raise NotClosedError("the module's W is not a Lie triple system")
+    return split
+
+
+def _ideal_split(
+    module: CliffordModule, l: MatrixSubspace
+) -> tuple[MatrixSubspace, MatrixSubspace]:
     j1, j2, j3 = module.generators
     n = module.module_dim
     out = []
@@ -192,8 +188,6 @@ def special_ideal_split(
         h2 = commutator(h, j3)
         out.append(MatrixSubspace(n, [h, h1, h2]))
     h_plus, h_minus = out
-    report = generated_algebra(clifford_triple_system(module))
-    l = report.L_basis
     split = independent_subset(n, h_plus.basis + h_minus.basis)
     if split.dim != h_plus.dim + h_minus.dim:
         raise HomomorphismError("ideal split basis is dependent")
@@ -275,24 +269,24 @@ def theta_closure(d1: MatrixSubspace, d2: MatrixSubspace, p: int, q: int) -> dic
 
 
 def generated_ideal(l: MatrixSubspace, x: RationalMatrix) -> MatrixSubspace:
-    """Smallest ad-invariant subspace of L containing x."""
+    """Smallest ad-invariant subspace of L containing x.  Growth stops once
+    the ideal fills L, as no bracket can enlarge it further."""
     if not l.contains(x):
         raise NotClosedError("element is outside L")
-    span = SpanBuilder()
-    basis = []
+    ideal = MatrixSubspace(l.ambient_dim)
+    ideal.adjoin(x)
     frontier = [x]
-    if span.add(matrix_to_sparse(x)):
-        basis.append(x)
     while frontier:
         new = []
         for s in frontier:
             for b in l.basis:
+                if ideal.dim == l.dim:
+                    return ideal
                 c = commutator(b, s)
-                if span.add(matrix_to_sparse(c)):
-                    basis.append(c)
+                if ideal.adjoin(c):
                     new.append(c)
         frontier = new
-    return MatrixSubspace(l.ambient_dim, basis)
+    return ideal
 
 
 def ideal_probe(l: MatrixSubspace, seed: int, trials: int = 8) -> dict | None:

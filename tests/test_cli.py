@@ -264,3 +264,12 @@ def test_cli_rejects_float_dimensions(tmp_path, capsys):
 
 def test_unknown_verb_exit_2(capsys):
     assert main(["frobnicate"]) == 2
+
+
+def test_cli_rejects_negative_dimensions(tmp_path, capsys):
+    path = tmp_path / "neg.json"
+    path.write_text(json.dumps({"m": -1, "n": 0, "C": [], "tag": "raw"}))
+    code, d = _run_json(capsys, "lattice", str(path))
+    assert code == 2
+    assert d["error"] == "ERR_BAD_INPUT"
+    assert "non-negative" in d["detail"]

@@ -19,7 +19,7 @@ from nilforge.clifford import (
     extend_J,
     verify_module,
 )
-from nilforge.errors import DimensionMismatchError, UnsupportedSignatureError
+from nilforge.errors import BadInputError, DimensionMismatchError, UnsupportedSignatureError
 from nilforge.exactlin import RationalMatrix, eta
 
 
@@ -184,6 +184,20 @@ def test_module_json_round_trip():
     assert again.generators == module.generators
     assert again.module_form == module.module_form
     assert verify_module(again)["passed"]
+
+
+def test_module_from_json_rejects_malformed_objects():
+    good = build_module(CliffordSignature(1, 1)).to_json()
+    malformed = [
+        {"r": 1},
+        {**good, "eta": 3},
+        {**good, "generators": [{"rows": 2}]},
+        {key: v for key, v in good.items() if key != "N"},
+        [1, 1],
+    ]
+    for obj in malformed:
+        with pytest.raises(BadInputError):
+            CliffordModule.from_json(obj)
 
 
 def test_construction_path_recorded():

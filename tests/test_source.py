@@ -30,3 +30,19 @@ def test_no_imports_inside_functions():
         if isinstance(node, (ast.Import, ast.ImportFrom))
     ]
     assert found == []
+
+
+def test_span_engine_stays_in_exactlin():
+    # exactlin's SpanBuilder is the one row reduction; other modules reach it
+    # through MatrixSubspace and the elimination routines
+    engine = {"SpanBuilder", "matrix_to_sparse"}
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        if path.name != "exactlin.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if getattr(node, "id", None) in engine
+        or getattr(node, "attr", None) in engine
+        or (isinstance(node, ast.alias) and node.name in engine)
+    ]
+    assert found == []

@@ -347,3 +347,9 @@ def test_quotient_of_whole_center_is_abelian():
     quotient, metric = quotient_by_center_subspace(f, f.W)
     assert quotient.n == 0
     assert quotient.structure == ()
+
+
+def test_structure_space_is_the_span_of_the_adapted_check():
+    a = n20().algebra
+    assert structure_space(a) is a.structure_span
+    assert structure_space(a).basis == a.structure

@@ -17,6 +17,7 @@ from nilforge.exactlin import (
     RationalMatrix,
     SpanBuilder,
     commutator,
+    independent_subset,
     matrix_to_sparse,
     signature,
 )
@@ -213,6 +214,28 @@ def test_generated_ideal_inside_split_sum():
     # a generic element with parts in both summands generates everything
     both = h_plus.basis[0] + h_minus.basis[0]
     assert generated_ideal(l, both).dim == 6
+
+
+def test_generated_ideal_basis_matches_full_closure():
+    # growth stops once the ideal fills L; the basis is still the full closure's
+    rng = random.Random(3)
+    for r, s in ((3, 0), (2, 1), (1, 2)):
+        l = clifford_triple_report(build_module(CliffordSignature(r, s))).L_basis
+        for _ in range(3):
+            x = l.element([rng.randint(-2, 2) for _ in range(l.dim)])
+            basis, frontier = [], [x]
+            if independent_subset(l.ambient_dim, [x]).dim:
+                basis.append(x)
+            while frontier:
+                new = []
+                for y in frontier:
+                    for b in l.basis:
+                        c = commutator(b, y)
+                        if independent_subset(l.ambient_dim, basis + [c]).dim > len(basis):
+                            basis.append(c)
+                            new.append(c)
+                frontier = new
+            assert generated_ideal(l, x).basis == tuple(basis)
 
 
 def test_generated_ideal_requires_membership():
