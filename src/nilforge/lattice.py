@@ -84,17 +84,13 @@ def _brackets_integer(a: NilpotentAlgebra2, d: int) -> bool:
     """Recompute all basis brackets and check d*[e_i, e_j] has integer
     center coordinates; this re-derives the verdict from the bracket map
     rather than trusting the stored tensor."""
-    dim = a.total_dim
-    for i in range(a.m):
-        ei = [0] * dim
-        ei[i] = 1
-        for j in range(i + 1, a.m):
-            ej = [0] * dim
-            ej[j] = 1
-            out = bracket(a, ei, ej)
-            if any((d * x).denominator != 1 for x in out):
-                return False
-    return True
+    units = [[int(i == k) for i in range(a.total_dim)] for k in range(a.m)]
+    return all(
+        (d * x).denominator == 1
+        for i in range(a.m)
+        for j in range(i + 1, a.m)
+        for x in bracket(a, units[i], units[j])
+    )
 
 
 def lattice_verdict(a: NilpotentAlgebra2) -> LatticeVerdict:

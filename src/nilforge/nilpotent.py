@@ -188,13 +188,13 @@ def bracket(a: NilpotentAlgebra2, x, y) -> tuple[Fraction, ...]:
     yv = [rat(t) for t in y]
     if len(xv) != a.total_dim or len(yv) != a.total_dim:
         raise DimensionMismatchError("bracket arguments must have length m+n")
+    xs = [(i, t) for i, t in enumerate(xv[: a.m]) if t]
+    ys = [(j, t) for j, t in enumerate(yv[: a.m]) if t]
     out = [ZERO] * a.total_dim
     for k, c in enumerate(a.structure):
-        acc = ZERO
-        for i in range(a.m):
-            if xv[i]:
-                acc += xv[i] * sum((c.entry(i, j) * yv[j] for j in range(a.m)), ZERO)
-        out[a.m + k] = acc
+        out[a.m + k] = sum(
+            (s * sum((c.entry(i, j) * t for j, t in ys), ZERO) for i, s in xs), ZERO
+        )
     return tuple(out)
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import (
     DegenerateWError,
@@ -180,9 +181,11 @@ def reduction_isomorphism(
     return t, target
 
 
+@lru_cache(maxsize=None)
 def free_algebra(p: int, q: int) -> StandardPseudoMetricAlgebra:
     """The free metric 2-step algebra F_2(p,q) = R^{p,q} (+) so(p,q) with
-    [e_i, e_j] = phi_ij = -1/2 (E_ij - E_ji) eta_{p,q}."""
+    [e_i, e_j] = phi_ij = -1/2 (E_ij - E_ji) eta_{p,q}.  Memoized, so the
+    ``free`` verb and ``free_isomorphism`` share one build."""
     if p + q < 2:
         raise DimError("free algebra needs p+q >= 2")
     return standard_algebra(p, q, so_basis(p, q))

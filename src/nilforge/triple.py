@@ -1,12 +1,14 @@
 """Lie triple systems inside so(p,q) and their generated algebras.
 
 A subspace W of matrices is a Lie triple system when [W, [W, W]] lies back
-in W.  It generates the Lie algebra L = W + [W, W] with the Cartan pair
-(p, t) = (W, [W, W]).  The module certifies these inclusions exactly,
-computes the Killing form in L's own basis coordinates, decides
-semisimplicity by the Cartan criterion, performs the two-ideal split that
-occurs for the Clifford signatures (3,0) and (1,2), and provides a seeded
-randomized probe for proper ideals.
+in W; it generates L = W + [W, W] with the Cartan pair (p, t) = (W, [W, W]).
+Every certificate reads one of two tables, each computed once: W's pair
+brackets [w_a, w_b], a < b (the centre of W, the triple test, t and L's
+basis), and L's structure constants as ad matrices in L's own coordinates
+(the Killing form, the Cartan inclusions as exact rank tests, the centre of
+L and [L, L]).  The module also performs the two-ideal split that occurs for
+the Clifford signatures (3,0) and (1,2), and provides a seeded randomized
+probe for proper ideals.
 """
 
 from __future__ import annotations
@@ -18,12 +20,15 @@ from functools import lru_cache
 from .clifford import CliffordModule
 from .errors import HomomorphismError, NotClosedError, SignatureError
 from .exactlin import (
+    ZERO,
     MatrixSubspace,
     RationalMatrix,
     commutator,
     eta,
     independent_subset,
     kernel_basis,
+    lin_comb,
+    rank,
     signature,
     trace_gram,
     trace_pairing,
@@ -42,89 +47,93 @@ class TripleSystemReport:
     special_split: tuple[MatrixSubspace, MatrixSubspace] | None = None
 
 
+def _pair_brackets(w: MatrixSubspace) -> dict[tuple[int, int], RationalMatrix]:
+    """W's bracket table {(a, b): [w_a, w_b]} for a < b."""
+    return {
+        (a, b): commutator(w.basis[a], w.basis[b])
+        for a in range(w.dim)
+        for b in range(a + 1, w.dim)
+    }
+
+
+def _center(w: MatrixSubspace, pairs) -> MatrixSubspace:
+    """Kernel of x -> ([x, w_b])_b, read from the table's coordinates over
+    its span t, with [w_b, w_a] = -[w_a, w_b] and [w_a, w_a] = 0."""
+    t = independent_subset(w.ambient_dim, pairs.values())
+    coords = {}
+    for (a, b), c in pairs.items():
+        coords[a, b] = t.coords(c)
+        coords[b, a] = tuple(-x for x in coords[a, b])
+    zero = (ZERO,) * t.dim
+    cols = [[x for b in range(w.dim) for x in coords.get((a, b), zero)] for a in range(w.dim)]
+    # the leading zero row keeps the width dim W when t = 0
+    stacked = RationalMatrix([(ZERO,) * w.dim, *zip(*cols)])
+    return MatrixSubspace(w.ambient_dim, [w.element(v) for v in kernel_basis(stacked)])
+
+
+def _is_triple(w: MatrixSubspace, pairs) -> bool:
+    return all(w.contains(commutator(a, m)) for a in w.basis for m in pairs.values())
+
+
 def is_lie_triple(w: MatrixSubspace) -> bool:
     """[w_a, [w_b, w_c]] in span(W) for all basis triples."""
-    inner = [
-        commutator(w.basis[b], w.basis[c])
-        for b in range(w.dim)
-        for c in range(b + 1, w.dim)
-    ]
-    return all(w.contains(commutator(a, m)) for a in w.basis for m in inner)
+    return _is_triple(w, _pair_brackets(w))
 
 
 def triple_center(w: MatrixSubspace) -> MatrixSubspace:
     """{a in W : [a, b] = 0 for all b in W}, computed as a kernel."""
-    if w.dim == 0:
-        return MatrixSubspace(w.ambient_dim, [])
-    cols = []
-    for a in range(w.dim):
-        col = []
-        for b in range(w.dim):
-            col.extend(commutator(w.basis[a], w.basis[b]).entries())
-        cols.append(col)
-    stacked = RationalMatrix(cols).transpose()
-    return MatrixSubspace(
-        w.ambient_dim, [w.element(v) for v in kernel_basis(stacked)]
-    )
+    return _center(w, _pair_brackets(w))
 
 
 def generated_algebra(w: MatrixSubspace) -> TripleSystemReport:
     """L = W + [W, W] with Cartan-pair certification and Killing data."""
-    center = triple_center(w)
-    if not is_lie_triple(w):
-        return TripleSystemReport(
-            is_triple=False,
-            center_dim=center.dim,
-            L_basis=w,
-            L_dim=w.dim,
-        )
-    pair_brackets = [
-        commutator(w.basis[a], w.basis[b])
-        for a in range(w.dim)
-        for b in range(a + 1, w.dim)
-    ]
-    t = independent_subset(w.ambient_dim, pair_brackets)
-    t_basis = t.basis
-    l_basis = independent_subset(w.ambient_dim, w.basis + t_basis)
+    return _generated(w)[0]
+
+
+def _generated(w: MatrixSubspace) -> tuple[TripleSystemReport, list[RationalMatrix]]:
+    """generated_algebra's report and L's ad matrices (none when W is not a
+    triple system)."""
+    pairs = _pair_brackets(w)
+    center_dim = _center(w, pairs).dim
+    if not _is_triple(w, pairs):
+        return TripleSystemReport(False, center_dim, L_basis=w, L_dim=w.dim), []
+    l = independent_subset(w.ambient_dim, w.basis + tuple(pairs.values()))
+    ads = _ad_matrices(l)
+    # in L-coordinates W's basis opens L's basis, and t is spanned by the table
+    p = [tuple(int(i == a) for i in range(l.dim)) for a in range(w.dim)]
+    t = [l.coords(c) for c in pairs.values()]
     # Cartan pair inclusions: [t,t] in t, [t,p] in p, [p,p] in t
     cartan = all(
-        t.contains(commutator(t_basis[a], t_basis[b]))
-        for a in range(len(t_basis))
-        for b in range(a + 1, len(t_basis))
+        _brackets_inside(ads, xs, ys, target)
+        for xs, ys, target in ((t, t, t), (t, p, p), (p, p, t))
     )
-    cartan = cartan and all(
-        w.contains(commutator(x, p)) for x in t_basis for p in w.basis
-    )
-    cartan = cartan and all(
-        t.contains(commutator(w.basis[a], w.basis[b]))
-        for a in range(w.dim)
-        for b in range(a + 1, w.dim)
-    )
-    killing = killing_form(l_basis)
+    killing = trace_pairing(ads, ads)
     return TripleSystemReport(
-        is_triple=True,
-        center_dim=center.dim,
-        L_basis=l_basis,
-        L_dim=l_basis.dim,
-        killing=killing,
-        killing_signature=signature(killing),
-        cartan_certified=cartan,
-    )
+        True, center_dim, l, l.dim, killing, signature(killing), cartan_certified=cartan
+    ), ads
+
+
+def _brackets_inside(ads, xs, ys, target) -> bool:
+    """[x, y] = ad_x y lies in span(target) for all x in xs and y in ys, all
+    in L-coordinates: the brackets leave target's rank unchanged."""
+    yt = RationalMatrix(ys).transpose()
+    images = [(lin_comb(x, ads, len(ads)) * yt).transpose() for x in xs]
+    rows = [m.row(i) for m in images for i in range(m.rows)]
+    return rank(RationalMatrix(target + rows)) == rank(RationalMatrix(target))
 
 
 def _ad_matrices(l: MatrixSubspace) -> list[RationalMatrix]:
-    """ad_x in L's own basis coordinates for each basis x; errors when L is
-    not closed under the bracket."""
-    ads = []
-    for x in l.basis:
-        cols = []
-        for y in l.basis:
-            coords = l.coords(commutator(x, y))
+    """ad_x in L's own basis coordinates for each basis x, from one bracket
+    per basis pair x < y; errors when L is not closed under the bracket."""
+    cols = [[(0,) * l.dim] * l.dim for _ in range(l.dim)]  # cols[x][y] = [l_x, l_y]
+    for x in range(l.dim):
+        for y in range(x + 1, l.dim):
+            coords = l.coords(commutator(l.basis[x], l.basis[y]))
             if coords is None:
                 raise NotClosedError("subspace is not closed under the bracket")
-            cols.append(list(coords))
-        ads.append(RationalMatrix(cols).transpose())
-    return ads
+            cols[x][y] = coords
+            cols[y][x] = tuple(-c for c in coords)
+    return [RationalMatrix(c).transpose() for c in cols]
 
 
 def killing_form(l: MatrixSubspace) -> RationalMatrix:
@@ -135,8 +144,7 @@ def killing_form(l: MatrixSubspace) -> RationalMatrix:
 
 def is_semisimple(l: MatrixSubspace) -> bool:
     """Cartan criterion: Killing form non-degenerate."""
-    _, _, nullity = signature(killing_form(l))
-    return nullity == 0
+    return signature(killing_form(l))[2] == 0
 
 
 def clifford_triple_system(module: CliffordModule) -> MatrixSubspace:
@@ -184,9 +192,7 @@ def _ideal_split(
     out = []
     for lam in (1, -1):
         h = j1 + (j2 * j3).scale(lam)
-        h1 = commutator(h, j2)
-        h2 = commutator(h, j3)
-        out.append(MatrixSubspace(n, [h, h1, h2]))
+        out.append(MatrixSubspace(n, [h, commutator(h, j2), commutator(h, j3)]))
     h_plus, h_minus = out
     split = independent_subset(n, h_plus.basis + h_minus.basis)
     if split.dim != h_plus.dim + h_minus.dim:
@@ -194,52 +200,42 @@ def _ideal_split(
     if split.dim != l.dim:
         raise HomomorphismError("h_+ (+) h_- does not fill L")
     zero = RationalMatrix.zeros(n, n)
-    if any(
-        commutator(x, y) != zero for x in h_plus.basis for y in h_minus.basis
-    ):
+    if any(commutator(x, y) != zero for x in h_plus.basis for y in h_minus.basis):
         raise HomomorphismError("h_+ and h_- do not commute")
-    for part in (h_plus, h_minus):
-        if any(
-            not part.contains(commutator(x, y))
-            for x in l.basis
-            for y in part.basis
-        ):
-            raise HomomorphismError("split summand is not an ideal of L")
+    if any(
+        not part.contains(commutator(x, y))
+        for part in out
+        for x in l.basis
+        for y in part.basis
+    ):
+        raise HomomorphismError("split summand is not an ideal of L")
     return h_plus, h_minus
 
 
 def decomposition_checks(w: MatrixSubspace) -> dict:
     """Linear-algebra consequences of the decomposition results: center of
-    L, [L, L], direct-sum status and the triviality implication."""
-    report = generated_algebra(w)
+    L, [L, L], direct-sum status and the triviality implication, all read
+    from L's ad matrices."""
+    report, ads = _generated(w)
     if not report.is_triple:
         return {"is_triple": False}
-    l = report.L_basis
-    ads = _ad_matrices(l)
-    stacked = RationalMatrix(
-        [sum(([x for x in ad.column(j)] for ad in ads), []) for j in range(l.dim)]
-    ).transpose()
-    z_l = [l.element(v) for v in kernel_basis(stacked)]
-    ll = independent_subset(
-        l.ambient_dim,
-        [
-            commutator(l.basis[a], l.basis[b])
-            for a in range(l.dim)
-            for b in range(a + 1, l.dim)
-        ],
-    ).basis
-    span_dim = independent_subset(l.ambient_dim, z_l + list(ll)).dim
-    direct_sum = span_dim == len(z_l) + len(ll) and span_dim == l.dim
-    zw = triple_center(w).dim
+    n = report.L_dim
+    # Z(L) is the common kernel of the ad_x; [L, L] is spanned by their columns
+    z_l = kernel_basis(RationalMatrix([ad.row(i) for ad in ads for i in range(n)]))
+    ll = [ad.column(j) for ad in ads for j in range(n)]
+    derived = rank(RationalMatrix(ll))
+    span_dim = rank(RationalMatrix(z_l + ll))
+    direct_sum = span_dim == len(z_l) + derived and span_dim == n
+    zw = report.center_dim
     return {
         "is_triple": True,
         "center_W_dim": zw,
         "center_L_dim": len(z_l),
         "centers_equal_dim": zw == len(z_l),
-        "L_dim": l.dim,
-        "derived_L_dim": len(ll),
+        "L_dim": n,
+        "derived_L_dim": derived,
         "L_is_center_plus_derived": direct_sum,
-        "trivial_center_implies_perfect": (zw != 0) or (len(ll) == l.dim),
+        "trivial_center_implies_perfect": (zw != 0) or (derived == n),
     }
 
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from nilforge import standardform
 from nilforge.cli import canonical_json, load_algebra, main, save_algebra
 from nilforge.catalog import n20
 from nilforge.errors import BadInputError
@@ -113,6 +114,19 @@ def test_free_verb(capsys):
     assert code == 0
     assert d["isomorphism"]["certified"]
     assert d["isomorphism"]["gram_diagonal"] == ["-1/2"]
+
+
+def test_free_verb_builds_each_algebra_once(capsys, monkeypatch):
+    # free P Q needs F_2(p,q) and F_2(p+q, 0); each is built once
+    built = []
+    build = standardform.standard_algebra
+    monkeypatch.setattr(
+        standardform, "standard_algebra", lambda p, q, w: built.append((p, q)) or build(p, q, w)
+    )
+    standardform.free_algebra.cache_clear()
+    code, d = _run_json(capsys, "free", "2", "1")
+    assert code == 0 and d["isomorphism"]["certified"]
+    assert sorted(built) == [(2, 1), (3, 0)]
 
 
 def test_triple_verb_seeded(capsys, monkeypatch):

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilforge.catalog import heisenberg, n02, n11, n20, random_adapted_algebra
 from nilforge.clifford import CliffordSignature, build_module
@@ -103,6 +105,49 @@ def test_duality_round_trip_j_then_algebra():
 
 # ---------------------------------------------------------------------------
 # bracket laws
+
+
+_small = st.builds(Fraction, st.integers(-5, 5), st.sampled_from([1, 1, 2, 3]))
+
+
+@st.composite
+def _bracket_inputs(draw):
+    """A raw algebra and two vectors; each V or centre part is either zero
+    or drawn, so sparse and empty parts both occur."""
+    m, n = draw(st.integers(0, 5)), draw(st.integers(0, 3))
+    structure = []
+    for _ in range(n):
+        c = [[Fraction(0)] * m for _ in range(m)]
+        for i in range(m):
+            for j in range(i + 1, m):
+                c[i][j] = draw(_small)
+                c[j][i] = -c[i][j]
+        structure.append(RationalMatrix(c))
+    a = NilpotentAlgebra2(m=m, n=n, structure=tuple(structure))
+
+    def vector():
+        parts = [
+            draw(st.lists(_small, min_size=size, max_size=size))
+            if draw(st.booleans()) else [Fraction(0)] * size
+            for size in (m, n)
+        ]
+        return parts[0] + parts[1]
+
+    return a, vector(), vector()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_bracket_inputs())
+def test_bracket_matches_nested_loop_reference(case):
+    a, x, y = case
+    ref = [Fraction(0)] * a.m + [
+        sum(
+            (x[i] * c.entry(i, j) * y[j] for i in range(a.m) for j in range(a.m)),
+            Fraction(0),
+        )
+        for c in a.structure
+    ]
+    assert list(bracket(a, x, y)) == ref
 
 
 def test_bracket_antisymmetry_and_jacobi_100_random():

@@ -1,0 +1,130 @@
+"""Hypothesis properties: Sylvester's law of inertia for ``signature``, and
+the JSON loaders on arbitrary small JSON values."""
+
+import json
+from fractions import Fraction
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from nilforge.clifford import CliffordModule
+from nilforge.errors import NilforgeError
+from nilforge.exactlin import MatrixSubspace, RationalMatrix, SignatureForm, rank, signature
+from nilforge.nilpotent import NilpotentAlgebra2
+
+PROPS = settings(max_examples=150, deadline=None, derandomize=True)
+
+rationals = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 1, 2, 3, 5]))
+
+
+# ---------------------------------------------------------------------------
+# signature(P^T S P) == signature(S)
+
+
+@st.composite
+def congruences(draw):
+    """A symmetric S, zero on the diagonal about half the time (so only the
+    hyperbolic-pair step can pivot), and an invertible P."""
+    n = draw(st.integers(1, 5))
+    zero_diagonal = draw(st.booleans())
+    s = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        if not zero_diagonal:
+            s[i][i] = draw(rationals)
+        for j in range(i + 1, n):
+            s[i][j] = s[j][i] = draw(rationals)
+    p = RationalMatrix(
+        draw(st.lists(st.lists(rationals, min_size=n, max_size=n), min_size=n, max_size=n))
+    )
+    assume(rank(p) == n)
+    return RationalMatrix(s), p
+
+
+@PROPS
+@given(congruences())
+def test_signature_is_a_congruence_invariant(case):
+    s, p = case
+    inertia = signature(s)
+    assert sum(inertia) == s.rows
+    assert signature(p.transpose() * s * p) == inertia
+
+
+def test_zero_diagonal_congruence_uses_hyperbolic_pairs():
+    # [[0, 1], [1, 0]] has no diagonal pivot, yet signature (1, 1, 0)
+    h = RationalMatrix(((0, 1), (1, 0)))
+    p = RationalMatrix(((1, 2), (3, 5)))
+    assert signature(h) == signature(p.transpose() * h * p) == (1, 1, 0)
+
+
+# ---------------------------------------------------------------------------
+# loaders return or raise a NilforgeError, whatever JSON they are given
+
+KEYS = (
+    "entries", "rows", "cols", "ambient", "basis", "m", "n", "C", "form_V",
+    "form_Z", "tag", "symbolic", "r", "s", "N", "eta", "generators",
+)
+
+leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 3)
+    | st.sampled_from([0.5, -1.0, 1e300])
+    | st.sampled_from(["0", "1", "-1/2", "1/0", "2/3/4", "x", "", "adapted", "raw"])
+    | st.text(max_size=3)
+)
+json_values = st.recursive(
+    leaves,
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.sampled_from(KEYS) | st.text(max_size=2), children, max_size=5),
+    max_leaves=16,
+)
+# matrix-shaped values reach past the first type checks
+matrices = st.lists(st.lists(leaves, max_size=3), max_size=3)
+matrix_objects = st.fixed_dictionaries(
+    {"entries": matrices}, optional={"rows": json_values, "cols": json_values}
+)
+values = json_values | matrices | matrix_objects
+
+
+def _objects(keys):
+    """Dicts holding the loader's keys, each with an arbitrary value."""
+    return st.fixed_dictionaries({}, optional={k: values for k in keys})
+
+
+LOADERS = {
+    "RationalMatrix": (RationalMatrix.from_json, _objects(("entries", "rows", "cols"))),
+    "SignatureForm": (SignatureForm.from_json, _objects(("entries", "rows", "cols"))),
+    "MatrixSubspace": (
+        MatrixSubspace.from_json,
+        st.fixed_dictionaries(
+            {}, optional={"ambient": json_values, "basis": st.lists(values, max_size=3)}
+        ),
+    ),
+    "NilpotentAlgebra2": (
+        NilpotentAlgebra2.from_json,
+        _objects(("m", "n", "C", "form_V", "form_Z", "tag", "symbolic")),
+    ),
+    "CliffordModule": (
+        CliffordModule.from_json,
+        _objects(("r", "s", "N", "eta", "generators")),
+    ),
+}
+
+
+@st.composite
+def loader_inputs(draw):
+    name = draw(st.sampled_from(sorted(LOADERS)))
+    load, shaped = LOADERS[name]
+    obj = draw(shaped | values)
+    # whatever a loader gets must have come out of a JSON document
+    return name, load, json.loads(json.dumps(obj))
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(loader_inputs())
+def test_loaders_return_or_raise_nilforge_errors(case):
+    name, load, obj = case
+    try:
+        load(obj)
+    except NilforgeError:
+        pass
