@@ -3,8 +3,10 @@
 Verbs: clifford, build, reduce, free, triple, lattice, orbit-check,
 examples.  All output is canonical JSON (sorted keys, 2-space indent,
 "a/b" rationals) on stdout.  Exit codes: 0 success, 1 a verification check
-ran and failed, 2 usage or input error.  The environment variable
-NILFORGE_SEED seeds the randomized ideal probe of the triple verb.
+ran and failed, 2 usage or input error (the package's own error codes), 3
+an internal fault (ERR_INTERNAL: any other exception, with its traceback on
+stderr).  The environment variable NILFORGE_SEED seeds the randomized ideal
+probe of the triple verb.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import dataclasses
 import json
 import os
 import sys
+import traceback
 from fractions import Fraction
 
 from .catalog import BY_NAME
@@ -95,6 +98,8 @@ def _load_json(path: str) -> dict:
         raise BadInputError(
             f"parse error in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except UnicodeDecodeError as exc:
+        raise BadInputError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def _emit(report, output_path: str | None) -> None:
@@ -158,9 +163,13 @@ def _cmd_free(args) -> int:
 
 
 def _cmd_triple(args) -> int:
+    seed = os.environ.get("NILFORGE_SEED", "0")
+    try:
+        seed = int(seed)
+    except ValueError as exc:
+        raise BadInputError(f"NILFORGE_SEED must be an integer, not {seed!r}") from exc
     module = build_module(CliffordSignature(args.r, args.s))
     report = clifford_triple_report(module)
-    seed = int(os.environ.get("NILFORGE_SEED", "0"))
     probe = ideal_probe(report.L_basis, seed) if report.is_triple else None
     _emit({"report": report, "ideal_probe": probe, "seed": seed}, args.output)
     return 0 if report.is_triple and report.cartan_certified else 1
@@ -335,16 +344,12 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except NilforgeError as exc:
-        sys.stdout.write(
-            json.dumps({"error": exc.code, "detail": str(exc)}, sort_keys=True) + "\n"
-        )
-        return 2
-    except (ValueError, TypeError, KeyError) as exc:
-        sys.stdout.write(
-            json.dumps({"error": "ERR_BAD_INPUT", "detail": str(exc)}, sort_keys=True)
-            + "\n"
-        )
-        return 2
+        code, detail, status = exc.code, str(exc), 2
+    except Exception as exc:  # a fault of the program, not of its input
+        traceback.print_exc()
+        code, detail, status = "ERR_INTERNAL", f"{type(exc).__name__}: {exc}", 3
+    sys.stdout.write(json.dumps({"error": code, "detail": detail}, sort_keys=True) + "\n")
+    return status
 
 
 if __name__ == "__main__":

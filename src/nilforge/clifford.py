@@ -78,12 +78,18 @@ class CliffordModule:
     @classmethod
     def from_json(cls, obj: dict) -> "CliffordModule":
         try:
+            for key in ("r", "s", "N"):
+                if type(obj[key]) is not int:
+                    raise BadInputError(f"{key} must be an integer, not {obj[key]!r}")
             sig = CliffordSignature(obj["r"], obj["s"])
             form = SignatureForm(RationalMatrix.diag(obj["eta"]))
             gens = tuple(RationalMatrix.from_json(g) for g in obj["generators"])
-            return cls(sig, obj["N"], form, gens)
         except (KeyError, TypeError) as exc:
             raise BadInputError(f"bad module object: {exc}") from exc
+        n = obj["N"]
+        if form.dim != n or any(g.rows != n or g.cols != n for g in gens):
+            raise BadInputError(f"N = {n} disagrees with the size of eta or of a generator")
+        return cls(sig, n, form, gens)
 
 
 def clifford_dim(sig: CliffordSignature) -> int:

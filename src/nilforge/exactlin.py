@@ -1,11 +1,12 @@
 """Exact rational dense linear algebra.
 
-Everything is computed over ``fractions.Fraction``; there is no floating
-point anywhere.  Each matrix caches an integer form M = N / D (numerator
-rows N, least common denominator D), and every product or commutator whose
-numerators pass an explicit overflow bound is one numpy int64 product of
-the N's, divided exactly by D_a D_b; the result is identical to the pure
-Fraction path, which remains the fallback.
+Each matrix is stored as M = N / D alone: N the numerators, numpy int64
+when every |entry| is below 2**62 and exact Python ints otherwise, D the
+least positive common denominator, so (shape, D, N) is canonical.  Sums,
+products, commutators, comparisons and hashes are array operations on the
+N's, where a bound on each result only picks the dtype; there is no
+floating point anywhere.  Fractions are built on demand, for entries,
+serialization and the eliminations below.
 
 ``SpanBuilder``, an incremental reduced echelon span of matrices, coordinate
 sequences or sparse dicts, is the one Gaussian elimination: rref and rank
@@ -16,7 +17,7 @@ by symmetric congruence.
 
 The module provides:
 
-- ``RationalMatrix``: immutable dense matrix over the rationals,
+- ``RationalMatrix``: immutable dense matrix over the rationals, as (N, D),
 - rank / kernel / solve / inverse / characteristic polynomial,
 - ``signature``: Sylvester inertia by exact symmetric congruence
   diagonalization (with hyperbolic 2x2 handling of zero diagonal pivots),
@@ -31,6 +32,7 @@ The module provides:
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 import numpy as np
@@ -42,8 +44,6 @@ from .errors import (
     NotSymmetricError,
     SingularMatrixError,
 )
-
-Rational = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -95,69 +95,108 @@ def rat_from_str(s: str) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# matrices
+# matrices: M = N / D
+
+# an int64 N holds only entries below this in absolute value, so negation
+# and abs never wrap; a result whose bound reaches it is computed in Python
+# ints instead
+_INT64_BOUND = 2**62
 
 
-def _as_row(xs) -> tuple[Fraction, ...]:
-    return tuple(rat(x) for x in xs)
+def _bound(n) -> int:
+    """The largest |N_ij| as a Python int (0 for an empty array)."""
+    return int(np.abs(n).max()) if n.size else 0
+
+
+@lru_cache(maxsize=4096)
+def _ratio(x: int, d: int) -> Fraction:
+    return Fraction(x, d)
+
+
+def _fraction(d: int):
+    """The map x -> x / d from numerators to Fractions."""
+    return _frac_of_int if d == 1 else lambda x: _ratio(x, d)
+
+
+def _integer_form(frac_rows, shape) -> tuple:
+    """(N, D) of rows of Fractions, D their least common denominator."""
+    d = lcm(*{x.denominator for r in frac_rows for x in r})
+    nums = [[x.numerator * (d // x.denominator) for x in r] for r in frac_rows]
+    bound = max((max(map(abs, r)) for r in nums if r), default=0)
+    n = np.array(nums, dtype=object if bound >= _INT64_BOUND else np.int64)
+    return n.reshape(shape), d
 
 
 class RationalMatrix:
-    """Immutable dense matrix over the rationals."""
+    """Immutable dense matrix over the rationals, stored as M = N / D: N an
+    integer array (int64, or Python ints when an entry needs them) and D the
+    least positive common denominator.  Fractions are built on demand."""
 
-    __slots__ = ("rows", "cols", "_r", "_hash", "_int")
+    __slots__ = ("rows", "cols", "_n", "_d", "_hash")
 
     def __init__(self, rows):
-        self._r = tuple(_as_row(r) for r in rows)
-        self.rows = len(self._r)
-        self.cols = len(self._r[0]) if self._r else 0
-        if any(len(r) != self.cols for r in self._r):
+        frac_rows = [tuple(map(rat, r)) for r in rows]
+        cols = len(frac_rows[0]) if frac_rows else 0
+        if any(len(r) != cols for r in frac_rows):
             raise DimensionMismatchError("ragged rows")
-        self._hash = None
-        self._int = None
+        self._store(*_integer_form(frac_rows, (len(frac_rows), cols)))
+
+    def _store(self, n, d: int) -> None:
+        if not n.shape[0]:
+            n = n.reshape(0, 0)  # a matrix with no rows is 0 x 0
+        n.flags.writeable = False
+        self.rows, self.cols = n.shape
+        self._n, self._d, self._hash = n, d, None
 
     @classmethod
-    def _raw(cls, frac_rows) -> "RationalMatrix":
-        """Internal fast constructor from pre-validated Fraction row tuples."""
+    def _of(cls, n, d: int) -> "RationalMatrix":
+        """The matrix n / d for an integer array n (int64 below the bound, or
+        Python ints) and a positive int d, brought to lowest terms."""
+        if d > 1:
+            content = int(np.gcd.reduce(n, axis=None))  # 0 for a zero matrix
+            g = gcd(content, d)
+            if g > 1:
+                n, d = (n // g if content else n), d // g
+        if n.dtype == object and _bound(n) < _INT64_BOUND:
+            n = n.astype(np.int64)  # the canonical dtype
         m = object.__new__(cls)
-        m._r = frac_rows
-        m.rows = len(frac_rows)
-        m.cols = len(frac_rows[0]) if frac_rows else 0
-        m._hash = None
-        m._int = None
+        m._store(n, d)
         return m
 
     # -- constructors
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
-        return cls([[ZERO] * cols for _ in range(rows)])
+        return cls._of(np.zeros((rows, cols), dtype=np.int64), 1)
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        return cls._of(np.eye(n, dtype=np.int64), 1)
 
     @classmethod
     def diag(cls, values) -> "RationalMatrix":
         vals = [rat(v) for v in values]
-        n = len(vals)
-        return cls([[vals[i] if i == j else ZERO for j in range(n)] for i in range(n)])
+        n, d = _integer_form([vals], (1, len(vals)))
+        return cls._of(np.diag(n[0]), d)
 
-    # -- access
+    # -- access: Fractions on demand
 
     def entry(self, i: int, j: int) -> Fraction:
-        return self._r[i][j]
+        return _fraction(self._d)(self._n.item(i, j))
 
     def row(self, i: int) -> tuple[Fraction, ...]:
-        return self._r[i]
+        return tuple(map(_fraction(self._d), self._n[i].tolist()))
 
     def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(r[j] for r in self._r)
+        return tuple(map(_fraction(self._d), self._n[:, j].tolist()))
 
     def entries(self):
         """Iterate over all entries row-major."""
-        for r in self._r:
-            yield from r
+        return map(_fraction(self._d), self._n.ravel().tolist())
+
+    def _fraction_rows(self) -> list[list[Fraction]]:
+        frac = _fraction(self._d)
+        return [list(map(frac, r)) for r in self._n.tolist()]
 
     # -- structure predicates
 
@@ -165,42 +204,29 @@ class RationalMatrix:
         return self.rows == self.cols
 
     def is_symmetric(self) -> bool:
-        return self.is_square() and all(
-            self._r[i][j] == self._r[j][i]
-            for i in range(self.rows)
-            for j in range(i + 1, self.cols)
-        )
+        return self.is_square() and bool((self._n == self._n.T).all())
 
     def is_antisymmetric(self) -> bool:
-        return self.is_square() and all(
-            self._r[i][j] == -self._r[j][i]
-            for i in range(self.rows)
-            for j in range(i, self.cols)
-        )
+        return self.is_square() and bool((self._n == -self._n.T).all())
 
     def is_integer(self) -> bool:
-        return all(x.denominator == 1 for x in self.entries())
+        return self._d == 1
 
     # -- arithmetic
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         self._check_same_shape(other)
-        return RationalMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self._r, other._r)]
-        )
+        return _combine([(ONE, self), (ONE, other)], (self.rows, self.cols))
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
         self._check_same_shape(other)
-        return RationalMatrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self._r, other._r)]
-        )
+        return _combine([(ONE, self), (-ONE, other)], (self.rows, self.cols))
 
     def __neg__(self) -> "RationalMatrix":
-        return RationalMatrix([[-a for a in r] for r in self._r])
+        return RationalMatrix._of(-self._n, self._d)
 
     def scale(self, c) -> "RationalMatrix":
-        c = rat(c)
-        return RationalMatrix([[c * a for a in r] for r in self._r])
+        return _combine([(rat(c), self)], (self.rows, self.cols))
 
     def __mul__(self, other):
         if isinstance(other, RationalMatrix):
@@ -212,20 +238,19 @@ class RationalMatrix:
 
     def apply(self, vec) -> tuple[Fraction, ...]:
         """Matrix-vector product."""
-        v = tuple(rat(x) for x in vec)
+        v = [(rat(x),) for x in vec]
         if len(v) != self.cols:
             raise DimensionMismatchError(f"vector length {len(v)} != cols {self.cols}")
-        return tuple(sum((a * x for a, x in zip(r, v)), ZERO) for r in self._r)
+        column = RationalMatrix._of(*_integer_form(v, (len(v), 1)))
+        return tuple(_int_product(self, column, False).entries())
 
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(
-            [[self._r[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
+        return RationalMatrix._of(self._n.T, self._d)
 
     def trace(self) -> Fraction:
         if not self.is_square():
             raise DimensionMismatchError("trace of non-square matrix")
-        return sum((self._r[i][i] for i in range(self.rows)), ZERO)
+        return Fraction(sum(self._n.diagonal().tolist()), self._d)
 
     def _check_same_shape(self, other: "RationalMatrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
@@ -233,18 +258,26 @@ class RationalMatrix:
                 f"{self.rows}x{self.cols} vs {other.rows}x{other.cols}"
             )
 
-    # -- equality / hashing
+    # -- equality / hashing: (shape, D, N) is canonical
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, RationalMatrix) and self._r == other._r
+        return (
+            isinstance(other, RationalMatrix)
+            and self.rows == other.rows
+            and self.cols == other.cols
+            and self._d == other._d
+            and bool((self._n == other._n).all())
+        )
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(self._r)
+            n = self._n
+            key = tuple(n.flat) if n.dtype == object else n.tobytes()
+            self._hash = hash((self.rows, self.cols, self._d, key))
         return self._hash
 
     def __repr__(self) -> str:
-        body = "; ".join(" ".join(rat_to_str(x) for x in r) for r in self._r)
+        body = "; ".join(" ".join(map(rat_to_str, r)) for r in self._fraction_rows())
         return f"RationalMatrix[{body}]"
 
     # -- serialization
@@ -253,100 +286,70 @@ class RationalMatrix:
         return {
             "rows": self.rows,
             "cols": self.cols,
-            "entries": [[rat_to_str(x) for x in r] for r in self._r],
+            "entries": [list(map(rat_to_str, r)) for r in self._fraction_rows()],
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "RationalMatrix":
         try:
-            entries = obj["entries"]
-            m = cls(entries)
+            m = cls(obj["entries"])
+            shape = (obj.get("rows", m.rows), obj.get("cols", m.cols))
         except (KeyError, TypeError) as exc:
             raise BadInputError(f"bad matrix object: {exc}") from exc
-        if m.rows != obj.get("rows", m.rows) or m.cols != obj.get("cols", m.cols):
-            raise BadInputError("matrix shape fields disagree with entries")
+        if shape != (m.rows, m.cols) or any(type(x) is not int for x in shape):
+            raise BadInputError(f"matrix shape fields {shape} disagree with entries")
         return m
 
 
-_INT64_BOUND = 2**62
+def _int_form(m: RationalMatrix) -> tuple:
+    """The integer form (N, D) of m: M = N / D, D least."""
+    return m._n, m._d
 
 
-def _int_form(m: RationalMatrix):
-    """``(N, D, bound)`` with M = N / D: N the numerator rows as an int64
-    array, D the least positive common denominator of the entries and bound
-    the largest |N_ij|.  None when some numerator does not fit int64.
-    Cached on the (immutable) matrix."""
-    cached = m._int
-    if cached is None:
-        d = lcm(*{x.denominator for r in m._r for x in r})
-        if d == 1:
-            nums = [[x.numerator for x in r] for r in m._r]
-        else:
-            nums = [[x.numerator * (d // x.denominator) for x in r] for r in m._r]
-        try:
-            arr = np.array(nums, dtype=np.int64).reshape(m.rows, m.cols)
-        except OverflowError:
-            cached = False
-        else:
-            cached = (arr, d, _max_abs(arr))
-        m._int = cached
-    return cached or None
+def _over_lcd(terms, total) -> tuple:
+    """(D, arrays) for terms (Fraction c, matrix M): D the least common
+    denominator of the c M and the arrays D c M.  They are int64 when
+    ``total`` (sum or max) of their bounds is below the int64 bound, so that
+    their sum (or stack) is exact, and Python ints otherwise."""
+    dens = [c.denominator * m._d for c, m in terms]
+    d = lcm(*dens)
+    fs = [c.numerator * (d // e) for (c, _), e in zip(terms, dens)]
+    # max(.., 1): an int64 array cannot even be multiplied by a huge factor
+    bound = total([abs(f) * max(_bound(m._n), 1) for f, (_, m) in zip(fs, terms)])
+    dtype = object if bound >= _INT64_BOUND else np.int64
+    return d, [m._n.astype(dtype, copy=False) * f for f, (_, m) in zip(fs, terms)]
 
 
-def _max_abs(arr) -> int:
-    # in Python ints: np.abs wraps at -2**63
-    return max(int(arr.max()), -int(arr.min())) if arr.size else 0
+def _combine(terms, shape) -> RationalMatrix:
+    """sum c M over the terms (Fraction c, matrix M of the given shape)."""
+    d, parts = _over_lcd([(c, m) for c, m in terms if c], sum)
+    n = sum(parts[1:], parts[0]) if parts else np.zeros(shape, dtype=np.int64)
+    return RationalMatrix._of(n, d)
 
 
-def _from_int(arr, d: int) -> RationalMatrix:
-    """The matrix arr / d for an int64 array and a positive int d, with its
-    integer form cached."""
-    g = gcd(int(np.gcd.reduce(arr, axis=None)), d)
-    if g > 1:
-        arr, d = arr // g, d // g
-    nested = arr.tolist()
-    # a product has few distinct entries: build each Fraction once
-    frac = {x: Fraction(x, d) for x in set().union(*nested)}.__getitem__
-    m = RationalMatrix._raw(tuple(tuple(map(frac, r)) for r in nested))
-    m._int = (arr, d, _max_abs(arr))
-    return m
-
-
-def _int_product(a: RationalMatrix, b: RationalMatrix, commute: bool):
-    """AB, or AB - BA when ``commute``, as one int64 product of the scaled
-    numerators divided exactly by D_a D_b; None when an operand has no int64
-    form or the overflow bound fails (the caller falls back to Fraction)."""
-    fa, fb = _int_form(a), _int_form(b)
-    if fa is None or fb is None:
-        return None
-    na, da, ma = fa
-    nb, db, mb = fb
-    if (2 if commute else 1) * ma * mb * max(a.cols, 1) >= _INT64_BOUND:
-        return None
+def _int_product(a: RationalMatrix, b: RationalMatrix, commute: bool) -> RationalMatrix:
+    """AB, or AB - BA when ``commute``, as one product of the numerators over
+    D_a D_b; the bound on the result's numerators picks int64 or Python ints."""
+    bound = (2 if commute else 1) * _bound(a._n) * _bound(b._n) * max(a.cols, 1)
+    na, nb = a._n, b._n
+    if bound >= _INT64_BOUND:
+        na, nb = na.astype(object), nb.astype(object)
     prod = na @ nb
     if commute:
         prod = prod - nb @ na
-    return _from_int(prod, da * db)
+    return RationalMatrix._of(prod, a._d * b._d)
 
 
 def _matmul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
     if a.cols != b.rows:
         raise DimensionMismatchError(f"inner dims {a.cols} != {b.rows}")
-    out = _int_product(a, b, False)
-    if out is not None:
-        return out
-    bt = list(zip(*b._r))
-    return RationalMatrix(
-        [[sum((x * y for x, y in zip(ra, cb)), ZERO) for cb in bt] for ra in a._r]
-    )
+    return _int_product(a, b, False)
 
 
 def commutator(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
-    if a.rows == a.cols == b.rows == b.cols:
-        out = _int_product(a, b, True)
-        if out is not None:
-            return out
-    return a * b - b * a
+    if not a.rows == a.cols == b.rows == b.cols:
+        raise DimensionMismatchError(f"commutator of {a.rows}x{a.cols} and {b.rows}x{b.cols}")
+    return _int_product(a, b, True)
 
 
 def nu(p: int, q: int, i: int) -> int:
@@ -370,21 +373,21 @@ def _dense(sparse: dict, n: int) -> tuple[Fraction, ...]:
 def rref(m: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
     """Reduced row echelon form and pivot column indices: the echelon rows
     of the span of m's rows, padded with zero rows."""
-    echelon = SpanBuilder(m._r)._rows
+    echelon = SpanBuilder(m.row(i) for i in range(m.rows))._rows
     rows = [_dense(row, m.cols) for _, row, _ in echelon]
     rows += [(ZERO,) * m.cols] * (m.rows - len(rows))
-    return RationalMatrix._raw(tuple(rows)), tuple(piv for piv, _, _ in echelon)
+    return RationalMatrix(rows), tuple(piv for piv, _, _ in echelon)
 
 
 def rank(m: RationalMatrix) -> int:
-    return SpanBuilder(m._r).dim
+    return SpanBuilder(m.row(i) for i in range(m.rows)).dim
 
 
 def kernel_basis(m: RationalMatrix) -> list[tuple[Fraction, ...]]:
     """Basis of the right null space {v : Mv = 0}; empty iff full column rank.
     Each column in the span of the pivot columns before it gives e_j minus
     its coordinates over them."""
-    cols = list(zip(*m._r))
+    cols = [m.column(j) for j in range(m.cols)]
     span, pivots, free = SpanBuilder(), [], []
     for j, col in enumerate(cols):
         (pivots if span.add(col) else free).append(j)
@@ -406,7 +409,7 @@ def solve(a: RationalMatrix, b) -> tuple[Fraction, ...]:
     bv = [rat(x) for x in b]
     if len(bv) != a.rows:
         raise DimensionMismatchError("right-hand side length mismatch")
-    span = SpanBuilder(zip(*a._r))
+    span = SpanBuilder(a.column(j) for j in range(a.cols))
     if span.dim != a.cols:
         raise SingularMatrixError("matrix is singular")
     return _dense(span.coords(bv), a.cols)
@@ -417,10 +420,10 @@ def inverse(a: RationalMatrix) -> RationalMatrix:
     if not a.is_square():
         raise DimensionMismatchError("inverse of non-square matrix")
     n = a.rows
-    span = SpanBuilder(a._r)
+    span = SpanBuilder(a.row(i) for i in range(n))
     if span.dim != n:
         raise SingularMatrixError("matrix is singular")
-    return RationalMatrix._raw(tuple(_dense(span.coords({j: ONE}), n) for j in range(n)))
+    return RationalMatrix([_dense(span.coords({j: ONE}), n) for j in range(n)])
 
 
 def char_poly(m: RationalMatrix) -> list[Fraction]:
@@ -472,20 +475,12 @@ def rational_roots(coeffs: list[Fraction]) -> tuple[dict[Fraction, int], int]:
         roots[ZERO] = roots.get(ZERO, 0) + 1
         work = work[:-1]
     while len(work) > 1:
-        den = lcm(*[c.denominator for c in work]) if len(work) > 1 else 1
+        den = lcm(*[c.denominator for c in work])
         iw = [int(c * den) for c in work]
         lead, const = iw[0], iw[-1]
-        found = None
-        for p in _divisors(const):
-            for q in _divisors(lead):
-                for cand in (Fraction(p, q), Fraction(-p, q)):
-                    if _poly_eval(work, cand) == 0:
-                        found = cand
-                        break
-                if found is not None:
-                    break
-            if found is not None:
-                break
+        divisors = ((p, q) for p in _divisors(const) for q in _divisors(lead))
+        candidates = (sign * Fraction(p, q) for p, q in divisors for sign in (1, -1))
+        found = next((x for x in candidates if _poly_eval(work, x) == 0), None)
         if found is None:
             break
         roots[found] = roots.get(found, 0) + 1
@@ -511,7 +506,7 @@ def signature(m: RationalMatrix) -> tuple[int, int, int]:
     """
     if not m.is_symmetric():
         raise NotSymmetricError("signature requires a symmetric matrix")
-    a = [list(r) for r in m._r]
+    a = m._fraction_rows()
     n = m.rows
     pos = neg = 0
     k = 0
@@ -624,14 +619,10 @@ def _axpy(dst: dict, c: Fraction, src: dict) -> None:
 
 
 def matrix_to_sparse(m: RationalMatrix) -> dict:
-    out = {}
-    idx = 0
-    for r in m._r:
-        for x in r:
-            if x:
-                out[idx] = x
-            idx += 1
-    return out
+    """m row-major as a dict {i * cols + j: M_ij} of its nonzero entries."""
+    flat = m._n.ravel()
+    idx = np.flatnonzero(flat)
+    return dict(zip(idx.tolist(), map(_fraction(m._d), flat[idx].tolist())))
 
 
 def _sparse(vec) -> dict:
@@ -771,7 +762,12 @@ class MatrixSubspace:
     @classmethod
     def from_json(cls, obj: dict) -> "MatrixSubspace":
         try:
-            return cls(obj["ambient"], [RationalMatrix.from_json(b) for b in obj["basis"]])
+            ambient, basis = obj["ambient"], obj["basis"]
+            if type(ambient) is not int or ambient < 0:
+                raise BadInputError(f"ambient must be a non-negative integer, not {ambient!r}")
+            if type(basis) is not list:
+                raise BadInputError(f"basis must be a list, not {basis!r}")
+            return cls(ambient, [RationalMatrix.from_json(b) for b in basis])
         except (KeyError, TypeError) as exc:
             raise BadInputError(f"bad subspace object: {exc}") from exc
 
@@ -787,18 +783,11 @@ def independent_subset(ambient_dim: int, mats) -> MatrixSubspace:
 
 def lin_comb(coeffs, mats, dim: int) -> RationalMatrix:
     """The dim x dim matrix sum_i c_i M_i (zero for an empty list)."""
-    rows = [[ZERO] * dim for _ in range(dim)]
-    for c, m in zip(coeffs, mats):
-        c = rat(c)
-        if not c:
-            continue
+    terms = [(c, m) for c, m in zip(map(rat, coeffs), mats) if c]
+    for _, m in terms:
         if m.rows != dim or m.cols != dim:
             raise DimensionMismatchError(f"{m.rows}x{m.cols} term in a {dim}x{dim} sum")
-        for acc, r in zip(rows, m._r):
-            for j, x in enumerate(r):
-                if x:
-                    acc[j] += c * x
-    return RationalMatrix._raw(tuple(map(tuple, rows)))
+    return _combine(terms, (dim, dim))
 
 
 def trace_pairing(xs, ys) -> RationalMatrix:
@@ -816,11 +805,11 @@ def trace_pairing(xs, ys) -> RationalMatrix:
         raise DimensionMismatchError("trace pairing needs r x c against c x r matrices")
     if not c:
         return RationalMatrix.zeros(len(xs), len(ys))
-    vec_x = RationalMatrix._raw(tuple(tuple(x.entries()) for x in xs))
+    dx, nxs = _over_lcd([(ONE, x) for x in xs], max)
+    dy, nys = _over_lcd([(ONE, y) for y in ys], max)
     # row (i, j) of the right factor holds (Y_b^T)_ij = (Y_b)_ji for every b
-    vec_yt = RationalMatrix._raw(
-        tuple(zip(*(tuple(v for col in zip(*y._r) for v in col) for y in ys)))
-    )
+    vec_x = RationalMatrix._of(np.stack([n.ravel() for n in nxs]), dx)
+    vec_yt = RationalMatrix._of(np.stack([n.T.ravel() for n in nys], axis=1), dy)
     return _matmul(vec_x, vec_yt)
 
 

@@ -25,6 +25,7 @@ from .exactlin import (
     MatrixSubspace,
     RationalMatrix,
     SignatureForm,
+    _int_form,
     eta,
     rat,
     trace_pairing,
@@ -64,10 +65,7 @@ def integer_rescale(a: NilpotentAlgebra2) -> tuple[int, NilpotentAlgebra2]:
     which is irrational; only the pair (d, rescaled tensor) is stored, which
     is the exact, testable content.
     """
-    d = 1
-    for c in a.structure:
-        for x in c.entries():
-            d = lcm(d, x.denominator)
+    d = _rescale_factor(a)
     rescaled = NilpotentAlgebra2(
         m=a.m,
         n=a.n,
@@ -80,13 +78,18 @@ def integer_rescale(a: NilpotentAlgebra2) -> tuple[int, NilpotentAlgebra2]:
     return d, rescaled
 
 
+def _rescale_factor(a: NilpotentAlgebra2) -> int:
+    """The least common denominator of the C^k: the D of their integer forms."""
+    return lcm(*(_int_form(c)[1] for c in a.structure))
+
+
 def _brackets_integer(a: NilpotentAlgebra2, d: int) -> bool:
     """Recompute all basis brackets and check d*[e_i, e_j] has integer
     center coordinates; this re-derives the verdict from the bracket map
     rather than trusting the stored tensor."""
     units = [[int(i == k) for i in range(a.total_dim)] for k in range(a.m)]
     return all(
-        (d * x).denominator == 1
+        d % x.denominator == 0
         for i in range(a.m)
         for j in range(i + 1, a.m)
         for x in bracket(a, units[i], units[j])
@@ -101,7 +104,7 @@ def lattice_verdict(a: NilpotentAlgebra2) -> LatticeVerdict:
             status="Unknown",
             detail="structure constants are defined only up to an unknown scale",
         )
-    d, _ = integer_rescale(a)
+    d = _rescale_factor(a)
     integer_ok = _brackets_integer(a, d)
     return LatticeVerdict(
         status="AdmitsLattice",
@@ -159,7 +162,7 @@ def pseudo_H_pipeline_report(r: int, s: int) -> dict:
     )
     if not (trace_identity and gram_ok and iso_ok):
         raise HomomorphismError("pseudo H-type lattice pipeline failed certification")
-    d_std, _ = integer_rescale(std.algebra)
+    d_std = _rescale_factor(std.algebra)
     verdict = lattice_verdict(n_alg.algebra)
     return {
         "r": r,

@@ -305,30 +305,21 @@ def h_type_laws(js, g_v: RationalMatrix, g_z: RationalMatrix) -> dict:
     if g_z.rows != n or g_z.cols != n:
         raise DimensionMismatchError(f"{n} maps against a {g_z.rows}x{g_z.cols} G_Z")
     ident = RationalMatrix.identity(g_v.rows)
-    multiples = {}
-
-    def times(base, c):
-        # each right-hand side is built once per distinct coefficient
-        key = (base is g_v, c)
-        if key not in multiples:
-            multiples[key] = base.scale(c)
-        return multiples[key]
-
     jts = [j.transpose() for j in js]
     gjs = [g_v * j for j in js]
     pairs = [(k, l) for k in range(n) for l in range(k + 1, n)]
     return {
         "skew": all(jt * g_v == -gj for jt, gj in zip(jts, gjs)),
-        "square": all(j * j == times(ident, -g_z.entry(k, k)) for k, j in enumerate(js)),
+        "square": all(j * j == ident.scale(-g_z.entry(k, k)) for k, j in enumerate(js)),
         "anticommutation": all(
-            js[k] * js[l] + js[l] * js[k] == times(ident, -2 * g_z.entry(k, l))
+            js[k] * js[l] + js[l] * js[k] == ident.scale(-2 * g_z.entry(k, l))
             for k, l in pairs
         ),
         "orthogonality": all(
-            jts[k] * gjs[k] == times(g_v, g_z.entry(k, k)) for k in range(n)
+            jts[k] * gjs[k] == g_v.scale(g_z.entry(k, k)) for k in range(n)
         )
         and all(
-            jts[k] * gjs[l] + jts[l] * gjs[k] == times(g_v, 2 * g_z.entry(k, l))
+            jts[k] * gjs[l] + jts[l] * gjs[k] == g_v.scale(2 * g_z.entry(k, l))
             for k, l in pairs
         ),
     }

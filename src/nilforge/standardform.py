@@ -205,9 +205,7 @@ def free_isomorphism(p: int, q: int) -> dict:
     gram = target.gram_W
     diag = [gram.entry(i, i) for i in range(gram.rows)]
     signs = so_pair_signs(p, q)
-    diagonal_ok = all(
-        gram.entry(i, j) == 0 for i in range(gram.rows) for j in range(gram.rows) if i != j
-    )
+    diagonal_ok = gram == RationalMatrix.diag(diag)
     sign_ok = all((x > 0) == (s > 0) for x, s in zip(diag, signs))
     return {
         "p": p,

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from nilforge import standardform
+from nilforge import cli, standardform
 from nilforge.cli import canonical_json, load_algebra, main, save_algebra
 from nilforge.catalog import n20
 from nilforge.errors import BadInputError
@@ -287,3 +287,34 @@ def test_cli_rejects_negative_dimensions(tmp_path, capsys):
     assert code == 2
     assert d["error"] == "ERR_BAD_INPUT"
     assert "non-negative" in d["detail"]
+
+
+def test_internal_fault_is_not_bad_input(capsys, monkeypatch):
+    # a TypeError inside a verb is a fault of the program: ERR_INTERNAL, exit 3
+    def broken(sig):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(cli, "build_module", broken)
+    code = main(["clifford", "2", "0"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert json.loads(captured.out) == {
+        "error": "ERR_INTERNAL",
+        "detail": "TypeError: unsupported operand",
+    }
+    assert "Traceback" in captured.err
+
+
+def test_cli_rejects_non_integer_seed(capsys, monkeypatch):
+    monkeypatch.setenv("NILFORGE_SEED", "x")
+    code, d = _run_json(capsys, "triple", "1", "0")
+    assert code == 2
+    assert d["error"] == "ERR_BAD_INPUT"
+
+
+def test_cli_rejects_non_utf8_input(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"m": "\xe9"}')
+    code, d = _run_json(capsys, "lattice", str(path))
+    assert code == 2
+    assert d["error"] == "ERR_BAD_INPUT"

@@ -5,12 +5,14 @@ nested-loop Fraction references."""
 from fractions import Fraction
 from math import lcm
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilforge.errors import DimensionMismatchError
 from nilforge.exactlin import (
+    _INT64_BOUND,
     MatrixSubspace,
     RationalMatrix,
     _int_form,
@@ -100,12 +102,12 @@ def test_trace_pairing_matches_reference(data):
 def test_product_int_form_is_lowest_terms(pair):
     a, b = pair
     prod = a * b
-    arr, d, bound = _int_form(prod)
+    arr, d = _int_form(prod)
     assert d == lcm(*{x.denominator for x in prod.entries()})
     assert [[Fraction(x, d) for x in row] for row in arr.tolist()] == [
         list(prod.row(i)) for i in range(prod.rows)
     ]
-    assert bound == max(abs(x) for x in arr.flat)
+    assert arr.dtype == np.int64
 
 
 @PROPS
@@ -153,6 +155,20 @@ def test_empty_shapes():
         trace_pairing([three_by_1], [three_by_1])
 
 
+def _takes_python_ints(a, b, factor):
+    # the int64 bound fails, so the kernel multiplies Python ints
+    (na, _), (nb, _) = _int_form(a), _int_form(b)
+    bound = max(abs(int(x)) for x in na.flat) * max(abs(int(x)) for x in nb.flat)
+    return factor * bound * a.cols >= _INT64_BOUND
+
+
+def _has_canonical_dtype(m):
+    # Python ints exactly when an entry needs them
+    n, _ = _int_form(m)
+    wide = max((abs(int(x)) for x in n.flat), default=0) >= _INT64_BOUND
+    return n.dtype == (object if wide else np.int64)
+
+
 big = st.builds(
     Fraction,
     st.integers(2**40, 2**40 + 1000) | st.integers(-(2**40) - 1000, -(2**40)),
@@ -164,7 +180,8 @@ big = st.builds(
 @given(product_pairs(big))
 def test_overflow_guard_falls_back_exactly(pair):
     a, b = pair
-    assert _int_product(a, b, False) is None
+    assert _takes_python_ints(a, b, 1)
+    assert _has_canonical_dtype(a * b)
     assert a * b == _ref_matmul(a, b)
 
 
@@ -172,12 +189,81 @@ def test_overflow_guard_falls_back_exactly(pair):
 @given(square_pairs(big))
 def test_overflow_guard_commutator_exact(pair):
     a, b = pair
-    assert _int_product(a, b, True) is None
+    assert _takes_python_ints(a, b, 2)
+    assert _has_canonical_dtype(commutator(a, b))
     assert commutator(a, b) == _ref_matmul(a, b) - _ref_matmul(b, a)
 
 
 def test_numerators_beyond_int64_fall_back():
     huge = RationalMatrix([[2**70, Fraction(1, 3)], [0, -(2**65)]])
-    assert _int_form(huge) is None
+    assert _int_form(huge)[0].dtype == object
+    assert _int_form(huge * huge)[0].dtype == object
     assert huge * huge == _ref_matmul(huge, huge)
     assert trace_pairing([huge], [huge]).entry(0, 0) == _ref_trace(huge, huge)
+
+
+@PROPS
+@given(_matrix(3, 3), st.integers(63, 80))
+def test_equal_matrices_hash_equal_whatever_the_path(m, e):
+    half = RationalMatrix([[Fraction(2, 4)]])
+    assert half == RationalMatrix([["1/2"]]) == RationalMatrix([[1]]).scale(Fraction(1, 2))
+    assert hash(half) == hash(RationalMatrix([["1/2"]]))
+    wide = m.scale(2**e)  # Python-int numerators unless m is zero
+    assert not any(m.entries()) or _int_form(wide)[0].dtype == object
+    paths = [
+        wide.scale(Fraction(1, 2**e)),  # back from Python ints
+        RationalMatrix.identity(3).scale(Fraction(1, 2**e)) * wide,  # a product
+        m.transpose().transpose(),  # a strided view
+        lin_comb([3, -2], [m, m], 3),
+        m + RationalMatrix.zeros(m.rows, m.cols),
+        RationalMatrix.from_json(m.to_json()),
+        RationalMatrix([[str(x) for x in m.row(i)] for i in range(m.rows)]),
+    ]
+    for other in paths:
+        assert other == m and hash(other) == hash(m)
+        assert _int_form(other)[0].dtype == np.int64
+        assert _int_form(other)[1] == _int_form(m)[1]
+
+
+def _kinds(*mats):
+    return {_int_form(m)[0].dtype.kind for m in mats}
+
+
+def test_no_float_dtype_anywhere():
+    half = Fraction(1, 2)
+    a = RationalMatrix([[1, half], [-3, Fraction(2, 3)]])
+    huge = RationalMatrix([[2**70, 1], [0, -(2**65)]])
+    results = [
+        RationalMatrix([]),
+        RationalMatrix([[], [], []]),
+        RationalMatrix.zeros(0, 0),
+        RationalMatrix.zeros(2, 3),
+        RationalMatrix.identity(0),
+        RationalMatrix.identity(3),
+        RationalMatrix.diag([]),
+        RationalMatrix.diag([half, 2**70]),
+        RationalMatrix.from_json({"entries": []}),
+        RationalMatrix.from_json(a.to_json()),
+        a * a,
+        huge * huge,
+        a * RationalMatrix([[], []]),
+        RationalMatrix([[], [], []]) * RationalMatrix([]),
+        commutator(a, huge),
+        commutator(RationalMatrix([]), RationalMatrix([])),
+        a + huge,
+        a - a,
+        -a,
+        a.scale(half),
+        huge.scale(0),
+        a.transpose(),
+        lin_comb([half, 2**70], [a, huge], 2),
+        lin_comb([], [], 0),
+        lin_comb([], [], 2),
+        trace_pairing([a, huge], [a]),
+        trace_pairing([], []),
+        trace_pairing([RationalMatrix([])], [RationalMatrix([])]),
+        trace_gram(MatrixSubspace(2, [a, huge])),
+    ]
+    assert _kinds(*results) <= {"i", "O"}
+    assert _kinds(huge, huge * huge) == {"O"}
+    assert _kinds(a - a, huge.scale(0), RationalMatrix([])) == {"i"}

@@ -4,11 +4,12 @@ the JSON loaders on arbitrary small JSON values."""
 import json
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nilforge.clifford import CliffordModule
-from nilforge.errors import NilforgeError
+from nilforge.errors import BadInputError, NilforgeError
 from nilforge.exactlin import MatrixSubspace, RationalMatrix, SignatureForm, rank, signature
 from nilforge.nilpotent import NilpotentAlgebra2
 
@@ -128,3 +129,27 @@ def test_loaders_return_or_raise_nilforge_errors(case):
         load(obj)
     except NilforgeError:
         pass
+
+
+def test_loaders_reject_ill_typed_fields():
+    good_module = {"r": 1, "s": 0, "N": 2, "eta": [1, 1], "generators": []}
+    cases = [
+        (CliffordModule.from_json, {"r": True, "s": 0, "N": "x", "eta": [], "generators": []}),
+        (CliffordModule.from_json, {**good_module, "s": False}),
+        (CliffordModule.from_json, {**good_module, "N": "x"}),
+        (CliffordModule.from_json, {**good_module, "N": 3}),
+        (CliffordModule.from_json, {**good_module, "generators": [{"entries": [[0]]}]}),
+        (MatrixSubspace.from_json, {"ambient": "x", "basis": []}),
+        (MatrixSubspace.from_json, {"ambient": -2, "basis": []}),
+        (MatrixSubspace.from_json, {"ambient": True, "basis": []}),
+        (MatrixSubspace.from_json, {"ambient": 2, "basis": {}}),
+        (RationalMatrix.from_json, {"entries": [[1]], "rows": True}),
+        (RationalMatrix.from_json, {"entries": [[1]], "cols": 1.0}),
+        (SignatureForm.from_json, {"entries": [[1]], "rows": True, "cols": True}),
+    ]
+    for load, obj in cases:
+        with pytest.raises(BadInputError):
+            load(obj)
+    assert CliffordModule.from_json(good_module).module_dim == 2
+    assert MatrixSubspace.from_json({"ambient": 0, "basis": []}).dim == 0
+    assert RationalMatrix.from_json({"entries": [[1]], "rows": 1, "cols": 1}).rows == 1

@@ -46,3 +46,16 @@ def test_span_engine_stays_in_exactlin():
         or (isinstance(node, ast.alias) and node.name in engine)
     ]
     assert found == []
+
+
+def test_numpy_stays_in_exactlin():
+    # the integer representation of a matrix lives behind exactlin alone
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        if path.name != "exactlin.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Import) and any(a.name.split(".")[0] == "numpy" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy")
+    ]
+    assert found == []
