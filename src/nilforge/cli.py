@@ -18,6 +18,7 @@ import os
 import sys
 import traceback
 from fractions import Fraction
+from functools import lru_cache
 
 from .catalog import BY_NAME
 from .clifford import (
@@ -265,7 +266,9 @@ def _cmd_examples(args) -> int:
     return 0
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="nilforge",
         description="Exact-rational toolkit for 2-step nilpotent Lie algebras "

@@ -241,11 +241,7 @@ def verify_module(module: CliffordModule) -> dict:
         "admissible_skew": skew,
         "orthogonality": orth,
         "form_signature": form_ok,
-        "integer_entries": all(
-            x.denominator == 1 and abs(x.numerator) <= 1
-            for g in module.generators
-            for x in g.entries()
-        ),
+        "integer_entries": all(g.is_ternary() for g in module.generators),
         # two-of-three spot check: the truth table over {skew, orthogonality,
         # square-law} must never show exactly two passes
         "two_of_three": [skew, orth, square].count(True) != 2,

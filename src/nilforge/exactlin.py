@@ -11,9 +11,10 @@ serialization and the eliminations below.
 ``SpanBuilder``, an incremental reduced echelon span of matrices, coordinate
 sequences or sparse dicts, is the one Gaussian elimination: rref and rank
 read the span of a matrix's rows, kernel_basis and solve the coordinates of
-its columns, inverse the coordinates of e_j over its rows, and
-``MatrixSubspace`` keeps the span of its basis.  ``signature`` alone reduces
-by symmetric congruence.
+its columns, inverse the coordinates of e_j over its rows,
+``invariant_closure`` the span that a list of matrices generates from one
+vector, and ``MatrixSubspace`` keeps the span of its basis.  ``signature``
+alone reduces by symmetric congruence.
 
 The module provides:
 
@@ -211,6 +212,10 @@ class RationalMatrix:
 
     def is_integer(self) -> bool:
         return self._d == 1
+
+    def is_ternary(self) -> bool:
+        """Every entry is -1, 0 or 1."""
+        return self._d == 1 and _bound(self._n) <= 1
 
     # -- arithmetic
 
@@ -695,6 +700,22 @@ class SpanBuilder:
         """Coefficients over the added vectors, or None if outside the span."""
         v, comb = self._reduce(vec)
         return None if v else comb
+
+
+def invariant_closure(maps, v) -> list[tuple[Fraction, ...]]:
+    """Basis of the smallest subspace containing the coordinate vector v that
+    each matrix in maps sends into itself: v, then each A u (u kept, breadth
+    first; A in order) that enlarges the span, until the span is full."""
+    v, span = tuple(map(rat, v)), SpanBuilder()
+    kept = [v] if span.add(v) else []
+    for u in kept:  # kept grows while it is read
+        for a in maps:
+            if span.dim == len(v):
+                return kept
+            image = a.apply(u)
+            if span.add(image):
+                kept.append(image)
+    return kept
 
 
 # ---------------------------------------------------------------------------

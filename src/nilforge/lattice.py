@@ -30,7 +30,7 @@ from .exactlin import (
     rat,
     trace_pairing,
 )
-from .nilpotent import MetricAlgebra, NilpotentAlgebra2, algebra_from_J, bracket
+from .nilpotent import MetricAlgebra, NilpotentAlgebra2, algebra_from_J
 from .standardform import StandardPseudoMetricAlgebra, standard_algebra
 
 
@@ -84,16 +84,10 @@ def _rescale_factor(a: NilpotentAlgebra2) -> int:
 
 
 def _brackets_integer(a: NilpotentAlgebra2, d: int) -> bool:
-    """Recompute all basis brackets and check d*[e_i, e_j] has integer
-    center coordinates; this re-derives the verdict from the bracket map
-    rather than trusting the stored tensor."""
-    units = [[int(i == k) for i in range(a.total_dim)] for k in range(a.m)]
-    return all(
-        d % x.denominator == 0
-        for i in range(a.m)
-        for j in range(i + 1, a.m)
-        for x in bracket(a, units[i], units[j])
-    )
+    """d*C^k is integer for every k: checked on the rescaled structure
+    matrices themselves rather than trusting the factor that was read off
+    their denominators."""
+    return all(c.scale(d).is_integer() for c in a.structure)
 
 
 def lattice_verdict(a: NilpotentAlgebra2) -> LatticeVerdict:
@@ -139,11 +133,7 @@ def pseudo_H_pipeline_report(r: int, s: int) -> dict:
     big_n = module.module_dim
     two_l = big_n
     p, q = module.module_form.p, module.module_form.q
-    constants_unit = all(
-        x.denominator == 1 and abs(x.numerator) <= 1
-        for c in n_alg.structure
-        for x in c.entries()
-    )
+    constants_unit = all(c.is_ternary() for c in n_alg.structure)
     # -tr(J_i^2) = -tr(-nu_i I_N) = 2l * nu_i, read off the diagonal of the
     # pairing rather than from the Gram that standard_algebra builds
     pairing = trace_pairing(module.generators, module.generators)

@@ -6,9 +6,8 @@ Every certificate reads one of two tables, each computed once: W's pair
 brackets [w_a, w_b], a < b (the centre of W, the triple test, t and L's
 basis), and L's structure constants as ad matrices in L's own coordinates
 (the Killing form, the Cartan inclusions as exact rank tests, the centre of
-L and [L, L]).  The module also performs the two-ideal split that occurs for
-the Clifford signatures (3,0) and (1,2), and provides a seeded randomized
-probe for proper ideals.
+L and [L, L], generated ideals and the seeded probe for proper ideals, and
+the two-ideal split of the Clifford signatures (3,0) and (1,2)).
 """
 
 from __future__ import annotations
@@ -26,6 +25,7 @@ from .exactlin import (
     commutator,
     eta,
     independent_subset,
+    invariant_closure,
     kernel_basis,
     lin_comb,
     rank,
@@ -159,9 +159,9 @@ def clifford_triple_report(module: CliffordModule) -> TripleSystemReport:
 
     Memoized: the report is a pure function of the (immutable) module and
     the computation is the most expensive in the package."""
-    report = generated_algebra(clifford_triple_system(module))
+    report, ads = _generated(clifford_triple_system(module))
     if report.is_triple and (module.signature.r, module.signature.s) in ((3, 0), (1, 2)):
-        report = replace(report, special_split=_ideal_split(module, report.L_basis))
+        report = replace(report, special_split=_ideal_split(module, report.L_basis, ads))
     return report
 
 
@@ -185,31 +185,27 @@ def special_ideal_split(
 
 
 def _ideal_split(
-    module: CliffordModule, l: MatrixSubspace
+    module: CliffordModule, l: MatrixSubspace, ads
 ) -> tuple[MatrixSubspace, MatrixSubspace]:
+    """h_pm and its brackets against J_2 and J_3, certified in L-coordinates,
+    where J_1, J_2, J_3 open L's basis: [h, l_b] = ad_h e_b."""
     j1, j2, j3 = module.generators
-    n = module.module_dim
-    out = []
+    parts = []
     for lam in (1, -1):
-        h = j1 + (j2 * j3).scale(lam)
-        out.append(MatrixSubspace(n, [h, commutator(h, j2), commutator(h, j3)]))
-    h_plus, h_minus = out
-    split = independent_subset(n, h_plus.basis + h_minus.basis)
-    if split.dim != h_plus.dim + h_minus.dim:
-        raise HomomorphismError("ideal split basis is dependent")
-    if split.dim != l.dim:
-        raise HomomorphismError("h_+ (+) h_- does not fill L")
-    zero = RationalMatrix.zeros(n, n)
-    if any(commutator(x, y) != zero for x in h_plus.basis for y in h_minus.basis):
+        h = l.coords(j1 + (j2 * j3).scale(lam))
+        if h is None:
+            raise HomomorphismError("h_pm lies outside L")
+        ad_h = lin_comb(h, ads, l.dim)
+        parts.append([h, ad_h.column(1), ad_h.column(2)])
+    h_plus, h_minus = parts
+    if l.dim != 6 or rank(RationalMatrix(h_plus + h_minus)) != 6:
+        raise HomomorphismError("h_+ and h_- do not make a basis of L")
+    if not _brackets_inside(ads, h_plus, h_minus, []):
         raise HomomorphismError("h_+ and h_- do not commute")
-    if any(
-        not part.contains(commutator(x, y))
-        for part in out
-        for x in l.basis
-        for y in part.basis
-    ):
+    units = [tuple(int(i == b) for i in range(6)) for b in range(6)]
+    if not all(_brackets_inside(ads, units, part, part) for part in parts):
         raise HomomorphismError("split summand is not an ideal of L")
-    return h_plus, h_minus
+    return tuple(MatrixSubspace(l.ambient_dim, [l.element(c) for c in part]) for part in parts)
 
 
 def decomposition_checks(w: MatrixSubspace) -> dict:
@@ -265,37 +261,26 @@ def theta_closure(d1: MatrixSubspace, d2: MatrixSubspace, p: int, q: int) -> dic
 
 
 def generated_ideal(l: MatrixSubspace, x: RationalMatrix) -> MatrixSubspace:
-    """Smallest ad-invariant subspace of L containing x.  Growth stops once
-    the ideal fills L, as no bracket can enlarge it further."""
-    if not l.contains(x):
+    """Smallest ad-invariant subspace of L containing x, grown in
+    L-coordinates: [l_b, s] has coordinates ad_b s."""
+    coords = l.coords(x)
+    if coords is None:
         raise NotClosedError("element is outside L")
-    ideal = MatrixSubspace(l.ambient_dim)
-    ideal.adjoin(x)
-    frontier = [x]
-    while frontier:
-        new = []
-        for s in frontier:
-            for b in l.basis:
-                if ideal.dim == l.dim:
-                    return ideal
-                c = commutator(b, s)
-                if ideal.adjoin(c):
-                    new.append(c)
-        frontier = new
-    return ideal
+    closure = invariant_closure(_ad_matrices(l), coords)
+    return MatrixSubspace(l.ambient_dim, [l.element(c) for c in closure])
 
 
 def ideal_probe(l: MatrixSubspace, seed: int, trials: int = 8) -> dict | None:
     """Seeded random search for a proper nonzero ideal: each trial generates
     the ideal of a random rational element.  Returns a witness dict or None.
     A None result is evidence, not proof, of simplicity."""
+    ads = _ad_matrices(l)
     rng = random.Random(seed)
     for trial in range(trials):
         coeffs = [rng.randint(-3, 3) for _ in range(l.dim)]
         if all(c == 0 for c in coeffs):
             coeffs[rng.randrange(l.dim)] = 1
-        x = l.element(coeffs)
-        ideal = generated_ideal(l, x)
-        if 0 < ideal.dim < l.dim:
-            return {"trial": trial, "coefficients": coeffs, "ideal_dim": ideal.dim}
+        ideal_dim = len(invariant_closure(ads, coeffs))
+        if 0 < ideal_dim < l.dim:
+            return {"trial": trial, "coefficients": coeffs, "ideal_dim": ideal_dim}
     return None

@@ -1,6 +1,8 @@
 """CLI golden outputs, exit codes, and serialization round-trips."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -318,3 +320,19 @@ def test_cli_rejects_non_utf8_input(tmp_path, capsys):
     code, d = _run_json(capsys, "lattice", str(path))
     assert code == 2
     assert d["error"] == "ERR_BAD_INPUT"
+
+
+def test_parser_built_once_per_process(tmp_path, capsys):
+    path = tmp_path / "n20.json"
+    save_algebra(n20().algebra, str(path))
+    argv = ["lattice", str(path)]
+    args = cli._build_parser.__wrapped__().parse_args(argv)
+    assert args.func(args) == 0
+    expected = capsys.readouterr().out
+    cli._build_parser.cache_clear()
+    assert [_run(capsys, *argv) for _ in range(2)] == [(0, expected)] * 2
+    assert cli._build_parser.cache_info().misses == 1
+    # importing the CLI builds nothing
+    probe = "import nilforge.cli as c; print(c._build_parser.cache_info().currsize)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert out.stdout == "0\n"

@@ -270,6 +270,25 @@ def test_matrix_ops_and_commutator():
         a * RationalMatrix(((1, 2, 3),))
 
 
+def test_is_ternary_matches_entrywise_check():
+    rng = random.Random(5)
+    cases = [
+        RationalMatrix.zeros(0, 0),
+        RationalMatrix(((1, -1), (0, 1))),
+        RationalMatrix(((2, 0),)),
+        RationalMatrix(((Fraction(1, 2), 0),)),
+        RationalMatrix(((-1, 2**70),)),
+    ]
+    cases += [
+        RationalMatrix([[Fraction(rng.randint(-2, 2), rng.choice((1, 1, 2))) for _ in range(3)]
+                        for _ in range(3)])
+        for _ in range(50)
+    ]
+    for m in cases:
+        entrywise = all(x.denominator == 1 and abs(x.numerator) <= 1 for x in m.entries())
+        assert m.is_ternary() == entrywise
+
+
 def test_commutator_fast_path_matches_slow_path():
     rng = random.Random(13)
     for _ in range(30):

@@ -8,6 +8,7 @@ from nilforge.catalog import heisenberg, n11, n20
 from nilforge.errors import UnsupportedSignatureError
 from nilforge.exactlin import RationalMatrix, SignatureForm, eta
 from nilforge.lattice import (
+    _brackets_integer,
     integer_rescale,
     is_rational_basis,
     lattice_verdict,
@@ -134,3 +135,11 @@ def test_pipeline_standard_coincides_for_0_2():
 def test_pipeline_respects_signature_cap():
     with pytest.raises(UnsupportedSignatureError):
         pseudo_H_lattice_witness(6, 3)
+
+
+def test_brackets_integer_needs_a_factor_clearing_every_constant():
+    c = RationalMatrix(((0, Fraction(1, 2), 1), (Fraction(-1, 2), 0, 0), (-1, 0, 0)))
+    a = NilpotentAlgebra2(m=3, n=1, structure=(c,), tag="raw")
+    for d in (1, 3):
+        assert not _brackets_integer(a, d)
+        assert _brackets_integer(a, 2 * d)

@@ -2,10 +2,13 @@
 
 The reference functions below compute every commutator and span query
 afresh: the centre from all dim W^2 brackets, each Cartan inclusion from its
-own commutators and ``contains`` calls, and the ad matrices from dim L^2
-commutators and ``coords`` calls.  The library reads W's pair brackets and
-L's structure constants once; its answers must not change.
+own commutators and ``contains`` calls, the ad matrices from dim L^2
+commutators and ``coords`` calls, and generated ideals from N x N
+commutators adjoined to a span of N x N matrices.  The library reads W's
+pair brackets and L's structure constants once; its answers must not change.
 """
+
+import random
 
 import pytest
 
@@ -92,6 +95,41 @@ def ref_generated_algebra(w):
     return dict(is_triple=True, center_dim=center.dim, L_basis=l_basis.basis,
                 L_dim=l_basis.dim, killing=killing, killing_signature=signature(killing),
                 cartan_certified=cartan)
+
+
+def ref_generated_ideal(l, x):
+    if not l.contains(x):
+        raise NotClosedError("element is outside L")
+    ideal = MatrixSubspace(l.ambient_dim)
+    ideal.adjoin(x)
+    frontier = [x]
+    while frontier:
+        new = []
+        for s in frontier:
+            for b in l.basis:
+                if ideal.dim == l.dim:
+                    return ideal
+                c = commutator(b, s)
+                if ideal.adjoin(c):
+                    new.append(c)
+        frontier = new
+    return ideal
+
+
+def ref_ideal_probe(l, seed, trials=8):
+    """The probe's dict, and (x, ideal of x) for every trial it ran."""
+    rng = random.Random(seed)
+    ideals = []
+    for trial in range(trials):
+        coeffs = [rng.randint(-3, 3) for _ in range(l.dim)]
+        if all(c == 0 for c in coeffs):
+            coeffs[rng.randrange(l.dim)] = 1
+        x = l.element(coeffs)
+        ideal = ref_generated_ideal(l, x)
+        ideals.append((x, ideal))
+        if 0 < ideal.dim < l.dim:
+            return {"trial": trial, "coefficients": coeffs, "ideal_dim": ideal.dim}, ideals
+    return None, ideals
 
 
 def ref_decomposition_checks(w):
@@ -206,6 +244,55 @@ def test_killing_form_rejects_non_closed_span_like_reference():
 
 
 # ---------------------------------------------------------------------------
+# generated ideals and the probe, grown in L-coordinates
+
+
+PROBE_CASES = [
+    *((r, total - r, range(10)) for total in range(1, 4) for r in range(total + 1)),
+    *((r, 4 - r, range(2)) for r in range(5)),
+]
+
+
+@pytest.mark.parametrize("r, s, seeds", PROBE_CASES, ids=[f"{r},{s}" for r, s, _ in PROBE_CASES])
+def test_ideal_probe_matches_reference(r, s, seeds):
+    l = triple.clifford_triple_report(build_module(CliffordSignature(r, s))).L_basis
+    for seed in seeds:
+        probe, ideals = ref_ideal_probe(l, seed)
+        assert triple.ideal_probe(l, seed) == probe
+        for x, ideal in ideals:
+            assert triple.generated_ideal(l, x).basis == ideal.basis
+
+
+@pytest.mark.parametrize("sig", [(3, 0), (1, 2)])
+def test_special_split_matches_reference(sig):
+    module = build_module(CliffordSignature(*sig))
+    j1, j2, j3 = module.generators
+    split = triple.clifford_triple_report(module).special_split
+    for part, lam in zip(split, (1, -1)):
+        h = j1 + (j2 * j3).scale(lam)
+        assert part.basis == (h, commutator(h, j2), commutator(h, j3))
+
+
+def _heisenberg():
+    e12, e13, e23 = (
+        RationalMatrix([[int((i, j) == pos) for j in range(3)] for i in range(3)])
+        for pos in ((0, 1), (0, 2), (1, 2))
+    )
+    return MatrixSubspace(3, [e12, e13, e23]), e12, e13
+
+
+def test_generated_ideal_finds_proper_ideal_of_heisenberg():
+    # strictly upper-triangular 3 x 3: [e23, e12] = -e13, and e13 is central
+    l, e12, e13 = _heisenberg()
+    ideal = triple.generated_ideal(l, e12)
+    assert ideal.equals(MatrixSubspace(3, [e12, e13]))
+    assert ideal.basis == ref_generated_ideal(l, e12).basis
+    probe = triple.ideal_probe(l, seed=0)
+    assert probe["ideal_dim"] == 2
+    assert probe == ref_ideal_probe(l, 0)[0]
+
+
+# ---------------------------------------------------------------------------
 # each table is computed once
 
 
@@ -240,3 +327,31 @@ def test_call_counts(calls, sig, max_commutators, max_span_queries):
     triple.decomposition_checks(w)
     # decomposition_checks reads the ad matrices of its own generated_algebra
     assert calls == generated
+
+
+@pytest.mark.parametrize("trials", [1, 8, 20])
+def test_ideals_read_only_the_ad_table(calls, trials):
+    l = triple.clifford_triple_report(build_module(CliffordSignature(2, 1))).L_basis
+    table = l.dim * (l.dim - 1) // 2
+    calls.update(commutator=0)
+    triple.ideal_probe(l, seed=0, trials=trials)
+    assert calls["commutator"] == table
+    calls.update(commutator=0)
+    triple.generated_ideal(l, l.element(range(l.dim)))
+    assert calls["commutator"] == table
+
+
+def test_clifford_triple_report_builds_the_ad_table_once(calls, monkeypatch):
+    module = build_module(CliffordSignature(3, 0))
+    w = triple.clifford_triple_system(module)
+    triple.generated_algebra(w)
+    generated = calls["commutator"]
+    calls.update(commutator=0)
+    tables = []
+    ad_matrices = triple._ad_matrices
+    monkeypatch.setattr(triple, "_ad_matrices", lambda l: tables.append(l) or ad_matrices(l))
+    report = triple.clifford_triple_report.__wrapped__(module)
+    assert report.special_split is not None
+    assert len(tables) == 1
+    # the split adds no commutator to those of generated_algebra
+    assert calls["commutator"] == generated
