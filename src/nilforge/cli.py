@@ -28,21 +28,9 @@ from .clifford import (
     verify_module,
 )
 from .errors import BadInputError, NilforgeError
-from .exactlin import (
-    MatrixSubspace,
-    RationalMatrix,
-    SignatureForm,
-    rat_to_str,
-    signature,
-    trace_gram,
-)
-from .lattice import (
-    LatticeVerdict,
-    lattice_verdict,
-    pseudo_H_algebra,
-    pseudo_H_pipeline_report,
-)
-from .nilpotent import MetricAlgebra, NilpotentAlgebra2, is_pseudo_H_type
+from .exactlin import MatrixSubspace, RationalMatrix, rat_to_str, signature, trace_gram
+from .lattice import lattice_verdict, pseudo_H_algebra, pseudo_H_pipeline_report
+from .nilpotent import NilpotentAlgebra2, is_pseudo_H_type
 from .standardform import (
     eta_twist,
     find_realizations,
@@ -56,17 +44,15 @@ from .triple import clifford_triple_report, ideal_probe
 
 
 def jsonify(obj):
-    """Recursively convert package objects to plain JSON values."""
+    """Recursively convert a report to plain JSON values.  An object with
+    ``to_json`` writes its own JSON, which is final and not walked again."""
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, Fraction):
         return rat_to_str(obj)
-    if isinstance(obj, (RationalMatrix, SignatureForm, MatrixSubspace)):
-        return obj.to_json()
-    if isinstance(obj, (NilpotentAlgebra2, LatticeVerdict)):
-        return jsonify(obj.to_json())
-    if isinstance(obj, MetricAlgebra):
-        return jsonify(obj.algebra.to_json())
+    to_json = getattr(obj, "to_json", None)
+    if to_json is not None:
+        return to_json()
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: jsonify(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
@@ -114,7 +100,7 @@ def _emit(report, output_path: str | None) -> None:
 def _cmd_clifford(args) -> int:
     module = build_module(CliffordSignature(args.r, args.s))
     report = verify_module(module)
-    _emit({"module": module.to_json(), "verification": report}, args.output)
+    _emit({"module": module, "verification": report}, args.output)
     return 0 if report["passed"] else 1
 
 
@@ -124,7 +110,7 @@ def _cmd_build(args) -> int:
     check = is_pseudo_H_type(ma)
     if args.output:
         save_algebra(ma.algebra, args.output)
-    _emit({"algebra": ma.algebra.to_json(), "pseudo_H_check": check}, None)
+    _emit({"algebra": ma.algebra, "pseudo_H_check": check}, None)
     return 0 if check["verdict"] else 1
 
 
@@ -152,14 +138,7 @@ def _cmd_reduce(args) -> int:
 def _cmd_free(args) -> int:
     std = free_algebra(args.p, args.q)
     iso = free_isomorphism(args.p, args.q)
-    _emit(
-        {
-            "algebra": std.algebra.to_json(),
-            "gram_W": std.gram_W,
-            "isomorphism": iso,
-        },
-        args.output,
-    )
+    _emit({"algebra": std.algebra, "gram_W": std.gram_W, "isomorphism": iso}, args.output)
     return 0 if iso["certified"] else 1
 
 
@@ -255,7 +234,7 @@ def _cmd_examples(args) -> int:
         elif name == "heisenberg":
             ma = BY_NAME["heisenberg"]()
             report[name] = {
-                "algebra": ma.algebra.to_json(),
+                "algebra": ma.algebra,
                 "realizations": find_realizations(ma.algebra),
             }
         elif name == "free":

@@ -5,8 +5,8 @@ when every |entry| is below 2**62 and exact Python ints otherwise, D the
 least positive common denominator, so (shape, D, N) is canonical.  Sums,
 products, commutators, comparisons and hashes are array operations on the
 N's, where a bound on each result only picks the dtype; there is no
-floating point anywhere.  Fractions are built on demand, for entries,
-serialization and the eliminations below.
+floating point anywhere.  Fractions are built on demand, for entries and
+the eliminations below; an entry's text is printed straight from (N, D).
 
 ``SpanBuilder``, an incremental reduced echelon span of matrices, coordinate
 sequences or sparse dicts, is the one Gaussian elimination: rref and rank
@@ -78,11 +78,16 @@ def rat(x) -> Fraction:
     raise BadInputError(f"cannot interpret {x!r} as a rational")
 
 
+def _ratio_str(n: int, d: int) -> str:
+    """Canonical text of n / d for d > 0: "a/b" in lowest terms, or "a" when
+    the reduced denominator is 1."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
 def rat_to_str(x: Fraction) -> str:
     """Canonical form "a/b", or "a" when the denominator is 1."""
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    return _ratio_str(x.numerator, x.denominator)
 
 
 def rat_from_str(s: str) -> Fraction:
@@ -195,10 +200,6 @@ class RationalMatrix:
         """Iterate over all entries row-major."""
         return map(_fraction(self._d), self._n.ravel().tolist())
 
-    def _fraction_rows(self) -> list[list[Fraction]]:
-        frac = _fraction(self._d)
-        return [list(map(frac, r)) for r in self._n.tolist()]
-
     # -- structure predicates
 
     def is_square(self) -> bool:
@@ -282,17 +283,19 @@ class RationalMatrix:
         return self._hash
 
     def __repr__(self) -> str:
-        body = "; ".join(" ".join(map(rat_to_str, r)) for r in self._fraction_rows())
+        body = "; ".join(map(" ".join, self.to_json()["entries"]))
         return f"RationalMatrix[{body}]"
 
     # -- serialization
 
     def to_json(self) -> dict:
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "entries": [list(map(rat_to_str, r)) for r in self._fraction_rows()],
-        }
+        """Each entry as canonical text, printed straight from (N, D)."""
+        d, rows = self._d, self._n.tolist()
+        if d == 1:
+            entries = [list(map(str, r)) for r in rows]
+        else:
+            entries = [[_ratio_str(x, d) for x in r] for r in rows]
+        return {"rows": self.rows, "cols": self.cols, "entries": entries}
 
     @classmethod
     def from_json(cls, obj: dict) -> "RationalMatrix":
@@ -511,7 +514,7 @@ def signature(m: RationalMatrix) -> tuple[int, int, int]:
     """
     if not m.is_symmetric():
         raise NotSymmetricError("signature requires a symmetric matrix")
-    a = m._fraction_rows()
+    a = [list(m.row(i)) for i in range(m.rows)]
     n = m.rows
     pos = neg = 0
     k = 0

@@ -42,7 +42,6 @@ from .exactlin import (
     inverse,
     lin_comb,
     rat,
-    rat_to_str,
     rational_roots,
     rref,
 )
@@ -105,7 +104,7 @@ class NilpotentAlgebra2:
         obj = {
             "m": self.m,
             "n": self.n,
-            "C": [[[rat_to_str(x) for x in c.row(i)] for i in range(self.m)] for c in self.structure],
+            "C": [c.to_json()["entries"] for c in self.structure],
             "form_V": self.form_V.to_json() if self.form_V else None,
             "form_Z": self.form_Z.to_json() if self.form_Z else None,
             "tag": self.tag,
@@ -130,14 +129,22 @@ class NilpotentAlgebra2:
                 if type(obj[key]) is not int:
                     raise BadInputError(f"{key} must be an integer, not {obj[key]!r}")
             structure = tuple(RationalMatrix(c) for c in obj["C"])
+            forms = {}
+            for key in ("form_V", "form_Z"):
+                form = obj.get(key)
+                if form is not None and type(form) is not dict:
+                    raise BadInputError(f"{key} must be an object or null, not {form!r}")
+                forms[key] = None if form is None else SignatureForm.from_json(form)
+            symbolic = obj.get("symbolic", False)
+            if type(symbolic) is not bool:
+                raise BadInputError(f"symbolic must be a boolean, not {symbolic!r}")
             return cls(
                 m=obj["m"],
                 n=obj["n"],
                 structure=structure,
-                form_V=SignatureForm.from_json(obj["form_V"]) if obj.get("form_V") else None,
-                form_Z=SignatureForm.from_json(obj["form_Z"]) if obj.get("form_Z") else None,
                 tag=obj.get("tag", "raw"),
-                symbolic=bool(obj.get("symbolic", False)),
+                symbolic=symbolic,
+                **forms,
             )
         except (KeyError, TypeError) as exc:
             raise BadInputError(f"bad algebra object: {exc}") from exc
@@ -207,12 +214,7 @@ def j_map(ma: MetricAlgebra, z) -> RationalMatrix:
     return -(ma.form_V.inverse_matrix() * lin_comb(w, ma.structure, ma.m))
 
 
-def algebra_from_J(
-    j_list,
-    form_V: SignatureForm,
-    form_Z: SignatureForm,
-    symbolic: bool = False,
-) -> MetricAlgebra:
+def algebra_from_J(j_list, form_V: SignatureForm, form_Z: SignatureForm) -> MetricAlgebra:
     """Build the metric algebra whose J-map sends the k-th center basis
     vector to j_list[k]; inverse of ``j_map`` on basis vectors."""
     if not form_V.is_nondegenerate() or not form_Z.is_nondegenerate():
@@ -237,7 +239,6 @@ def algebra_from_J(
         structure=tuple(lin_comb(gz_inv.row(k), rhs, m) for k in range(n)),
         form_V=form_V,
         form_Z=form_Z,
-        symbolic=symbolic,
     )
     return MetricAlgebra(algebra)
 

@@ -3,11 +3,13 @@
 A subspace W of matrices is a Lie triple system when [W, [W, W]] lies back
 in W; it generates L = W + [W, W] with the Cartan pair (p, t) = (W, [W, W]).
 Every certificate reads one of two tables, each computed once: W's pair
-brackets [w_a, w_b], a < b (the centre of W, the triple test, t and L's
-basis), and L's structure constants as ad matrices in L's own coordinates
-(the Killing form, the Cartan inclusions as exact rank tests, the centre of
+brackets [w_a, w_b], a < b (the centre of W, t and L's basis), and L's
+structure constants as ad matrices in L's own coordinates (the triple test,
+the Killing form, the Cartan inclusions as exact rank tests, the centre of
 L and [L, L], generated ideals and the seeded probe for proper ideals, and
-the two-ideal split of the Clifford signatures (3,0) and (1,2)).
+the two-ideal split of the Clifford signatures (3,0) and (1,2)).  W is a
+triple system exactly when L is closed under the bracket and [t, p] lies in
+p, so the triple test is one of the Cartan inclusions.
 """
 
 from __future__ import annotations
@@ -71,13 +73,9 @@ def _center(w: MatrixSubspace, pairs) -> MatrixSubspace:
     return MatrixSubspace(w.ambient_dim, [w.element(v) for v in kernel_basis(stacked)])
 
 
-def _is_triple(w: MatrixSubspace, pairs) -> bool:
-    return all(w.contains(commutator(a, m)) for a in w.basis for m in pairs.values())
-
-
 def is_lie_triple(w: MatrixSubspace) -> bool:
     """[w_a, [w_b, w_c]] in span(W) for all basis triples."""
-    return _is_triple(w, _pair_brackets(w))
+    return generated_algebra(w).is_triple
 
 
 def triple_center(w: MatrixSubspace) -> MatrixSubspace:
@@ -95,18 +93,20 @@ def _generated(w: MatrixSubspace) -> tuple[TripleSystemReport, list[RationalMatr
     triple system)."""
     pairs = _pair_brackets(w)
     center_dim = _center(w, pairs).dim
-    if not _is_triple(w, pairs):
-        return TripleSystemReport(False, center_dim, L_basis=w, L_dim=w.dim), []
+    not_triple = TripleSystemReport(False, center_dim, L_basis=w, L_dim=w.dim), []
     l = independent_subset(w.ambient_dim, w.basis + tuple(pairs.values()))
-    ads = _ad_matrices(l)
+    try:
+        ads = _ad_matrices(l)
+    except NotClosedError:  # a triple system's L = W + [W, W] is closed
+        return not_triple
     # in L-coordinates W's basis opens L's basis, and t is spanned by the table
     p = [tuple(int(i == a) for i in range(l.dim)) for a in range(w.dim)]
     t = [l.coords(c) for c in pairs.values()]
-    # Cartan pair inclusions: [t,t] in t, [t,p] in p, [p,p] in t
-    cartan = all(
-        _brackets_inside(ads, xs, ys, target)
-        for xs, ys, target in ((t, t, t), (t, p, p), (p, p, t))
-    )
+    # W is a triple system exactly when [t, p] lies in p; the Cartan pair
+    # adds [t, t] in t and [p, p] in t
+    if not _brackets_inside(ads, t, p, p):
+        return not_triple
+    cartan = _brackets_inside(ads, t, t, t) and _brackets_inside(ads, p, p, t)
     killing = trace_pairing(ads, ads)
     return TripleSystemReport(
         True, center_dim, l, l.dim, killing, signature(killing), cartan_certified=cartan

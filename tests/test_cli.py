@@ -3,12 +3,14 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from nilforge import cli, standardform
 from nilforge.cli import canonical_json, load_algebra, main, save_algebra
 from nilforge.catalog import n20
+from nilforge.clifford import CliffordSignature, build_module
 from nilforge.errors import BadInputError
 
 
@@ -336,3 +338,49 @@ def test_parser_built_once_per_process(tmp_path, capsys):
     probe = "import nilforge.cli as c; print(c._build_parser.cache_info().currsize)"
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
     assert out.stdout == "0\n"
+
+
+# ---------------------------------------------------------------------------
+# one text path: each value writes its own JSON once
+
+
+def test_jsonify_rejects_floats_and_unknown_objects():
+    for bad in (0.5, {"x": [1, 0.5]}, object(), {"module": [object()]}):
+        with pytest.raises(TypeError):
+            cli.jsonify(bad)
+
+
+def test_float_in_a_report_is_an_internal_fault(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "verify_module", lambda module: {"passed": True, "x": 0.5})
+    code = main(["clifford", "1", "0"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert json.loads(captured.out)["error"] == "ERR_INTERNAL"
+
+
+def test_objects_in_a_report_write_their_own_json():
+    module = build_module(CliffordSignature(2, 1))
+    algebra = n20().algebra
+    report = {"module": module, "nested": [{"algebra": algebra}], "half": Fraction(1, 2)}
+    assert cli.jsonify(report) == {
+        "module": module.to_json(),
+        "nested": [{"algebra": algebra.to_json()}],
+        "half": "1/2",
+    }
+
+    class Own:
+        def to_json(self):
+            return {"kept": (Fraction(1, 3),)}
+
+    # a to_json result is final: jsonify does not walk it again
+    assert cli.jsonify({"own": Own()}) == {"own": {"kept": (Fraction(1, 3),)}}
+
+
+@pytest.mark.parametrize("field", [{"symbolic": "false"}, {"form_V": 0}], ids=["symbolic", "form"])
+def test_cli_rejects_ill_typed_algebra_fields(tmp_path, capsys, field):
+    path = tmp_path / "algebra.json"
+    obj = {"m": 2, "n": 1, "C": [[[0, 1], [-1, 0]]], "tag": "adapted", **field}
+    path.write_text(json.dumps(obj))
+    code, d = _run_json(capsys, "lattice", str(path))
+    assert code == 2
+    assert d["error"] == "ERR_BAD_INPUT"

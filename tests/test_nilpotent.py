@@ -17,7 +17,7 @@ from nilforge.errors import (
     NotSkewError,
     PreconditionError,
 )
-from nilforge.exactlin import RationalMatrix, SignatureForm, eta, rat
+from nilforge.exactlin import RationalMatrix, SignatureForm, eta, rat, rat_to_str
 from nilforge.nilpotent import (
     MetricAlgebra,
     NilpotentAlgebra2,
@@ -30,6 +30,7 @@ from nilforge.nilpotent import (
     rescale_and_compare,
     scaling_isomorphism,
 )
+from nilforge.standardform import free_algebra
 
 
 def _unit(n, k):
@@ -325,3 +326,34 @@ def test_scaling_isomorphism_rejects_causal_flip():
 def test_scaling_isomorphism_rejects_dimension_mismatch():
     with pytest.raises(PreconditionError):
         scaling_isomorphism(n20(), heisenberg())
+
+
+def _reference_C(a):
+    """The structure matrices' text, entry by entry through rat_to_str."""
+    return [[[rat_to_str(x) for x in c.row(i)] for i in range(a.m)] for c in a.structure]
+
+
+def test_algebra_json_C_is_each_matrix_text():
+    f = Fraction
+    halves = NilpotentAlgebra2(
+        m=3,
+        n=2,
+        structure=(
+            RationalMatrix([[0, f(1, 2), f(-2, 3)], [f(-1, 2), 0, 0], [f(2, 3), 0, 0]]),
+            RationalMatrix([[0, 2**70, 0], [-(2**70), 0, f(5, 7)], [0, f(-5, 7), 0]]),
+        ),
+    )
+    empty = NilpotentAlgebra2(m=0, n=1, structure=(RationalMatrix([]),))
+    module = build_module(CliffordSignature(2, 1))
+    form_z = SignatureForm(eta(2, 1))
+    algebras = [
+        halves,
+        empty,
+        random_adapted_algebra(random.Random(3)).algebra,
+        free_algebra(2, 1).algebra,
+        *(ma.algebra for ma in (n20(), n11(), n02(), heisenberg())),
+        algebra_from_J(module.generators, module.module_form, form_z).algebra,
+    ]
+    for a in algebras:
+        assert a.to_json()["C"] == _reference_C(a)
+    assert halves.to_json()["C"][0][0] == ["0", "1/2", "-2/3"]

@@ -1,5 +1,5 @@
-"""Hypothesis properties: Sylvester's law of inertia for ``signature``, and
-the JSON loaders on arbitrary small JSON values."""
+"""Hypothesis properties: Sylvester's law of inertia for ``signature``, the
+JSON loaders on arbitrary small JSON values, and the text of matrix entries."""
 
 import json
 from fractions import Fraction
@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 
 from nilforge.clifford import CliffordModule
 from nilforge.errors import BadInputError, NilforgeError
-from nilforge.exactlin import MatrixSubspace, RationalMatrix, SignatureForm, rank, signature
+from nilforge.exactlin import (
+    MatrixSubspace,
+    RationalMatrix,
+    SignatureForm,
+    rank,
+    rat_to_str,
+    signature,
+)
 from nilforge.nilpotent import NilpotentAlgebra2
 
 PROPS = settings(max_examples=150, deadline=None, derandomize=True)
@@ -133,6 +140,7 @@ def test_loaders_return_or_raise_nilforge_errors(case):
 
 def test_loaders_reject_ill_typed_fields():
     good_module = {"r": 1, "s": 0, "N": 2, "eta": [1, 1], "generators": []}
+    good_algebra = {"m": 2, "n": 1, "C": [[[0, 1], [-1, 0]]], "tag": "adapted"}
     cases = [
         (CliffordModule.from_json, {"r": True, "s": 0, "N": "x", "eta": [], "generators": []}),
         (CliffordModule.from_json, {**good_module, "s": False}),
@@ -146,6 +154,15 @@ def test_loaders_reject_ill_typed_fields():
         (RationalMatrix.from_json, {"entries": [[1]], "rows": True}),
         (RationalMatrix.from_json, {"entries": [[1]], "cols": 1.0}),
         (SignatureForm.from_json, {"entries": [[1]], "rows": True, "cols": True}),
+        *(
+            (NilpotentAlgebra2.from_json, {**good_algebra, "symbolic": v})
+            for v in ("false", 0, 1, None)
+        ),
+        *(
+            (NilpotentAlgebra2.from_json, {**good_algebra, key: v})
+            for key in ("form_V", "form_Z")
+            for v in (0, False, "", [], {}, [[1, 0], [0, 1]])
+        ),
     ]
     for load, obj in cases:
         with pytest.raises(BadInputError):
@@ -153,3 +170,64 @@ def test_loaders_reject_ill_typed_fields():
     assert CliffordModule.from_json(good_module).module_dim == 2
     assert MatrixSubspace.from_json({"ambient": 0, "basis": []}).dim == 0
     assert RationalMatrix.from_json({"entries": [[1]], "rows": 1, "cols": 1}).rows == 1
+    for symbolic in (False, True):
+        loaded = NilpotentAlgebra2.from_json({**good_algebra, "symbolic": symbolic})
+        assert loaded.symbolic is symbolic
+    null_forms = NilpotentAlgebra2.from_json({**good_algebra, "form_V": None, "form_Z": None})
+    assert null_forms.form_V is None and null_forms.form_Z is None
+
+
+# ---------------------------------------------------------------------------
+# matrix text: printed straight from (N, D), entry by entry as rat_to_str
+
+
+def _reference_text(x: Fraction) -> str:
+    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
+@st.composite
+def text_matrices(draw):
+    """Empty shapes included; numerators small, negative, zero or past the
+    int64 bound; denominators mixed so D is their lcm."""
+    rows = draw(st.integers(0, 4))
+    cols = draw(st.integers(0, 4))
+    nums = st.integers(-6, 6) | st.integers(-(2**70), 2**70)
+    dens = st.sampled_from([1, 1, 1, 2, 3, 4, 6, 9, 2**63 + 1])
+    return RationalMatrix(
+        [[Fraction(draw(nums), draw(dens)) for _ in range(cols)] for _ in range(rows)]
+    )
+
+
+def _check_text(m: RationalMatrix) -> None:
+    entries = m.to_json()["entries"]
+    assert len(entries) == m.rows
+    for i, row in enumerate(entries):
+        assert row == [rat_to_str(m.entry(i, j)) for j in range(m.cols)]
+        assert row == [_reference_text(x) for x in m.row(i)]
+    body = "; ".join(" ".join(map(rat_to_str, m.row(i))) for i in range(m.rows))
+    assert repr(m) == f"RationalMatrix[{body}]"
+
+
+@PROPS
+@given(text_matrices())
+def test_matrix_text_agrees_with_rat_to_str(m):
+    _check_text(m)
+
+
+def test_matrix_text_covers_both_numerator_dtypes():
+    f = Fraction
+    cases = [
+        RationalMatrix([]),
+        RationalMatrix([[], []]),
+        RationalMatrix([[0, -3], [7, 0]]),
+        RationalMatrix([[f(1, 2), f(-2, 3)], [0, f(4, 6)]]),
+        RationalMatrix([[2**70, -(2**70)], [0, 1]]),
+        RationalMatrix([[f(2**70, 3), f(-1, 2)], [0, f(5, 6)]]),
+    ]
+    assert {str(m._n.dtype) for m in cases} == {"int64", "object"}
+    assert cases[3].to_json()["entries"] == [["1/2", "-2/3"], ["0", "2/3"]]
+    assert repr(cases[2]) == "RationalMatrix[0 -3; 7 0]"
+    for m in cases:
+        _check_text(m)
+    for x in (f(0), f(-5), f(3, 7), f(-(2**70), 3)):
+        assert rat_to_str(x) == _reference_text(x)

@@ -194,6 +194,10 @@ def _other_ws():
         "so3-plane": MatrixSubspace(3, _so3_cross_basis()[:2]),
         "so4-commuting": MatrixSubspace(4, [so4[0], so4[5]]),
         "non-triple": MatrixSubspace(3, [a, b]),
+        # in gl(2): L = W + [W, W] closes, yet [t, p] leaves W
+        "closed-non-triple": MatrixSubspace(
+            2, [RationalMatrix(((1, 0), (1, 0))), RationalMatrix(((0, 1), (1, 0)))]
+        ),
         "one-dim": MatrixSubspace(3, [a]),
         "zero": MatrixSubspace(3),
     }
@@ -355,3 +359,30 @@ def test_clifford_triple_report_builds_the_ad_table_once(calls, monkeypatch):
     assert len(tables) == 1
     # the split adds no commutator to those of generated_algebra
     assert calls["commutator"] == generated
+
+
+def _L_closes(w):
+    l = independent_subset(w.ambient_dim, w.basis + tuple(triple._pair_brackets(w).values()))
+    try:
+        triple._ad_matrices(l)
+    except NotClosedError:
+        return False
+    return True
+
+
+def test_triple_test_fails_both_ways():
+    # L not closed (the table raises), or closed with [t, p] outside p
+    names = ("non-triple", "closed-non-triple")
+    assert [_L_closes(CASES[name]) for name in names] == [False, True]
+    for name in names:
+        assert not triple.is_lie_triple(CASES[name]) and not ref_is_lie_triple(CASES[name])
+
+
+@pytest.mark.parametrize("sig, commutators", [((4, 1), 115), ((3, 3), 225)])
+def test_triple_test_reads_the_ad_table(calls, sig, commutators):
+    # W's pair brackets and L's table, and no [w_a, [w_b, w_c]] besides
+    w = triple.clifford_triple_system(build_module(CliffordSignature(*sig)))
+    report = triple.generated_algebra(w)
+    assert report.is_triple and report.cartan_certified
+    pairs = w.dim * (w.dim - 1) // 2 + report.L_dim * (report.L_dim - 1) // 2
+    assert calls["commutator"] == pairs == commutators
