@@ -5,11 +5,14 @@ when every |entry| is below 2**62 and exact Python ints otherwise, D the
 least positive common denominator, so (shape, D, N) is canonical.  Sums,
 products, commutators, comparisons and hashes are array operations on the
 N's, where a bound on each result only picks the dtype; there is no
-floating point anywhere.  Fractions are built on demand, for entries and
-the eliminations below; an entry's text is printed straight from (N, D).
+floating point anywhere.  Fractions are built on demand, for entries,
+``signature`` and the answers of the elimination below; an entry's text is
+printed straight from (N, D).
 
 ``SpanBuilder``, an incremental reduced echelon span of matrices, coordinate
-sequences or sparse dicts, is the one Gaussian elimination: rref and rank
+sequences or sparse dicts, is the one Gaussian elimination, fraction-free:
+its rows are Python ints, a matrix enters straight from (N, D), and only
+``coords`` and ``rref`` turn rows into Fractions.  rref and rank
 read the span of a matrix's rows, kernel_basis and solve the coordinates of
 its columns, inverse the coordinates of e_j over its rows,
 ``invariant_closure`` the span that a list of matrices generates from one
@@ -32,6 +35,7 @@ The module provides:
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -90,14 +94,19 @@ def rat_to_str(x: Fraction) -> str:
     return _ratio_str(x.numerator, x.denominator)
 
 
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
 def rat_from_str(s: str) -> Fraction:
-    try:
-        if "/" in s:
-            num, den = s.split("/")
-            return Fraction(int(num), int(den))
-        return Fraction(int(s))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise BadInputError(f"bad rational literal {s!r}") from exc
+    """Parse ASCII "[+-]digits" or "[+-]digits/digits" with a nonzero
+    denominator; any other text (spaces, "_", other digits) is rejected."""
+    m = _RATIONAL.fullmatch(s)
+    if m is not None:
+        try:
+            return Fraction(int(m[1]), int(m[2] or 1))
+        except (ValueError, ZeroDivisionError):  # too many digits, zero denominator
+            pass
+    raise BadInputError(f"bad rational literal {s!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -381,10 +390,13 @@ def _dense(sparse: dict, n: int) -> tuple[Fraction, ...]:
 def rref(m: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
     """Reduced row echelon form and pivot column indices: the echelon rows
     of the span of m's rows, padded with zero rows."""
-    echelon = SpanBuilder(m.row(i) for i in range(m.rows))._rows
-    rows = [_dense(row, m.cols) for _, row, _ in echelon]
+    echelon = sorted(SpanBuilder(m.row(i) for i in range(m.rows))._rows.items())
+    rows = [
+        tuple(map(_fraction(num[p]), (num.get(j, 0) for j in range(m.cols))))
+        for p, (num, _) in echelon
+    ]
     rows += [(ZERO,) * m.cols] * (m.rows - len(rows))
-    return RationalMatrix(rows), tuple(piv for piv, _, _ in echelon)
+    return RationalMatrix(rows), tuple(p for p, _ in echelon)
 
 
 def rank(m: RationalMatrix) -> int:
@@ -616,16 +628,6 @@ class SignatureForm:
 # incremental sparse span: the package's one Gaussian elimination
 
 
-def _axpy(dst: dict, c: Fraction, src: dict) -> None:
-    """dst += c * src on sparse dicts, dropping the entries that cancel."""
-    for i, x in src.items():
-        y = dst.get(i, ZERO) + c * x
-        if y:
-            dst[i] = y
-        else:
-            dst.pop(i, None)
-
-
 def matrix_to_sparse(m: RationalMatrix) -> dict:
     """m row-major as a dict {i * cols + j: M_ij} of its nonzero entries."""
     flat = m._n.ravel()
@@ -633,29 +635,48 @@ def matrix_to_sparse(m: RationalMatrix) -> dict:
     return dict(zip(idx.tolist(), map(_fraction(m._d), flat[idx].tolist())))
 
 
-def _sparse(vec) -> dict:
-    """A fresh sparse dict of a RationalMatrix (row-major), of a sparse dict
-    or of a coordinate sequence."""
-    if isinstance(vec, RationalMatrix):
-        return matrix_to_sparse(vec)
-    if isinstance(vec, dict):
-        return dict(vec)
-    return {i: x for i, x in enumerate(map(rat, vec)) if x}
+def _cancel(num: dict, comb: dict, pnum: dict, pcomb: dict, p: int) -> None:
+    """Clear num's entry c = num[p] in pivot column p, in place and in
+    integers: (num, comb) <- a (num, comb) - b (pnum, pcomb) with g = gcd(P, c),
+    a = P / g > 0 and b = c / g, where P = pnum[p] > 0.  A step with a > 1
+    then divides the content out of (num, comb)."""
+    c = num[p]
+    g = gcd(pnum[p], c)
+    a, b = pnum[p] // g, c // g
+    for d, src in ((num, pnum), (comb, pcomb)):
+        if a != 1:
+            for i, x in d.items():
+                d[i] = a * x
+        for i, x in src.items():
+            y = d.get(i, 0) - b * x
+            if y:
+                d[i] = y
+            else:
+                del d[i]
+    if a != 1:
+        g = gcd(*num.values(), *comb.values())
+        if g > 1:
+            for d in (num, comb):
+                for i, x in d.items():
+                    d[i] = x // g
 
 
 class SpanBuilder:
     """Reduced row-echelon span of ``vectors``, grown by ``add``, with
-    coordinate tracking.
+    coordinate tracking, fraction-free.
 
-    A vector is a ``RationalMatrix`` (read row-major), a coordinate sequence
-    or a dict {index: Fraction} with zero entries absent.  Each echelon row
-    remembers its expression in the vectors that enlarged the span, numbered
-    0, 1, ... in the order they were added, so ``coords`` recovers exact
-    coefficients over them.
+    A vector is a ``RationalMatrix`` (read row-major from its (N, D)), a
+    coordinate sequence or a dict {index: rational}; zero entries are
+    dropped.  Vectors are numbered 0, 1, ... in the order they enlarged the
+    span.  Each echelon row is an integer relation num = sum_l comb[l] v_l
+    over them, held as two int dicts with num[pivot] > 0: the RREF row is
+    num / num[pivot].  A vector under reduction is such a relation too, with
+    its own label carrying its denominator, so the elimination runs on
+    Python ints; ``coords`` and ``rref`` build Fractions only to answer.
     """
 
     def __init__(self, vectors=()):
-        self._rows: list[tuple[int, dict, dict]] = []  # (pivot, vec, comb)
+        self._rows: dict[int, tuple[dict, dict]] = {}  # pivot -> (num, comb)
         for v in vectors:
             self.add(v)
 
@@ -664,35 +685,39 @@ class SpanBuilder:
         return len(self._rows)
 
     def _reduce(self, vec) -> tuple[dict, dict]:
-        v = _sparse(vec)
-        comb: dict[int, Fraction] = {}
-        for piv, row, rcomb in self._rows:
-            c = v.get(piv)
-            if c:
-                _axpy(v, -c, row)
-                _axpy(comb, c, rcomb)
-        return v, comb
+        """(num, comb) with num = comb[dim] vec + sum_l comb[l] v_l and num
+        zero in every pivot column: each echelon row is zero in the others'
+        pivot columns, so each pivot column of vec is cleared once."""
+        if isinstance(vec, RationalMatrix):
+            flat = vec._n.ravel()
+            idx = np.flatnonzero(flat)
+            num, d = dict(zip(idx.tolist(), flat[idx].tolist())), vec._d
+        else:
+            items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+            fracs = [(i, x) for i, x in ((i, rat(x)) for i, x in items) if x]
+            d = lcm(*(x.denominator for _, x in fracs))
+            num = {i: x.numerator * (d // x.denominator) for i, x in fracs}
+        comb = {self.dim: d}
+        for p in num.keys() & self._rows.keys():
+            _cancel(num, comb, *self._rows[p], p)
+        return num, comb
 
     def add(self, vec) -> bool:
         """Add a vector; returns True iff it enlarged the span."""
-        v, comb = self._reduce(vec)
-        if not v:
+        num, comb = self._reduce(vec)
+        if not num:
             return False
-        piv = min(v)
-        d = v[piv]
-        row = {i: x / d for i, x in v.items()}
-        rcomb = {lbl: -x / d for lbl, x in comb.items()}
-        rcomb[len(self._rows)] = ONE / d
+        piv = min(num)
+        if num[piv] < 0:
+            num = {i: -x for i, x in num.items()}
+            comb = {lbl: -x for lbl, x in comb.items()}
         # keep full reduced echelon form: clear the new pivot column in the
         # existing rows so every reduction pass terminates with a canonical
         # residual
-        for _, orow, ocomb in self._rows:
-            c = orow.get(piv)
-            if c:
-                _axpy(orow, -c, row)
-                _axpy(ocomb, -c, rcomb)
-        self._rows.append((piv, row, rcomb))
-        self._rows.sort(key=lambda t: t[0])
+        for onum, ocomb in self._rows.values():
+            if piv in onum:
+                _cancel(onum, ocomb, num, comb, piv)
+        self._rows[piv] = (num, comb)
         return True
 
     def contains(self, vec) -> bool:
@@ -701,8 +726,11 @@ class SpanBuilder:
 
     def coords(self, vec) -> dict | None:
         """Coefficients over the added vectors, or None if outside the span."""
-        v, comb = self._reduce(vec)
-        return None if v else comb
+        num, comb = self._reduce(vec)
+        if num:
+            return None
+        frac = _fraction(comb.pop(self.dim))
+        return {lbl: frac(-x) for lbl, x in comb.items()}
 
 
 def invariant_closure(maps, v) -> list[tuple[Fraction, ...]]:

@@ -156,6 +156,19 @@ def test_lattice_verb_file_and_pipeline(tmp_path, capsys):
     assert d["verdict"]["status"] == "AdmitsLattice"
 
 
+def test_lattice_file_rejects_lenient_integer_text(tmp_path, capsys):
+    # "1_0" is int()'s text for 10, but not a rational literal of the format
+    path = tmp_path / "n11.json"
+    main(["build", "1", "1", "-o", str(path)])
+    capsys.readouterr()
+    obj = json.loads(path.read_text())
+    obj["C"][0][0][1], obj["C"][0][1][0] = "1_0", "-1_0"
+    path.write_text(json.dumps(obj))
+    code, d = _run_json(capsys, "lattice", str(path))
+    assert code == 2
+    assert d["error"] == "ERR_BAD_INPUT"
+
+
 def test_lattice_verb_needs_input(capsys):
     code, d = _run_json(capsys, "lattice")
     assert code == 2

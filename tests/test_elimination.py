@@ -181,3 +181,14 @@ def test_empty_and_singular_shapes():
     span = SpanBuilder()
     assert not span.add({}) and not span.add(zero) and not span.add([0, 0])
     assert span.coords([0, 0, 0]) == {} and span.coords([1]) is None
+
+
+def test_span_drops_explicit_zero_entries():
+    # a zero entry is not a pivot, and the zero vector lies in every span
+    span = SpanBuilder()
+    assert span.add({0: Fraction(0), 1: Fraction(1)})
+    assert span.coords({1: 2, 4: 0}) == {0: Fraction(2)}
+    assert not span.add({0: 0, 1: Fraction(-3)}) and span.dim == 1
+    line = SpanBuilder([[1, 0]])
+    assert line.coords({0: 0}) == {} and line.contains({3: 0})
+    assert line.coords([0, "0/5"]) == {} and line.contains({0: "0", 1: 0})

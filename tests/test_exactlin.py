@@ -328,6 +328,25 @@ def test_rational_string_round_trip():
     assert rat_to_str(Fraction(-1, 2)) == "-1/2"
 
 
+def test_rat_from_str_accepts_only_ascii_integers_and_ratios():
+    # [+-]?[0-9]+ or [+-]?[0-9]+/[0-9]+ with a nonzero denominator
+    accepted = {
+        "7": 7, "-7": -7, "+7": 7, "0": 0, "-0": 0, "06/08": Fraction(3, 4), "-3/4": Fraction(-3, 4)
+    }
+    for text, value in accepted.items():
+        assert rat_from_str(text) == value
+        assert rat(text) == value
+    rejected = [
+        "1_000", " 7 ", "7 ", "7\n", "1 /2", "1/ 2", "\u0663", "1/\u0663", "1/-2", "1/+2",
+        "1/0", "", "/", "1/", "/2", "+", "-", "1.5", "1e3", "0x10", "1/2/3", "--1",
+    ]
+    for text in rejected:
+        with pytest.raises(BadInputError):
+            rat_from_str(text)
+        with pytest.raises(BadInputError):
+            RationalMatrix([[text]])
+
+
 def test_rat_rejects_booleans():
     for x in (True, False):
         with pytest.raises(BadInputError):
