@@ -40,7 +40,7 @@ from .standardform import (
     reduction_isomorphism,
     structure_space,
 )
-from .triple import clifford_triple_report, ideal_probe
+from .triple import clifford_ideal_probe, clifford_triple_report
 
 
 def jsonify(obj):
@@ -150,7 +150,7 @@ def _cmd_triple(args) -> int:
         raise BadInputError(f"NILFORGE_SEED must be an integer, not {seed!r}") from exc
     module = build_module(CliffordSignature(args.r, args.s))
     report = clifford_triple_report(module)
-    probe = ideal_probe(report.L_basis, seed) if report.is_triple else None
+    probe = clifford_ideal_probe(module, seed)
     _emit({"report": report, "ideal_probe": probe, "seed": seed}, args.output)
     return 0 if report.is_triple and report.cartan_certified else 1
 

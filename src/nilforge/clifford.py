@@ -18,7 +18,11 @@ generator while keeping the form diagonal:
 - add_r: J -> J (x) E, new generator I (x) Q, form d -> d (x) I,
 - add_s: J -> J (x) E, new generator I (x) P, form d -> d (x) (1, -1),
 
-with E = diag(1,-1), Q = [[0,-1],[1,0]], P = [[0,1],[1,0]].  Every
+with E = diag(1,-1), Q = [[0,-1],[1,0]], P = [[0,1],[1,0]].  The steps and
+the final sort of the basis (form +1 before -1) are Kronecker products and
+a basis permutation P^T M P on the generators' integer arrays, so every
+generator, and every product of generators, is a signed permutation
+matrix, which the product kernel multiplies as a gather.  Every
 constructed module is re-verified by ``verify_module``; nothing about the
 recursion is trusted.
 """
@@ -35,9 +39,9 @@ from .nilpotent import h_type_laws
 #: largest r+s accepted by build_module
 SIGNATURE_CAP = 8
 
-_E = ((1, 0), (0, -1))
-_P = ((0, 1), (1, 0))
-_Q = ((0, -1), (1, 0))
+_E = RationalMatrix(((1, 0), (0, -1)))
+_P = RationalMatrix(((0, 1), (1, 0)))
+_Q = RationalMatrix(((0, -1), (1, 0)))
 
 
 @dataclass(frozen=True)
@@ -97,42 +101,29 @@ def clifford_dim(sig: CliffordSignature) -> int:
     return 2 ** (sig.r + sig.s)
 
 
-def _kron(a_rows, b_rows):
-    """Kronecker product on plain integer row tuples."""
-    out = []
-    for ar in a_rows:
-        for br in b_rows:
-            out.append(tuple(x * y for x in ar for y in br))
-    return tuple(out)
-
-
-def _ident(n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-# base cases: (r, s) -> (list of generator row-tuples, form diagonal)
+# base cases: (r, s) -> (list of generators, form diagonal)
 # the 4x4 tables are the worked generator pairs for n_{2,0}, n_{1,1}, n_{0,2}
 _BASE = {
     (1, 0): ([_Q], (1, 1)),
     (0, 1): ([_P], (1, -1)),
     (2, 0): (
         [
-            ((0, 0, -1, 0), (0, 0, 0, -1), (1, 0, 0, 0), (0, 1, 0, 0)),
-            ((0, 0, 0, -1), (0, 0, 1, 0), (0, -1, 0, 0), (1, 0, 0, 0)),
+            RationalMatrix(((0, 0, -1, 0), (0, 0, 0, -1), (1, 0, 0, 0), (0, 1, 0, 0))),
+            RationalMatrix(((0, 0, 0, -1), (0, 0, 1, 0), (0, -1, 0, 0), (1, 0, 0, 0))),
         ],
         (1, 1, 1, 1),
     ),
     (1, 1): (
         [
-            ((0, -1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, -1, 0)),
-            ((0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0)),
+            RationalMatrix(((0, -1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, -1, 0))),
+            RationalMatrix(((0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0))),
         ],
         (1, 1, -1, -1),
     ),
     (0, 2): (
         [
-            ((0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0)),
-            ((0, 0, 0, 1), (0, 0, -1, 0), (0, -1, 0, 0), (1, 0, 0, 0)),
+            RationalMatrix(((0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0))),
+            RationalMatrix(((0, 0, 0, 1), (0, 0, -1, 0), (0, -1, 0, 0), (1, 0, 0, 0))),
         ],
         (1, 1, -1, -1),
     ),
@@ -149,14 +140,14 @@ def _pick_base(r: int, s: int) -> tuple[int, int]:
 def _add_generator(r_gens, s_gens, form_diag, kind: str):
     """One doubling step: tensor old generators with E, append I (x) Q
     (kind 'r') or I (x) P (kind 's'); extend the form diagonal."""
-    n = len(form_diag)
-    r_gens = [_kron(g, _E) for g in r_gens]
-    s_gens = [_kron(g, _E) for g in s_gens]
+    ident = RationalMatrix.identity(len(form_diag))
+    r_gens = [g.kron(_E) for g in r_gens]
+    s_gens = [g.kron(_E) for g in s_gens]
     if kind == "r":
-        r_gens.append(_kron(_ident(n), _Q))
+        r_gens.append(ident.kron(_Q))
         form_diag = tuple(x for d in form_diag for x in (d, d))
     else:
-        s_gens.append(_kron(_ident(n), _P))
+        s_gens.append(ident.kron(_P))
         form_diag = tuple(x for d in form_diag for x in (d, -d))
     return r_gens, s_gens, form_diag
 
@@ -168,13 +159,9 @@ def _sort_form(r_gens, s_gens, form_diag):
     ]
     if order == list(range(len(form_diag))):
         return r_gens, s_gens, form_diag
-
-    def permute(g):
-        return tuple(tuple(g[i][j] for j in order) for i in order)
-
     return (
-        [permute(g) for g in r_gens],
-        [permute(g) for g in s_gens],
+        [g.permute(order) for g in r_gens],
+        [g.permute(order) for g in s_gens],
         tuple(form_diag[i] for i in order),
     )
 
@@ -200,12 +187,12 @@ def build_module(sig: CliffordSignature) -> CliffordModule:
         r_gens, s_gens, form_diag = _add_generator(r_gens, s_gens, form_diag, "s")
         path.append("add_s")
     r_gens, s_gens, form_diag = _sort_form(r_gens, s_gens, form_diag)
-    gens = tuple(RationalMatrix(g) for g in r_gens + s_gens)
     module = CliffordModule(
         signature=sig,
         module_dim=len(form_diag),
-        module_form=SignatureForm(RationalMatrix.diag(form_diag)),
-        generators=gens,
+        # sorted, the diagonal is +1 before -1
+        module_form=SignatureForm.standard(form_diag.count(1), form_diag.count(-1)),
+        generators=tuple(r_gens + s_gens),
         construction_path=tuple(path),
     )
     report = verify_module(module)

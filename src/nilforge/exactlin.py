@@ -3,11 +3,17 @@
 Each matrix is stored as M = N / D alone: N the numerators, numpy int64
 when every |entry| is below 2**62 and exact Python ints otherwise, D the
 least positive common denominator, so (shape, D, N) is canonical.  Sums,
-products, commutators, comparisons and hashes are array operations on the
-N's, where a bound on each result only picks the dtype; there is no
-floating point anywhere.  Fractions are built on demand, for entries,
-``signature`` and the answers of the elimination below; an entry's text is
-printed straight from (N, D).
+products, commutators, Kronecker products, basis permutations, comparisons
+and hashes are array operations on the N's, where a bound on each result
+only picks the dtype; there is no floating point anywhere.  Fractions are
+built on demand, for entries, ``signature`` and the answers of the
+elimination below; an entry's text is printed straight from (N, D).
+
+One kernel makes every product.  A square operand of size at least 16 is
+checked once, the first time it is multiplied, for being monomial (one
+nonzero in every row and every column, as a signed permutation is); a
+product with a monomial operand is then a gather of the other operand's
+rows or columns, scaled, instead of a dense integer matrix product.
 
 ``SpanBuilder``, an incremental reduced echelon span of matrices, coordinate
 sequences or sparse dicts, is the one Gaussian elimination, fraction-free:
@@ -147,7 +153,7 @@ class RationalMatrix:
     integer array (int64, or Python ints when an entry needs them) and D the
     least positive common denominator.  Fractions are built on demand."""
 
-    __slots__ = ("rows", "cols", "_n", "_d", "_hash")
+    __slots__ = ("rows", "cols", "_n", "_d", "_hash", "_mono")
 
     def __init__(self, rows):
         frac_rows = [tuple(map(rat, r)) for r in rows]
@@ -161,7 +167,7 @@ class RationalMatrix:
             n = n.reshape(0, 0)  # a matrix with no rows is 0 x 0
         n.flags.writeable = False
         self.rows, self.cols = n.shape
-        self._n, self._d, self._hash = n, d, None
+        self._n, self._d, self._hash, self._mono = n, d, None, None
 
     @classmethod
     def _of(cls, n, d: int) -> "RationalMatrix":
@@ -193,6 +199,20 @@ class RationalMatrix:
         vals = [rat(v) for v in values]
         n, d = _integer_form([vals], (1, len(vals)))
         return cls._of(np.diag(n[0]), d)
+
+    def kron(self, other: "RationalMatrix") -> "RationalMatrix":
+        """The Kronecker product self (x) other."""
+        na, nb = self._n, other._n
+        if _bound(na) * _bound(nb) >= _INT64_BOUND:
+            na, nb = na.astype(object), nb.astype(object)
+        return RationalMatrix._of(np.kron(na, nb), self._d * other._d)
+
+    def permute(self, order) -> "RationalMatrix":
+        """P^T M P for the permutation P e_i = e_order[i] of a square M: the
+        matrix (M[order[i], order[j]])_ij."""
+        if not self.is_square() or sorted(order) != list(range(self.rows)):
+            raise DimensionMismatchError(f"{order!r} is not a permutation of {self.rows} indices")
+        return RationalMatrix._of(self._n[np.ix_(order, order)], self._d)
 
     # -- access: Fractions on demand
 
@@ -344,16 +364,54 @@ def _combine(terms, shape) -> RationalMatrix:
     return RationalMatrix._of(n, d)
 
 
+# a dense int64 product against a gather, N x N on a 2-CPU x86-64 VM: 1.2
+# against 2.3 us at N = 8, 3.4 against 2.9 us at N = 16, 20 against 3.7 us at
+# N = 32; smaller operands are never checked for being monomial
+_GATHER_MIN = 16
+
+
+def _monomial(m: RationalMatrix):
+    """(cols, vals) when N has exactly one nonzero in every row and every
+    column, N[i, cols[i]] = vals[i]; None otherwise.  Decided once per
+    matrix, and only for square matrices of size at least _GATHER_MIN."""
+    if m._mono is None:
+        m._mono = False
+        if m.rows == m.cols >= _GATHER_MIN:
+            nonzero = m._n != 0
+            if (nonzero.sum(axis=1) == 1).all() and (nonzero.sum(axis=0) == 1).all():
+                cols = nonzero.argmax(axis=1)
+                m._mono = cols, m._n[np.arange(m.rows), cols]
+    return m._mono or None
+
+
+def _times(na, ma, nb, mb):
+    """na @ nb, where ma and mb are the operands' monomial forms or None: a
+    row gather diag(vals) nb[cols] when A is monomial, else a column gather
+    when B is, else the dense product."""
+    if ma is not None:
+        cols, vals = ma
+        return vals[:, None] * nb[cols]
+    if mb is not None:
+        cols, vals = mb
+        inv = np.empty_like(cols)
+        inv[cols] = np.arange(cols.size)  # column j of AB is b_k A[:, k], cols[k] = j
+        return na[:, inv] * vals[inv]
+    return na @ nb
+
+
 def _int_product(a: RationalMatrix, b: RationalMatrix, commute: bool) -> RationalMatrix:
     """AB, or AB - BA when ``commute``, as one product of the numerators over
-    D_a D_b; the bound on the result's numerators picks int64 or Python ints."""
-    bound = (2 if commute else 1) * _bound(a._n) * _bound(b._n) * max(a.cols, 1)
+    D_a D_b; the bound on the result's numerators picks int64 or Python ints.
+    With a monomial operand each entry of a product is a single term."""
+    ma, mb = _monomial(a), _monomial(b)
+    terms = 1 if ma is not None or mb is not None else max(a.cols, 1)
+    bound = (2 if commute else 1) * _bound(a._n) * _bound(b._n) * terms
     na, nb = a._n, b._n
     if bound >= _INT64_BOUND:
         na, nb = na.astype(object), nb.astype(object)
-    prod = na @ nb
+    prod = _times(na, ma, nb, mb)
     if commute:
-        prod = prod - nb @ na
+        prod = prod - _times(nb, mb, na, ma)
     return RationalMatrix._of(prod, a._d * b._d)
 
 
@@ -374,8 +432,9 @@ def nu(p: int, q: int, i: int) -> int:
     return 1 if i <= p else -1
 
 
+@lru_cache(maxsize=128)
 def eta(p: int, q: int) -> RationalMatrix:
-    """The form matrix diag(I_p, -I_q)."""
+    """The form matrix diag(I_p, -I_q); immutable, hence memoized."""
     return RationalMatrix.diag([1] * p + [-1] * q)
 
 
@@ -621,7 +680,12 @@ class SignatureForm:
 
     @classmethod
     def standard(cls, p: int, q: int) -> "SignatureForm":
-        return cls(eta(p, q))
+        """The form eta(p, q): its inertia (p, q, 0) is known from its
+        construction, and it is its own inverse."""
+        form = object.__new__(cls)
+        form.matrix = form._inv = eta(p, q)
+        form.p, form.q, form.nullity = max(p, 0), max(q, 0), 0
+        return form
 
 
 # ---------------------------------------------------------------------------

@@ -112,7 +112,7 @@ def lattice_verdict(a: NilpotentAlgebra2) -> LatticeVerdict:
 def pseudo_H_algebra(module: CliffordModule) -> MetricAlgebra:
     """n_{r,s}: V = module space with its form, Z = R^{r,s}, J as given."""
     sig = module.signature
-    form_z = SignatureForm(eta(sig.r, sig.s))
+    form_z = SignatureForm.standard(sig.r, sig.s)
     return algebra_from_J(module.generators, module.module_form, form_z)
 
 

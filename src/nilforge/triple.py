@@ -152,6 +152,11 @@ def clifford_triple_system(module: CliffordModule) -> MatrixSubspace:
     return MatrixSubspace(module.module_dim, module.generators)
 
 
+# L's ad matrices for each module that clifford_triple_report has seen, so
+# that the probe of the same L reads the table the report was built from
+_AD_TABLES: dict[CliffordModule, list[RationalMatrix]] = {}
+
+
 @lru_cache(maxsize=None)
 def clifford_triple_report(module: CliffordModule) -> TripleSystemReport:
     """generated_algebra for the module's W, with the (3,0)/(1,2) ideal
@@ -162,7 +167,16 @@ def clifford_triple_report(module: CliffordModule) -> TripleSystemReport:
     report, ads = _generated(clifford_triple_system(module))
     if report.is_triple and (module.signature.r, module.signature.s) in ((3, 0), (1, 2)):
         report = replace(report, special_split=_ideal_split(module, report.L_basis, ads))
+    _AD_TABLES[module] = ads
     return report
+
+
+def clifford_ideal_probe(module: CliffordModule, seed: int) -> dict | None:
+    """ideal_probe of the L of clifford_triple_report(module), read from the
+    ad table that the report was built from; None when W is not a triple
+    system."""
+    report = clifford_triple_report(module)
+    return _probe(_AD_TABLES[module], seed) if report.is_triple else None
 
 
 def special_ideal_split(
@@ -274,13 +288,18 @@ def ideal_probe(l: MatrixSubspace, seed: int, trials: int = 8) -> dict | None:
     """Seeded random search for a proper nonzero ideal: each trial generates
     the ideal of a random rational element.  Returns a witness dict or None.
     A None result is evidence, not proof, of simplicity."""
-    ads = _ad_matrices(l)
+    return _probe(_ad_matrices(l), seed, trials)
+
+
+def _probe(ads, seed: int, trials: int = 8) -> dict | None:
+    """ideal_probe on L's ad matrices."""
+    dim = len(ads)
     rng = random.Random(seed)
     for trial in range(trials):
-        coeffs = [rng.randint(-3, 3) for _ in range(l.dim)]
+        coeffs = [rng.randint(-3, 3) for _ in range(dim)]
         if all(c == 0 for c in coeffs):
-            coeffs[rng.randrange(l.dim)] = 1
+            coeffs[rng.randrange(dim)] = 1
         ideal_dim = len(invariant_closure(ads, coeffs))
-        if 0 < ideal_dim < l.dim:
+        if 0 < ideal_dim < dim:
             return {"trial": trial, "coefficients": coeffs, "ideal_dim": ideal_dim}
     return None

@@ -3,9 +3,12 @@ tolerance.  Each criterion is one test emitting a single PASS line."""
 
 import random
 from fractions import Fraction
+from math import comb
+
+import pytest
 
 from nilforge.catalog import heisenberg, n02, n11, n20, random_adapted_algebra
-from nilforge.clifford import CliffordSignature, build_module, verify_module
+from nilforge.clifford import SIGNATURE_CAP, CliffordSignature, build_module, verify_module
 from nilforge.exactlin import (
     MatrixSubspace,
     RationalMatrix,
@@ -29,7 +32,7 @@ from nilforge.standardform import (
     structure_space,
     reduction_isomorphism,
 )
-from nilforge.triple import clifford_triple_report, special_ideal_split
+from nilforge.triple import clifford_ideal_probe, clifford_triple_report, special_ideal_split
 
 
 def _unit(n, k):
@@ -308,3 +311,24 @@ def test_criterion_8_two_of_three_law():
                 )
                 assert [skew, orth, square].count(True) != 2
     print(f"PASS criterion 8: two-of-three law holds on all {checked} modules and tamperings")
+
+
+@pytest.mark.parametrize("r, s", [(4, 3), (8, 0)])
+def test_signature_cap_sizes_certified(r, s):
+    """One signature with r+s = 7 and one with r+s = 8 = SIGNATURE_CAP: the
+    module certifies, the lattice pipeline certifies, and L = W + [W, W] is
+    so(r+1, s): dim C(r+s+1, 2), a certified Cartan pair, the Killing
+    signature ((r+1)s, C(r+1, 2) + C(s, 2), 0) and no ideal found."""
+    n = r + s
+    assert n <= SIGNATURE_CAP
+    module = build_module(CliffordSignature(r, s))
+    assert verify_module(module)["passed"]
+    rep = pseudo_H_pipeline_report(r, s)
+    assert rep["N"] == 2**n and rep["trace_identity"] and rep["gram_is_2l_eta"]
+    assert rep["standard_iso_certified"] and rep["verdict"].rescaled_constants_integer
+    report = clifford_triple_report(module)
+    assert report.is_triple and report.cartan_certified and report.center_dim == 0
+    assert report.L_dim == comb(n + 1, 2)
+    assert report.killing_signature == ((r + 1) * s, comb(r + 1, 2) + comb(s, 2), 0)
+    assert clifford_ideal_probe(module, 0) is None  # so(r+1, s) is simple here
+    print(f"PASS signature ({r},{s}): module, lattice pipeline and so({r + 1},{s}) certified")

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from nilforge import cli, standardform
+from nilforge import cli, standardform, triple
 from nilforge.cli import canonical_json, load_algebra, main, save_algebra
 from nilforge.catalog import n20
 from nilforge.clifford import CliffordSignature, build_module
@@ -140,6 +140,17 @@ def test_triple_verb_seeded(capsys, monkeypatch):
     assert d["seed"] == 11
     assert d["report"]["is_triple"]
     assert d["report"]["L_dim"] == 3
+
+
+def test_triple_verb_builds_the_ad_table_once(capsys, monkeypatch):
+    # the probe reads the ad table that the report was built from
+    tables = []
+    ad_matrices = triple._ad_matrices
+    monkeypatch.setattr(triple, "_ad_matrices", lambda l: tables.append(l) or ad_matrices(l))
+    triple.clifford_triple_report.cache_clear()
+    code, d = _run_json(capsys, "triple", "2", "1")
+    assert code == 0 and d["report"]["L_dim"] == 6
+    assert len(tables) == 1
 
 
 def test_lattice_verb_file_and_pipeline(tmp_path, capsys):

@@ -410,3 +410,36 @@ def test_trace_gram_is_minus_trace():
     b1 = RationalMatrix(((0, 1), (-1, 0)))
     s = MatrixSubspace(2, [b1])
     assert trace_gram(s).entry(0, 0) == -(b1 * b1).trace() == 2
+
+
+def test_standard_form_is_eta_with_its_inertia():
+    for total in range(9):
+        for p in range(total + 1):
+            e = eta(p, total - p)
+            std, ref = SignatureForm.standard(p, total - p), SignatureForm(e)
+            assert (std.p, std.q, std.nullity) == (ref.p, ref.q, ref.nullity) == (p, total - p, 0)
+            assert std.matrix == ref.matrix
+            assert std.inverse_matrix() == inverse(e)
+    assert eta(3, 2) is eta(3, 2)  # memoized
+
+
+def test_kron_and_permute_match_entrywise_definitions():
+    rng = random.Random(5)
+    a = RationalMatrix([[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(3)] for _ in range(2)])
+    b = RationalMatrix([[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(2)] for _ in range(4)])
+    k = a.kron(b)
+    assert (k.rows, k.cols) == (8, 6)
+    assert all(
+        k.entry(4 * i + u, 2 * j + v) == a.entry(i, j) * b.entry(u, v)
+        for i in range(2) for j in range(3) for u in range(4) for v in range(2)
+    )
+    wide = RationalMatrix([[2**40, 3]]).kron(RationalMatrix([[2**30], [-(2**25)]]))
+    assert wide == RationalMatrix([[2**70, 3 * 2**30], [-(2**65), -3 * 2**25]])
+    m = RationalMatrix([[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(4)] for _ in range(4)])
+    order = [2, 0, 3, 1]
+    perm = RationalMatrix([[int(k == order[i]) for i in range(4)] for k in range(4)])  # P e_i = e_order[i]
+    assert m.permute(order) == perm.transpose() * m * perm
+    assert all(m.permute(order).entry(i, j) == m.entry(order[i], order[j]) for i in range(4) for j in range(4))
+    for bad, mat in (([0, 0, 1, 2], m), ([0, 1], a), ([0, 1, 2], m)):
+        with pytest.raises(DimensionMismatchError):
+            mat.permute(bad)
