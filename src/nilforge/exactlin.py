@@ -6,8 +6,8 @@ least positive common denominator, so (shape, D, N) is canonical.  Sums,
 products, commutators, Kronecker products, basis permutations, comparisons
 and hashes are array operations on the N's, where a bound on each result
 only picks the dtype; there is no floating point anywhere.  Fractions are
-built on demand, for entries, ``signature`` and the answers of the
-elimination below; an entry's text is printed straight from (N, D).
+built on demand, for entries and the answers of the elimination below; an
+entry's text is printed straight from (N, D).
 
 One kernel makes every product.  A square operand of size at least 16 is
 checked once, the first time it is multiplied, for being monomial (one
@@ -15,22 +15,24 @@ nonzero in every row and every column, as a signed permutation is); a
 product with a monomial operand is then a gather of the other operand's
 rows or columns, scaled, instead of a dense integer matrix product.
 
-``SpanBuilder``, an incremental reduced echelon span of matrices, coordinate
-sequences or sparse dicts, is the one Gaussian elimination, fraction-free:
-its rows are Python ints, a matrix enters straight from (N, D), and only
-``coords`` and ``rref`` turn rows into Fractions.  rref and rank
-read the span of a matrix's rows, kernel_basis and solve the coordinates of
-its columns, inverse the coordinates of e_j over its rows,
-``invariant_closure`` the span that a list of matrices generates from one
-vector, and ``MatrixSubspace`` keeps the span of its basis.  ``signature``
-alone reduces by symmetric congruence.
+One fraction-free step, ``_cancel``, clears a pivot column from a row of
+Python ints by gcd steps, and every elimination is made of it.
+``SpanBuilder``, an incremental reduced echelon span of matrices, integer
+rows, coordinate sequences or sparse dicts, runs on it: a matrix or a row
+enters straight from (N, D), and only ``coords`` and ``rref`` turn rows into
+Fractions.  rref and rank read the span of the rows of N, kernel_basis and
+solve the coordinates of its columns, inverse the coordinates of D e_j over
+its rows, ``invariant_closure`` the span that a list of matrices generates
+from one vector, and ``MatrixSubspace`` keeps the span of its basis; the
+positive scale D enters only solve's and inverse's answers.  ``signature``
+clears the rows of N by the same step, as a symmetric elimination.
 
 The module provides:
 
 - ``RationalMatrix``: immutable dense matrix over the rationals, as (N, D),
 - rank / kernel / solve / inverse / characteristic polynomial,
-- ``signature``: Sylvester inertia by exact symmetric congruence
-  diagonalization (with hyperbolic 2x2 handling of zero diagonal pivots),
+- ``signature``: Sylvester inertia by fraction-free symmetric elimination
+  (with hyperbolic 2x2 steps where every diagonal pivot is zero),
 - ``SignatureForm``: a symmetric matrix together with its inertia,
 - ``MatrixSubspace``: a subspace of m x m matrices given by an independent
   basis, with exact membership and coordinate computations,
@@ -148,6 +150,14 @@ def _integer_form(frac_rows, shape) -> tuple:
     return n.reshape(shape), d
 
 
+def _listed(xs, what: str):
+    """xs itself, unless it is text or a dict, which iterate as characters
+    or keys: a JSON string is not a row of entries."""
+    if isinstance(xs, (str, bytes, dict)):
+        raise BadInputError(f"{what} must be a list, not {xs!r}")
+    return xs
+
+
 class RationalMatrix:
     """Immutable dense matrix over the rationals, stored as M = N / D: N an
     integer array (int64, or Python ints when an entry needs them) and D the
@@ -156,7 +166,7 @@ class RationalMatrix:
     __slots__ = ("rows", "cols", "_n", "_d", "_hash", "_mono")
 
     def __init__(self, rows):
-        frac_rows = [tuple(map(rat, r)) for r in rows]
+        frac_rows = [tuple(map(rat, _listed(r, "a row"))) for r in _listed(rows, "rows")]
         cols = len(frac_rows[0]) if frac_rows else 0
         if any(len(r) != cols for r in frac_rows):
             raise DimensionMismatchError("ragged rows")
@@ -196,7 +206,7 @@ class RationalMatrix:
 
     @classmethod
     def diag(cls, values) -> "RationalMatrix":
-        vals = [rat(v) for v in values]
+        vals = [rat(v) for v in _listed(values, "diagonal values")]
         n, d = _integer_form([vals], (1, len(vals)))
         return cls._of(np.diag(n[0]), d)
 
@@ -439,7 +449,7 @@ def eta(p: int, q: int) -> RationalMatrix:
 
 
 # ---------------------------------------------------------------------------
-# elimination: every routine below reads a SpanBuilder
+# elimination: every routine below reads a SpanBuilder of N's rows or columns
 
 
 def _dense(sparse: dict, n: int) -> tuple[Fraction, ...]:
@@ -449,7 +459,7 @@ def _dense(sparse: dict, n: int) -> tuple[Fraction, ...]:
 def rref(m: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
     """Reduced row echelon form and pivot column indices: the echelon rows
     of the span of m's rows, padded with zero rows."""
-    echelon = sorted(SpanBuilder(m.row(i) for i in range(m.rows))._rows.items())
+    echelon = sorted(SpanBuilder(m._n)._rows.items())
     rows = [
         tuple(map(_fraction(num[p]), (num.get(j, 0) for j in range(m.cols))))
         for p, (num, _) in echelon
@@ -458,15 +468,18 @@ def rref(m: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
     return RationalMatrix(rows), tuple(p for p, _ in echelon)
 
 
-def rank(m: RationalMatrix) -> int:
-    return SpanBuilder(m.row(i) for i in range(m.rows)).dim
+def rank(*ms: RationalMatrix) -> int:
+    """The rank of the rows of all the matrices, stacked."""
+    if len({m.cols for m in ms if m.rows}) > 1:
+        raise DimensionMismatchError("stacked rows of different lengths")
+    return SpanBuilder(row for m in ms for row in m._n).dim
 
 
 def kernel_basis(m: RationalMatrix) -> list[tuple[Fraction, ...]]:
     """Basis of the right null space {v : Mv = 0}; empty iff full column rank.
     Each column in the span of the pivot columns before it gives e_j minus
     its coordinates over them."""
-    cols = [m.column(j) for j in range(m.cols)]
+    cols = m._n.T
     span, pivots, free = SpanBuilder(), [], []
     for j, col in enumerate(cols):
         (pivots if span.add(col) else free).append(j)
@@ -481,28 +494,29 @@ def kernel_basis(m: RationalMatrix) -> list[tuple[Fraction, ...]]:
 
 
 def solve(a: RationalMatrix, b) -> tuple[Fraction, ...]:
-    """Solve Ax = b for square invertible A: x is b's coordinates over the
-    columns of A."""
+    """Solve Ax = b for square invertible A = N / D: x is D times b's
+    coordinates over the columns of N."""
     if not a.is_square():
         raise DimensionMismatchError("solve requires a square matrix")
     bv = [rat(x) for x in b]
     if len(bv) != a.rows:
         raise DimensionMismatchError("right-hand side length mismatch")
-    span = SpanBuilder(a.column(j) for j in range(a.cols))
+    span = SpanBuilder(a._n.T)
     if span.dim != a.cols:
         raise SingularMatrixError("matrix is singular")
-    return _dense(span.coords(bv), a.cols)
+    return tuple(a._d * x for x in _dense(span.coords(bv), a.cols))
 
 
 def inverse(a: RationalMatrix) -> RationalMatrix:
-    """A^{-1}: its row j is the coordinates of e_j over the rows of A."""
+    """A^{-1} for A = N / D: its row j is the coordinates of D e_j over the
+    rows of N."""
     if not a.is_square():
         raise DimensionMismatchError("inverse of non-square matrix")
     n = a.rows
-    span = SpanBuilder(a.row(i) for i in range(n))
+    span = SpanBuilder(a._n)
     if span.dim != n:
         raise SingularMatrixError("matrix is singular")
-    return RationalMatrix([_dense(span.coords({j: ONE}), n) for j in range(n)])
+    return RationalMatrix([_dense(span.coords({j: a._d}), n) for j in range(n)])
 
 
 def char_poly(m: RationalMatrix) -> list[Fraction]:
@@ -578,58 +592,38 @@ def rational_roots(coeffs: list[Fraction]) -> tuple[dict[Fraction, int], int]:
 def signature(m: RationalMatrix) -> tuple[int, int, int]:
     """Sylvester inertia (positives, negatives, nullity) of a symmetric matrix.
 
-    Exact symmetric congruence diagonalization.  When every remaining
-    diagonal entry is zero but some off-diagonal a_ij is not, the congruence
-    v_i -> v_i + v_j creates the hyperbolic pair (+2a_ij on the diagonal)
-    and elimination proceeds.
+    Fraction-free symmetric elimination on the rows of N, each a dict of
+    Python ints.  A remaining row k with a nonzero diagonal entry counts its
+    sign, is negated if that is negative, and clears column k from the other
+    remaining rows by ``_cancel``, which scales a row only by positive
+    factors: so each remaining row stays a positive multiple of its row in
+    the Schur complement, and each later diagonal pivot has the right sign.
+    When every remaining diagonal entry is zero but some a_ij is not, the
+    hyperbolic block [[0, a_ij], [a_ij, 0]] counts as (1, 1): row i clears
+    column j, then row j clears column i.  A row that becomes zero is null.
     """
     if not m.is_symmetric():
         raise NotSymmetricError("signature requires a symmetric matrix")
-    a = [list(m.row(i)) for i in range(m.rows)]
-    n = m.rows
+    rows = {i: {j: x for j, x in enumerate(r) if x} for i, r in enumerate(m._n.tolist())}
     pos = neg = 0
-    k = 0
-    while k < n:
-        piv = next((i for i in range(k, n) if a[i][i] != 0), None)
-        if piv is None:
-            hyper = next(
-                (
-                    (i, j)
-                    for i in range(k, n)
-                    for j in range(i + 1, n)
-                    if a[i][j] != 0
-                ),
-                None,
-            )
-            if hyper is None:
-                break  # remaining block is zero
-            i, j = hyper
-            # congruence: add row/col j to row/col i; diagonal becomes 2a_ij
-            for c in range(n):
-                a[i][c] += a[j][c]
-            for r_ in range(n):
-                a[r_][i] += a[r_][j]
-            piv = i
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            for r_ in range(n):
-                a[r_][k], a[r_][piv] = a[r_][piv], a[r_][k]
-        d = a[k][k]
-        if d > 0:
-            pos += 1
+    while rows := {i: r for i, r in rows.items() if r}:
+        k = next((i for i, r in rows.items() if i in r), None)
+        if k is None:  # a hyperbolic pair; j remains, as only zero rows left
+            i = next(iter(rows))
+            j = min(rows[i])
+            steps, pos, neg = [(i, j), (j, i)], pos + 1, neg + 1
+        elif rows[k][k] > 0:
+            steps, pos = [(k, k)], pos + 1
         else:
-            neg += 1
-        for r_ in range(k + 1, n):
-            if a[r_][k] != 0:
-                f = a[r_][k] / d
-                a[r_] = [x - f * y for x, y in zip(a[r_], a[k])]
-        for c in range(k + 1, n):
-            a[k][c] = ZERO
-        # mirror the column elimination (rows below already updated)
-        for r_ in range(k + 1, n):
-            a[r_][k] = ZERO
-        k += 1
-    return pos, neg, n - pos - neg
+            steps, neg = [(k, k)], neg + 1
+        for piv, col in steps:
+            pnum = rows.pop(piv)
+            if pnum[col] < 0:
+                pnum = {c: -x for c, x in pnum.items()}
+            for r in rows.values():
+                if col in r:
+                    _cancel(r, {}, pnum, {}, col)
+    return pos, neg, m.rows - pos - neg
 
 
 class SignatureForm:
@@ -730,7 +724,8 @@ class SpanBuilder:
     coordinate tracking, fraction-free.
 
     A vector is a ``RationalMatrix`` (read row-major from its (N, D)), a
-    coordinate sequence or a dict {index: rational}; zero entries are
+    numpy integer row (a row or column of some N, read over denominator 1),
+    a coordinate sequence or a dict {index: rational}; zero entries are
     dropped.  Vectors are numbered 0, 1, ... in the order they enlarged the
     span.  Each echelon row is an integer relation num = sum_l comb[l] v_l
     over them, held as two int dicts with num[pivot] > 0: the RREF row is
@@ -752,10 +747,12 @@ class SpanBuilder:
         """(num, comb) with num = comb[dim] vec + sum_l comb[l] v_l and num
         zero in every pivot column: each echelon row is zero in the others'
         pivot columns, so each pivot column of vec is cleared once."""
+        d = 1
         if isinstance(vec, RationalMatrix):
-            flat = vec._n.ravel()
-            idx = np.flatnonzero(flat)
-            num, d = dict(zip(idx.tolist(), flat[idx].tolist())), vec._d
+            vec, d = vec._n.ravel(), vec._d
+        if isinstance(vec, np.ndarray):
+            idx = np.flatnonzero(vec)
+            num = dict(zip(idx.tolist(), vec[idx].tolist()))
         else:
             items = vec.items() if isinstance(vec, dict) else enumerate(vec)
             fracs = [(i, x) for i, x in ((i, rat(x)) for i, x in items) if x]
@@ -801,16 +798,16 @@ def invariant_closure(maps, v) -> list[tuple[Fraction, ...]]:
     """Basis of the smallest subspace containing the coordinate vector v that
     each matrix in maps sends into itself: v, then each A u (u kept, breadth
     first; A in order) that enlarges the span, until the span is full."""
-    v, span = tuple(map(rat, v)), SpanBuilder()
-    kept = [v] if span.add(v) else []
+    u, span = RationalMatrix([(x,) for x in v]), SpanBuilder()
+    kept = [u] if span.add(u) else []
     for u in kept:  # kept grows while it is read
         for a in maps:
-            if span.dim == len(v):
-                return kept
-            image = a.apply(u)
+            if span.dim == u.rows:
+                break
+            image = a * u
             if span.add(image):
                 kept.append(image)
-    return kept
+    return [tuple(k.entries()) for k in kept]
 
 
 # ---------------------------------------------------------------------------

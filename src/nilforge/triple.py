@@ -118,8 +118,8 @@ def _brackets_inside(ads, xs, ys, target) -> bool:
     in L-coordinates: the brackets leave target's rank unchanged."""
     yt = RationalMatrix(ys).transpose()
     images = [(lin_comb(x, ads, len(ads)) * yt).transpose() for x in xs]
-    rows = [m.row(i) for m in images for i in range(m.rows)]
-    return rank(RationalMatrix(target + rows)) == rank(RationalMatrix(target))
+    t = RationalMatrix(target)
+    return rank(t, *images) == rank(t)
 
 
 def _ad_matrices(l: MatrixSubspace) -> list[RationalMatrix]:
@@ -232,9 +232,9 @@ def decomposition_checks(w: MatrixSubspace) -> dict:
     n = report.L_dim
     # Z(L) is the common kernel of the ad_x; [L, L] is spanned by their columns
     z_l = kernel_basis(RationalMatrix([ad.row(i) for ad in ads for i in range(n)]))
-    ll = [ad.column(j) for ad in ads for j in range(n)]
-    derived = rank(RationalMatrix(ll))
-    span_dim = rank(RationalMatrix(z_l + ll))
+    ll = [ad.transpose() for ad in ads]  # their rows are the ad columns
+    derived = rank(*ll)
+    span_dim = rank(RationalMatrix(z_l), *ll)
     direct_sum = span_dim == len(z_l) + derived and span_dim == n
     zw = report.center_dim
     return {

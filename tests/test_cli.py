@@ -408,3 +408,37 @@ def test_cli_rejects_ill_typed_algebra_fields(tmp_path, capsys, field):
     code, d = _run_json(capsys, "lattice", str(path))
     assert code == 2
     assert d["error"] == "ERR_BAD_INPUT"
+
+
+def _n11_with(**fields):
+    return {"m": 2, "n": 1, "C": [[["0", "1"], ["-1", "0"]]], "tag": "raw", **fields}
+
+
+# a string or a dict iterates as its characters or keys; read as rows, each
+# case below would be a valid input (["10", "01"] the identity)
+SO11 = {"ambient": 2, "basis": [{"entries": [["0", "1"], ["1", "0"]]}]}
+ORBIT = {"matrix": {"entries": [["1", "0"], ["0", "1"]]}, "source": SO11, "target": SO11}
+STRING_ROWS = {
+    "algebra-C": {"algebra": _n11_with(C=[["00", "00"]])},
+    "form-V": {"algebra": _n11_with(form_V={"entries": ["10", "01"]}, form_Z={"entries": [["1"]]})},
+    "orbit-matrix": {**ORBIT, "matrix": {"entries": ["10", "01"]}},
+    "orbit-subspace": {
+        **ORBIT,
+        "source": {"ambient": 2, "basis": [{"entries": [["0", "1"], {"1": 0, "0": 0}]}]},
+    },
+}
+
+
+@pytest.mark.parametrize("files", STRING_ROWS.values(), ids=STRING_ROWS)
+def test_cli_rejects_string_rows(tmp_path, capsys, files):
+    paths = []
+    for name, obj in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+        paths.append(str(tmp_path / f"{name}.json"))
+    if "algebra" in files:
+        argv = ["lattice", *paths]
+    else:
+        argv = ["orbit-check", *paths, "--p", "1", "--q", "1"]
+    code, d = _run_json(capsys, *argv)
+    assert code == 2
+    assert d["error"] == "ERR_BAD_INPUT"

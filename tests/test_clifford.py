@@ -205,3 +205,11 @@ def test_construction_path_recorded():
     path = list(module.construction_path)
     assert path[0].startswith("base(")
     assert path.count("add_r") + path.count("add_s") == len(path) - 1
+
+
+def test_from_json_rejects_eta_as_text():
+    # "11" iterates as the characters "1", "1": it is not diag(1, 1)
+    obj = build_module(CliffordSignature(1, 0)).to_json()
+    assert obj["eta"] == [1, 1]
+    with pytest.raises(BadInputError):
+        CliffordModule.from_json({**obj, "eta": "11"})

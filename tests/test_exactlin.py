@@ -8,10 +8,12 @@ polynomials and counts positive/negative eigenvalues with a Sturm chain.
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from nilforge import exactlin
 from nilforge.errors import (
     BadInputError,
     DependentBasisError,
@@ -23,9 +25,11 @@ from nilforge.exactlin import (
     RationalMatrix,
     SignatureForm,
     SpanBuilder,
+    _int_form,
     char_poly,
     commutator,
     eta,
+    invariant_closure,
     inverse,
     kernel_basis,
     matrix_to_sparse,
@@ -130,10 +134,47 @@ def _sign_changes(chain, x=None, at="value"):
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def oracle_signature(m):
+def _det(rows):
+    """Determinant by Fraction Gaussian elimination with row swaps."""
+    a = [list(r) for r in rows]
+    det = Fraction(1)
+    for k in range(len(a)):
+        piv = next((i for i in range(k, len(a)) if a[i][k] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, len(a)):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return det
+
+
+def _interpolated_char_poly(m):
+    """det(tI - M) from its values at t = 0, ..., n by Newton's divided
+    differences: n + 1 determinants, for sizes the Leibniz sum cannot reach."""
+    n = m.rows
+    a = [[m.entry(i, j) for j in range(n)] for i in range(n)]
+    coef = [
+        _det([[(t if i == j else 0) - a[i][j] for j in range(n)] for i in range(n)])
+        for t in range(n + 1)
+    ]
+    for level in range(1, n + 1):  # nodes 0, ..., n are one apart
+        for i in range(n, level - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) / level
+    poly, newton = [Fraction(0)], [Fraction(1)]  # newton = prod_{i < k} (t - i)
+    for k, c in enumerate(coef):
+        poly = _poly_add(poly, [c * x for x in newton])
+        newton = _poly_mul(newton, [Fraction(1), Fraction(-k)])
+    return _poly_trim(poly)
+
+
+def oracle_signature(m, char_poly=_oracle_char_poly):
     """(p, q, nullity) of a symmetric rational matrix via Sturm counting."""
     assert m.is_symmetric()
-    cp = _oracle_char_poly(m)
+    cp = char_poly(m)
     nullity = 0
     while cp[-1] == 0 and len(cp) > 1:
         nullity += 1
@@ -443,3 +484,133 @@ def test_kron_and_permute_match_entrywise_definitions():
     for bad, mat in (([0, 0, 1, 2], m), ([0, 1], a), ([0, 1, 2], m)):
         with pytest.raises(DimensionMismatchError):
             mat.permute(bad)
+
+
+# ---------------------------------------------------------------------------
+# signature at the sizes and in the cases the tests above do not reach
+
+
+def _symmetric(rng, n, entry, zero_diagonal=False):
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + zero_diagonal, n):
+            rows[i][j] = rows[j][i] = entry()
+    return rows
+
+
+def _signature_cases(rng):
+    """(name, matrix) pairs: n up to 10, D > 1, numerators past 2**62, zero
+    diagonals from the start or after one diagonal pivot, and rank-deficient
+    sums of +-v v^T."""
+
+    def small():
+        return Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 5)))
+
+    yield "schur-hyperbolic", RationalMatrix(((1, 1, 1), (1, 1, 2), (1, 2, 1)))
+    for _ in range(12):
+        n = rng.randint(6, 10)
+        yield "dense", RationalMatrix(_symmetric(rng, n, small))
+        yield "zero-diagonal", RationalMatrix(_symmetric(rng, n, small, zero_diagonal=True))
+        big = _symmetric(rng, n, lambda: Fraction(rng.randint(-9, 9) * 2**70, 3))
+        yield "huge", RationalMatrix(big)
+        # [[a, a u^T], [a u, a u u^T + Z]] leaves Z, with zero diagonal, after pivot 0
+        a, u = small() or Fraction(1), [Fraction(rng.randint(-3, 3)) for _ in range(n - 1)]
+        z = _symmetric(rng, n - 1, small, zero_diagonal=True)
+        rows = [[a] + [a * x for x in u]]
+        rows += [[a * u[i]] + [a * u[i] * u[j] + z[i][j] for j in range(n - 1)] for i in range(n - 1)]
+        yield "schur-zero-diagonal", RationalMatrix(rows)
+        vs = [[Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(n)]
+              for _ in range(rng.randint(0, n - 1))]
+        signs = [rng.choice((1, -1)) for _ in vs]
+        yield "low-rank", RationalMatrix(
+            [[sum((s * v[i] * v[j] for s, v in zip(signs, vs)), Fraction(0)) for j in range(n)]
+             for i in range(n)]
+        )
+
+
+def test_signature_matches_sturm_oracle_up_to_size_10():
+    rng = random.Random(20261018)
+    for _ in range(20):  # the interpolated char poly agrees with the Leibniz sum
+        m = _random_symmetric(rng, rng.randint(0, 5))
+        assert _interpolated_char_poly(m) == _oracle_char_poly(m)
+    assert signature(RationalMatrix([])) == (0, 0, 0)
+    kinds = Counter()
+    for kind, m in _signature_cases(rng):
+        expected = oracle_signature(m, char_poly=_interpolated_char_poly)
+        # Sturm counts distinct roots: the cases must have no repeated nonzero eigenvalue
+        assert sum(expected) == m.rows, kind
+        assert signature(m) == expected, kind
+        n, d = _int_form(m)
+        kinds[kind, n.dtype == object, d > 1] += 1
+    assert signature(RationalMatrix(((1, 1, 1), (1, 1, 2), (1, 2, 1)))) == (2, 1, 0)
+    assert kinds["huge", True, True] == 12  # Python-int numerators over D = 3
+    assert kinds["dense", False, True] >= 10
+
+
+# ---------------------------------------------------------------------------
+# the eliminations read (N, D): no Fraction on the way in
+
+
+def test_eliminations_build_no_fractions_on_the_way_in(monkeypatch):
+    ints = RationalMatrix(((2, 1, 0), (1, 3, 1), (0, 1, -1)))
+    fracs = RationalMatrix(
+        ((Fraction(1, 2), Fraction(1, 3), 0), (Fraction(1, 3), -1, Fraction(1, 4)),
+         (0, Fraction(1, 4), 2))
+    )
+    b = (Fraction(1, 2), -3, 5)
+    calls = Counter()
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
+
+    for name in ("row", "column", "apply"):
+        monkeypatch.setattr(RationalMatrix, name, counted(name, getattr(RationalMatrix, name)))
+    monkeypatch.setattr(exactlin, "rat", counted("rat", exactlin.rat))
+    answers = []
+    for m in (ints, fracs):
+        calls.clear()
+        inertia, r = signature(m), rank(m)
+        assert not calls  # neither row, column nor rat
+        answers.append((m, inertia, r, rref(m), kernel_basis(m), solve(m, b), inverse(m)))
+        assert calls["row"] == calls["column"] == 0
+    calls.clear()
+    closure = invariant_closure([ints, fracs], (1, 0, 0))
+    assert calls["apply"] == 0
+    monkeypatch.undo()
+    for m, inertia, r, (echelon, pivots), kernel, x, inv in answers:
+        assert inertia == oracle_signature(m) and r == 3 and kernel == []
+        assert echelon == RationalMatrix.identity(3) and pivots == (0, 1, 2)
+        assert m.apply(x) == b and m * inv == RationalMatrix.identity(3)
+    # the closure starts at v, is independent and is sent into itself
+    assert closure[0] == (1, 0, 0) and rank(RationalMatrix(closure)) == len(closure)
+    for u in closure:
+        for a in (ints, fracs):
+            assert rank(RationalMatrix(closure + [a.apply(u)])) == len(closure)
+
+
+def test_rank_of_stacked_matrices_with_different_denominators():
+    a = RationalMatrix(((1, 2, 3), (0, 1, 1)))
+    b = RationalMatrix(((Fraction(1, 2), Fraction(3, 2), 2), (Fraction(1, 3), Fraction(2, 3), 1)))
+    c = RationalMatrix(((0, 0, Fraction(1, 5)),))
+    for ms, expected in (((a, b), 2), ((b, a), 2), ((a, c), 3), ((b, b, c), 3), ((a,), 2)):
+        stacked = RationalMatrix([m.row(i) for m in ms for i in range(m.rows)])
+        assert rank(*ms) == rank(stacked) == expected
+    assert rank() == 0 and rank(RationalMatrix([]), c) == 1
+    with pytest.raises(DimensionMismatchError):
+        rank(a, RationalMatrix(((1, 2),)))
+
+
+def test_text_and_dicts_are_not_rows():
+    # a string or dict is iterable, by characters or keys, but is no row
+    for rows in ("12", b"12", {"1": 0}, ["12", "34"], [[1, 2], "34"], [{"1": 0, "2": 0}]):
+        with pytest.raises(BadInputError):
+            RationalMatrix(rows)
+    for values in ("11", b"\x01\x01", {"1": 0}):
+        with pytest.raises(BadInputError):
+            RationalMatrix.diag(values)
+    with pytest.raises(BadInputError):
+        RationalMatrix.from_json({"entries": ["12", "34"]})
+    assert RationalMatrix.diag((1, 2)) == RationalMatrix([[1, 0], (0, 2)])
