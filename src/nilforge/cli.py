@@ -21,12 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .catalog import BY_NAME
-from .clifford import (
-    CliffordSignature,
-    SIGNATURE_CAP,
-    build_module,
-    verify_module,
-)
+from .clifford import CliffordSignature, build_module, verify_module
 from .errors import BadInputError, NilforgeError
 from .exactlin import MatrixSubspace, RationalMatrix, rat_to_str, signature, trace_gram
 from .lattice import lattice_verdict, pseudo_H_algebra, pseudo_H_pipeline_report

@@ -23,7 +23,7 @@ class DimensionMismatchError(NilforgeError):
 
 
 class DimError(NilforgeError):
-    """Signature split (p, q) incompatible with the ambient dimension."""
+    """Signature split (p, q) negative or incompatible with the ambient dimension."""
 
     code = "ERR_DIM"
 

@@ -53,6 +53,7 @@ import numpy as np
 from .errors import (
     BadInputError,
     DependentBasisError,
+    DimError,
     DimensionMismatchError,
     NotSymmetricError,
     SingularMatrixError,
@@ -283,10 +284,9 @@ class RationalMatrix:
 
     def apply(self, vec) -> tuple[Fraction, ...]:
         """Matrix-vector product."""
-        v = [(rat(x),) for x in vec]
-        if len(v) != self.cols:
-            raise DimensionMismatchError(f"vector length {len(v)} != cols {self.cols}")
-        column = RationalMatrix._of(*_integer_form(v, (len(v), 1)))
+        column = RationalMatrix([(x,) for x in vec])
+        if column.rows != self.cols:
+            raise DimensionMismatchError(f"vector length {column.rows} != cols {self.cols}")
         return tuple(_int_product(self, column, False).entries())
 
     def transpose(self) -> "RationalMatrix":
@@ -439,12 +439,16 @@ def commutator(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
 
 def nu(p: int, q: int, i: int) -> int:
     """Sign of the i-th basis vector (1-based) of R^{p,q}."""
+    if p < 0 or q < 0:
+        raise DimError("p and q must be non-negative")
     return 1 if i <= p else -1
 
 
 @lru_cache(maxsize=128)
 def eta(p: int, q: int) -> RationalMatrix:
     """The form matrix diag(I_p, -I_q); immutable, hence memoized."""
+    if p < 0 or q < 0:
+        raise DimError("p and q must be non-negative")
     return RationalMatrix.diag([1] * p + [-1] * q)
 
 
@@ -678,7 +682,7 @@ class SignatureForm:
         construction, and it is its own inverse."""
         form = object.__new__(cls)
         form.matrix = form._inv = eta(p, q)
-        form.p, form.q, form.nullity = max(p, 0), max(q, 0), 0
+        form.p, form.q, form.nullity = p, q, 0
         return form
 
 

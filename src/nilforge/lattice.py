@@ -15,7 +15,7 @@ unknown real scale); those carry no lattice information and get Unknown.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
 
@@ -31,7 +31,7 @@ from .exactlin import (
     trace_pairing,
 )
 from .nilpotent import MetricAlgebra, NilpotentAlgebra2, algebra_from_J
-from .standardform import StandardPseudoMetricAlgebra, standard_algebra
+from .standardform import standard_algebra
 
 
 @dataclass(frozen=True)
@@ -41,15 +41,6 @@ class LatticeVerdict:
     rescale_factor: int = 1
     rescaled_constants_integer: bool = False
     detail: str = ""
-
-    def to_json(self) -> dict:
-        return {
-            "status": self.status,
-            "witness_basis": self.witness_basis.to_json() if self.witness_basis else None,
-            "rescale_factor": self.rescale_factor,
-            "rescaled_constants_integer": self.rescaled_constants_integer,
-            "detail": self.detail,
-        }
 
 
 def is_rational_basis(a: NilpotentAlgebra2) -> bool:
@@ -66,16 +57,7 @@ def integer_rescale(a: NilpotentAlgebra2) -> tuple[int, NilpotentAlgebra2]:
     is the exact, testable content.
     """
     d = _rescale_factor(a)
-    rescaled = NilpotentAlgebra2(
-        m=a.m,
-        n=a.n,
-        structure=tuple(c.scale(d) for c in a.structure),
-        form_V=a.form_V,
-        form_Z=a.form_Z,
-        tag=a.tag,
-        symbolic=a.symbolic,
-    )
-    return d, rescaled
+    return d, replace(a, structure=tuple(c.scale(d) for c in a.structure))
 
 
 def _rescale_factor(a: NilpotentAlgebra2) -> int:

@@ -15,7 +15,7 @@ orthogonality laws, for ``is_pseudo_H_type`` and for Clifford modules alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import isqrt
 
@@ -31,7 +31,6 @@ from .errors import (
     PreconditionError,
 )
 from .exactlin import (
-    ONE,
     ZERO,
     MatrixSubspace,
     RationalMatrix,
@@ -189,20 +188,16 @@ def bracket(a: NilpotentAlgebra2, x, y) -> tuple[Fraction, ...]:
     """Lie bracket of two coordinate vectors of length m+n.
 
     Center components of the inputs contribute nothing (2-step); the output
-    has zero V-part and center coordinates x_V^T C^k y_V.
+    has zero V-part and center coordinates x_V^T C^k y_V, each one product
+    of size 1 x 1 (0 x 0 at m = 0, whence the trace reads it).
     """
     xv = [rat(t) for t in x]
     yv = [rat(t) for t in y]
     if len(xv) != a.total_dim or len(yv) != a.total_dim:
         raise DimensionMismatchError("bracket arguments must have length m+n")
-    xs = [(i, t) for i, t in enumerate(xv[: a.m]) if t]
-    ys = [(j, t) for j, t in enumerate(yv[: a.m]) if t]
-    out = [ZERO] * a.total_dim
-    for k, c in enumerate(a.structure):
-        out[a.m + k] = sum(
-            (s * sum((c.entry(i, j) * t for j, t in ys), ZERO) for i, s in xs), ZERO
-        )
-    return tuple(out)
+    xt = RationalMatrix([(t,) for t in xv[: a.m]]).transpose()
+    yc = RationalMatrix([(t,) for t in yv[: a.m]])
+    return (ZERO,) * a.m + tuple((xt * c * yc).trace() for c in a.structure)
 
 
 def j_map(ma: MetricAlgebra, z) -> RationalMatrix:
@@ -225,14 +220,16 @@ def algebra_from_J(j_list, form_V: SignatureForm, form_Z: SignatureForm) -> Metr
     if len(j_list) != n:
         raise DimensionMismatchError("need one J per center basis vector")
     gv = form_V.matrix
+    # J_l^T G_V = sum_k (G_Z)_{kl} C^k  =>  C^k = sum_l (G_Z^{-1})_{kl} J_l^T G_V;
+    # each J_l^T G_V is formed once and is also the skew test's left side
+    rhs = []
     for j in j_list:
         if j.rows != m or j.cols != m:
             raise DimensionMismatchError("J matrix size != m")
-        if j.transpose() * gv != -(gv * j):
+        rhs.append(j.transpose() * gv)
+        if rhs[-1] != -(gv * j):
             raise NotSkewError("J_k is not skew-symmetric for form_V")
     gz_inv = form_Z.inverse_matrix()
-    # J_l^T G_V = sum_k (G_Z)_{kl} C^k  =>  C^k = sum_l (G_Z^{-1})_{kl} J_l^T G_V
-    rhs = [j.transpose() * gv for j in j_list]
     algebra = NilpotentAlgebra2.tagged(
         m=m,
         n=n,
@@ -278,14 +275,12 @@ def abelian_factor(ma: MetricAlgebra) -> tuple[NilpotentAlgebra2, int]:
         for k in range(d):
             new_structure[k][i][j] = red.entry(k, col)
             new_structure[k][j][i] = -red.entry(k, col)
-    g_star = NilpotentAlgebra2(
-        m=a.m,
+    g_star = replace(
+        a,
         n=d,
         structure=tuple(RationalMatrix(c) for c in new_structure),
-        form_V=a.form_V,
         form_Z=restricted,
         tag="adapted" if d else "raw",
-        symbolic=a.symbolic,
     )
     return g_star, a_dim
 
@@ -326,10 +321,15 @@ def h_type_laws(js, g_v: RationalMatrix, g_z: RationalMatrix) -> dict:
     }
 
 
+def _j_basis(ma: MetricAlgebra) -> list[RationalMatrix]:
+    """J_{z_1}, ..., J_{z_n} on the center basis vectors z_k."""
+    basis_z = RationalMatrix.identity(ma.n)
+    return [j_map(ma, basis_z.row(k)) for k in range(ma.n)]
+
+
 def is_pseudo_H_type(ma: MetricAlgebra) -> dict:
     """Certify the pseudo H-type laws on polarized basis identities."""
-    js = [j_map(ma, [ONE if k == l else ZERO for l in range(ma.n)]) for k in range(ma.n)]
-    laws = h_type_laws(js, ma.form_V.matrix, ma.form_Z.matrix)
+    laws = h_type_laws(_j_basis(ma), ma.form_V.matrix, ma.form_Z.matrix)
     skew, orth = laws["skew"], laws["orthogonality"]
     square = laws["square"] and laws["anticommutation"]
     checks = {
@@ -349,21 +349,8 @@ def rescale_and_compare(ma: MetricAlgebra, c) -> bool:
         raise PreconditionError("scale factor must be nonzero")
     form_v = ma.form_V.scaled(c)
     form_z = ma.form_Z.scaled(c)
-    scaled = MetricAlgebra(
-        NilpotentAlgebra2(
-            m=ma.m,
-            n=ma.n,
-            structure=ma.structure,
-            form_V=form_v,
-            form_Z=form_z,
-            tag=ma.algebra.tag,
-        )
-    )
-    js = [
-        j_map(scaled, [ONE if k == l else ZERO for l in range(ma.n)])
-        for k in range(ma.n)
-    ]
-    rebuilt = algebra_from_J(js, form_v, form_z)
+    scaled = MetricAlgebra(replace(ma.algebra, form_V=form_v, form_Z=form_z))
+    rebuilt = algebra_from_J(_j_basis(scaled), form_v, form_z)
     return rebuilt.structure == ma.structure
 
 
@@ -405,9 +392,8 @@ def scaling_isomorphism(
     if a1.m != a2.m or a1.n != a2.n:
         raise PreconditionError("algebra dimensions differ")
     m = a1.m
-    basis_z = [[ONE if k == l else ZERO for l in range(a1.n)] for k in range(a1.n)]
-    js1 = [j_map(a1, z) for z in basis_z]
-    js2 = [j_map(a2, z) for z in basis_z]
+    js1 = _j_basis(a1)
+    js2 = _j_basis(a2)
     if not independent_subset(m, js1).equals(independent_subset(m, js2)):
         raise PreconditionError("the two algebras do not share a J-image")
     g1, g2 = a1.form_V.matrix, a2.form_V.matrix

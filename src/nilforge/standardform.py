@@ -49,9 +49,8 @@ from .nilpotent import NilpotentAlgebra2, algebra_from_J
 
 
 def in_so(m: RationalMatrix, p: int, q: int) -> bool:
-    """Membership test eta X^T eta = -X for so(p,q)."""
-    e = eta(p, q)
-    return m.is_square() and m.rows == p + q and e * m.transpose() * e == -m
+    """Membership test X^eta = eta X^T eta = -X for so(p,q)."""
+    return m.is_square() and m.rows == p + q and eta_conjugate(m, p, q) == -m
 
 
 def so_basis(p: int, q: int, normalized: bool = True) -> MatrixSubspace:
@@ -243,18 +242,16 @@ FreeElement = tuple[tuple, RationalMatrix]  # (V part, center part in so(p,q))
 
 
 def free_bracket(p: int, q: int, x: FreeElement, y: FreeElement) -> RationalMatrix:
-    """[x, y] in F_2(p,q); only the V parts contribute."""
-    m = p + q
-    xv = [rat(t) for t in x[0]]
-    yv = [rat(t) for t in y[0]]
-    rows = [
-        [
-            -Fraction(1, 2) * (xv[i] * yv[j] - yv[i] * xv[j]) * nu(p, q, j + 1)
-            for j in range(m)
-        ]
-        for i in range(m)
-    ]
-    return RationalMatrix(rows)
+    """[x, y] = -1/2 (x y^T - y x^T) eta_{p,q} in F_2(p,q), for the V parts
+    x, y of the two elements as columns; the center parts contribute
+    nothing.  V parts of length other than p+q raise."""
+    e = eta(p, q)
+    xc = RationalMatrix([(t,) for t in x[0]])
+    yc = RationalMatrix([(t,) for t in y[0]])
+    if xc.rows != e.rows or yc.rows != e.rows:
+        raise DimensionMismatchError("free_bracket V parts must have length p+q")
+    wedge = xc * yc.transpose() - yc * xc.transpose()
+    return wedge * e.scale(Fraction(-1, 2))
 
 
 def apply_free_automorphism(
@@ -272,12 +269,11 @@ def apply_free_automorphism(
     if len(s_hom) != m:
         raise DimensionMismatchError("S_hom needs one image matrix per basis vector")
     a_eta = eta_conjugate(a, p, q)
+    ident = RationalMatrix.identity(m)
     # certification: phi([e_i, e_j]) = [phi(e_i), phi(e_j)] on all pairs
     for i in range(m):
         for j in range(i + 1, m):
-            ei = tuple(ONE if t == i else ZERO for t in range(m))
-            ej = tuple(ONE if t == j else ZERO for t in range(m))
-            lhs = a * free_bracket(p, q, (ei, None), (ej, None)) * a_eta
+            lhs = a * free_bracket(p, q, (ident.row(i), None), (ident.row(j), None)) * a_eta
             rhs = free_bracket(p, q, (a.column(i), None), (a.column(j), None))
             if lhs != rhs:
                 raise HomomorphismError("free automorphism certificate failed")

@@ -12,6 +12,8 @@ from nilforge.cli import canonical_json, load_algebra, main, save_algebra
 from nilforge.catalog import n20
 from nilforge.clifford import CliffordSignature, build_module
 from nilforge.errors import BadInputError
+from nilforge.exactlin import RationalMatrix
+from nilforge.standardform import so_basis
 
 
 def _run(capsys, *argv):
@@ -315,6 +317,22 @@ def test_cli_rejects_negative_dimensions(tmp_path, capsys):
     assert code == 2
     assert d["error"] == "ERR_BAD_INPUT"
     assert "non-negative" in d["detail"]
+
+
+def test_cli_rejects_negative_signature(tmp_path, capsys):
+    # a negative p or q is ERR_DIM, not a size clash further down
+    a = tmp_path / "a.json"
+    a.write_text(canonical_json(RationalMatrix.identity(2).to_json()))
+    w = tmp_path / "w.json"
+    w.write_text(canonical_json(so_basis(2, 0).to_json()))
+    for argv in (
+        ["free", "-1", "4"],
+        ["free", "9", "-1"],
+        ["free", "2", "-1"],
+        ["orbit-check", str(a), str(w), str(w), "--p", "-1", "--q", "3"],
+    ):
+        code, d = _run_json(capsys, *argv)
+        assert (code, d["error"]) == (2, "ERR_DIM"), argv
 
 
 def test_internal_fault_is_not_bad_input(capsys, monkeypatch):

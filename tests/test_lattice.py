@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from nilforge.catalog import heisenberg, n11, n20
+from nilforge.cli import jsonify
 from nilforge.errors import UnsupportedSignatureError
-from nilforge.exactlin import RationalMatrix, SignatureForm, eta
+from nilforge.exactlin import MatrixSubspace, RationalMatrix, SignatureForm, eta
 from nilforge.lattice import (
     _brackets_integer,
     integer_rescale,
@@ -50,6 +51,28 @@ def test_integer_rescale_identity_on_integer_constants():
     assert rescaled.structure == a.structure
 
 
+def test_integer_rescale_keeps_every_other_field():
+    c = RationalMatrix(((0, Fraction(1, 2)), (Fraction(-1, 2), 0)))
+    a = NilpotentAlgebra2(
+        m=2,
+        n=1,
+        structure=(c,),
+        form_V=SignatureForm(eta(1, 1)),
+        form_Z=SignatureForm(RationalMatrix(((3,),))),
+        tag="adapted",
+        symbolic=True,
+    )
+    d, rescaled = integer_rescale(a)
+    assert d == 2
+    assert rescaled.structure == (c.scale(2),)
+    assert (rescaled.m, rescaled.n) == (2, 1)
+    assert rescaled.form_V == a.form_V and rescaled.form_Z == a.form_Z
+    assert rescaled.tag == "adapted" and rescaled.symbolic
+    # the adapted check ran again on the rescaled matrices
+    assert rescaled.structure_span is not a.structure_span
+    assert rescaled.structure_span.equals(MatrixSubspace(2, [c.scale(2)]))
+
+
 def test_integer_rescale_minimality():
     d, _ = integer_rescale(_frac_algebra())
     # no smaller positive integer clears every denominator
@@ -88,6 +111,27 @@ def test_lattice_verdict_symbolic_unknown():
     v = lattice_verdict(symbolic)
     assert v.status == "Unknown"
     assert v.witness_basis is None
+
+
+def test_verdict_json_is_the_dataclass_walk():
+    # the object LatticeVerdict once wrote itself, field by field
+    assert jsonify(lattice_verdict(_frac_algebra())) == {
+        "status": "AdmitsLattice",
+        "witness_basis": RationalMatrix.identity(4).to_json(),
+        "rescale_factor": 6,
+        "rescaled_constants_integer": True,
+        "detail": "rational constants; d = 6 clears all denominators",
+    }
+    symbolic = NilpotentAlgebra2(
+        m=2, n=1, structure=(RationalMatrix(((0, 1), (-1, 0))),), symbolic=True
+    )
+    assert jsonify(lattice_verdict(symbolic)) == {
+        "status": "Unknown",
+        "witness_basis": None,
+        "rescale_factor": 1,
+        "rescaled_constants_integer": False,
+        "detail": "structure constants are defined only up to an unknown scale",
+    }
 
 
 def test_pseudo_H_lattice_witness_all_up_to_4():

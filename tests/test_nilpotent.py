@@ -17,7 +17,7 @@ from nilforge.errors import (
     NotSkewError,
     PreconditionError,
 )
-from nilforge.exactlin import RationalMatrix, SignatureForm, eta, rat, rat_to_str
+from nilforge.exactlin import MatrixSubspace, RationalMatrix, SignatureForm, eta, rat, rat_to_str
 from nilforge.nilpotent import (
     MetricAlgebra,
     NilpotentAlgebra2,
@@ -242,6 +242,27 @@ def test_abelian_factor_splits_padded_center():
     assert abelian_dim == 1
     assert g_star.n == 1
     assert g_star.structure[0] == c1
+
+
+def test_abelian_factor_keeps_form_V_and_symbolic():
+    c1 = RationalMatrix(((0, 1), (-1, 0)))
+    form_v = SignatureForm(RationalMatrix(((2, 0), (0, -1))))
+    a = NilpotentAlgebra2(
+        m=2,
+        n=2,
+        structure=(c1, c1.scale(2)),
+        form_V=form_v,
+        form_Z=SignatureForm.standard(1, 1),
+        tag="raw",
+        symbolic=True,
+    )
+    g_star, abelian_dim = abelian_factor(MetricAlgebra(a))
+    assert (g_star.m, g_star.n, abelian_dim) == (2, 1, 1)
+    assert g_star.form_V == form_v
+    # the derived ideal is spanned by (1, 2), of square 1 - 4 = -3
+    assert g_star.form_Z == SignatureForm(RationalMatrix(((-3,),)))
+    assert g_star.tag == "adapted" and g_star.symbolic
+    assert g_star.structure_span.equals(MatrixSubspace(2, [c1]))
 
 
 # ---------------------------------------------------------------------------

@@ -59,3 +59,23 @@ def test_numpy_stays_in_exactlin():
         or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy")
     ]
     assert found == []
+
+
+def test_no_unused_imports():
+    # no linter ships with the package; a module-level import that no name in
+    # the module refers to is dead (``__init__`` re-exports are its purpose)
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                names = [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names if name not in used]
+    assert found == []

@@ -5,10 +5,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilforge.catalog import n11, n20, random_adapted_algebra
 from nilforge.errors import (
     DegenerateWError,
+    DimensionMismatchError,
     DimError,
     NotAdaptedError,
     SingularAError,
@@ -16,7 +19,9 @@ from nilforge.errors import (
 from nilforge.exactlin import (
     MatrixSubspace,
     RationalMatrix,
+    SignatureForm,
     eta,
+    nu,
     rank,
     rat,
     signature,
@@ -228,6 +233,63 @@ def test_free_bracket_matches_basis_images():
             ej = tuple(1 if t == j else 0 for t in range(m))
             assert free_bracket(p, q, (ei, None), (ej, None)) == w.basis[idx]
             idx += 1
+
+
+_small = st.builds(Fraction, st.integers(-5, 5), st.sampled_from([1, 1, 2, 3]))
+
+
+@st.composite
+def _free_pairs(draw):
+    """(p, q) with p+q <= 6 and two V parts, each zero or drawn."""
+    p = draw(st.integers(0, 6))
+    q = draw(st.integers(0, 6 - p))
+    zero = (Fraction(0),) * (p + q)
+    vector = st.one_of(st.just(zero), st.tuples(*[_small] * (p + q)))
+    return p, q, draw(vector), draw(vector)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_free_pairs())
+def test_free_bracket_matches_entrywise_reference(case):
+    p, q, x, y = case
+    m = p + q
+    signs = [1] * p + [-1] * q
+    ref = RationalMatrix(
+        [
+            [-Fraction(1, 2) * (x[i] * y[j] - y[i] * x[j]) * signs[j] for j in range(m)]
+            for i in range(m)
+        ]
+    )
+    assert free_bracket(p, q, (x, None), (y, None)) == ref
+
+
+def test_free_bracket_rejects_v_parts_of_the_wrong_length():
+    e = ((1, 0, 0), None)
+    for bad in (((1, 0, 0, 5), None), ((0, 1), None)):
+        with pytest.raises(DimensionMismatchError):
+            free_bracket(2, 1, e, bad)
+        with pytest.raises(DimensionMismatchError):
+            free_bracket(2, 1, bad, e)
+
+
+def test_negative_signature_is_dim_error():
+    w = so_basis(2, 0)
+    ident = RationalMatrix.identity(2)
+    calls = [
+        lambda: eta(-1, 3),
+        lambda: eta(3, -1),
+        lambda: nu(-1, 3, 1),
+        lambda: so_basis(-1, 3),
+        lambda: so_pair_signs(-1, 3),
+        lambda: SignatureForm.standard(-1, 3),
+        lambda: eta_twist(w, -1, 3, "right"),
+        lambda: eta_twist(w, 3, -1, "left"),
+        lambda: gl_action(ident, w, -1, 3),
+        lambda: free_bracket(-1, 3, ((1, 0), None), ((0, 1), None)),
+    ]
+    for call in calls:
+        with pytest.raises(DimError):
+            call()
 
 
 def test_free_duality_identity_100_random_triples():
