@@ -15,10 +15,12 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import sys
 import traceback
 from fractions import Fraction
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _quote
 
 from .catalog import BY_NAME
 from .clifford import CliffordSignature, build_module, verify_module
@@ -58,7 +60,40 @@ def jsonify(obj):
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(jsonify(obj), indent=2, sort_keys=True) + "\n"
+    """``json.dumps(jsonify(obj), indent=2, sort_keys=True) + "\\n"``, byte for byte."""
+    out: list[str] = []
+    _write_json(jsonify(obj), "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(x, nl: str, out: list[str]) -> None:
+    """Append x's JSON text, lines broken by ``nl``, to out, for one join (json's indent
+    encoder is pure Python).  A float, a non-str key or any other type is a TypeError."""
+    inner = nl + "  "  # the line break of x's items
+    if isinstance(x, str):
+        out.append(_quote(x))
+    elif x is None or isinstance(x, bool):
+        out.append("null" if x is None else "true" if x else "false")
+    elif isinstance(x, int):
+        out.append(int.__repr__(x))
+    elif isinstance(x, dict) and x:
+        for i, k in enumerate(sorted(x)):  # _quote rejects a non-str key
+            out.append(("," if i else "{") + inner + _quote(k) + ": ")
+            _write_json(x[k], inner, out)
+        out.append(nl + "}")
+    elif isinstance(x, (list, tuple)) and x:
+        try:  # a list of strings is one join
+            out.append("[" + inner + ("," + inner).join(map(_quote, x)) + nl + "]")
+        except TypeError:  # not all strings: item by item
+            for i, v in enumerate(x):
+                out.append(("," if i else "[") + inner)
+                _write_json(v, inner, out)
+            out.append(nl + "]")
+    elif isinstance(x, (list, tuple, dict)):
+        out.append("{}" if isinstance(x, dict) else "[]")
+    else:
+        raise TypeError(f"cannot write {type(x).__name__} as JSON")
 
 
 def load_algebra(path: str) -> NilpotentAlgebra2:
@@ -66,8 +101,15 @@ def load_algebra(path: str) -> NilpotentAlgebra2:
 
 
 def save_algebra(a: NilpotentAlgebra2, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(a.to_json()))
+    _write_file(path, canonical_json(a.to_json()))
+
+
+def _write_file(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise BadInputError(f"cannot write {path}: {exc}") from exc
 
 
 def _load_json(path: str) -> dict:
@@ -87,8 +129,7 @@ def _load_json(path: str) -> dict:
 def _emit(report, output_path: str | None) -> None:
     text = canonical_json(report)
     if output_path:
-        with open(output_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_file(output_path, text)
     sys.stdout.write(text)
 
 
@@ -138,11 +179,10 @@ def _cmd_free(args) -> int:
 
 
 def _cmd_triple(args) -> int:
-    seed = os.environ.get("NILFORGE_SEED", "0")
-    try:
-        seed = int(seed)
-    except ValueError as exc:
-        raise BadInputError(f"NILFORGE_SEED must be an integer, not {seed!r}") from exc
+    text = os.environ.get("NILFORGE_SEED", "0")
+    if not re.fullmatch(r"[+-]?[0-9]{1,4000}", text):  # int() takes " 7 " and "1_0" too
+        raise BadInputError(f"NILFORGE_SEED must be ASCII [+-]digits, at most 4000, not {text!r}")
+    seed = int(text)
     module = build_module(CliffordSignature(args.r, args.s))
     report = clifford_triple_report(module)
     probe = clifford_ideal_probe(module, seed)

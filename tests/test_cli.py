@@ -460,3 +460,36 @@ def test_cli_rejects_string_rows(tmp_path, capsys, files):
     code, d = _run_json(capsys, *argv)
     assert code == 2
     assert d["error"] == "ERR_BAD_INPUT"
+
+
+@pytest.mark.parametrize("verb", ["clifford", "build"])
+def test_unwritable_output_is_bad_input(tmp_path, capsys, verb):
+    target = tmp_path / "missing" / "x.json"
+    code, d = _run_json(capsys, verb, "1", "0", "-o", str(target))
+    assert code == 2
+    assert d["error"] == "ERR_BAD_INPUT"
+    assert str(target) in d["detail"]
+    assert not target.exists()
+
+
+def _seed_id(seed):
+    return seed if len(seed) < 10 else f"{len(seed)} digits"
+
+
+# int() would read the first three; past int()'s 4300-digit limit it raises
+@pytest.mark.parametrize(
+    "seed", [" 7 ", "1_0", "٧", "", "+", "7.0", "0x7", "9" * 4001], ids=_seed_id
+)
+def test_cli_seed_is_ascii_digits_only(capsys, monkeypatch, seed):
+    monkeypatch.setenv("NILFORGE_SEED", seed)
+    code, d = _run_json(capsys, "triple", "1", "0")
+    assert code == 2
+    assert d["error"] == "ERR_BAD_INPUT"
+
+
+@pytest.mark.parametrize("seed", ["11", "-3", "+5", "007", "9" * 4000], ids=_seed_id)
+def test_cli_seed_accepts_signed_ascii_integers(capsys, monkeypatch, seed):
+    monkeypatch.setenv("NILFORGE_SEED", seed)
+    code, d = _run_json(capsys, "triple", "1", "0")
+    assert code == 0
+    assert d["seed"] == int(seed)

@@ -79,3 +79,17 @@ def test_no_unused_imports():
                 continue
             found += [f"{path.name}:{node.lineno} {name}" for name in names if name not in used]
     assert found == []
+
+
+def test_one_pretty_printer():
+    # cli.canonical_json is the one writer of indented JSON; json's own indent
+    # encoder is pure Python and slow, and a second writer could drift from it
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) in ("dump", "dumps")
+        and any(k.arg in ("indent", None) for k in node.keywords)  # None: a **mapping
+    ]
+    assert found == []
