@@ -124,6 +124,8 @@ def _load_json(path: str) -> dict:
         ) from exc
     except UnicodeDecodeError as exc:
         raise BadInputError(f"{path} is not UTF-8 text: {exc}") from exc
+    except ValueError as exc:  # an integer literal over int()'s digit limit
+        raise BadInputError(f"bad number in {path}: {exc}") from exc
 
 
 def _emit(report, output_path: str | None) -> None:
@@ -358,14 +360,18 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    out = sys.stdout
     try:
         return args.func(args)
+    except BrokenPipeError:  # the reader closed stdout: nothing more goes there
+        os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())  # nor at the exit-time flush
+        out, code, detail, status = sys.stderr, "ERR_BAD_INPUT", "stdout was closed", 2
     except NilforgeError as exc:
         code, detail, status = exc.code, str(exc), 2
     except Exception as exc:  # a fault of the program, not of its input
         traceback.print_exc()
         code, detail, status = "ERR_INTERNAL", f"{type(exc).__name__}: {exc}", 3
-    sys.stdout.write(json.dumps({"error": code, "detail": detail}, sort_keys=True) + "\n")
+    out.write(json.dumps({"error": code, "detail": detail}, sort_keys=True) + "\n")
     return status
 
 

@@ -5,9 +5,10 @@ when every |entry| is below 2**62 and exact Python ints otherwise, D the
 least positive common denominator, so (shape, D, N) is canonical.  Sums,
 products, commutators, Kronecker products, basis permutations, comparisons
 and hashes are array operations on the N's, where a bound on each result
-only picks the dtype; there is no floating point anywhere.  Fractions are
-built on demand, for entries and the answers of the elimination below; an
-entry's text is printed straight from (N, D).
+only picks the dtype (each matrix computes its max |N| once); there is no
+floating point anywhere.  Entries enter as reduced (n, d) pairs, Fractions
+are built only for what public functions return, and an entry's text is
+printed straight from (N, D).
 
 One kernel makes every product.  A square operand of size at least 16 is
 checked once, the first time it is multiplied, for being monomial (one
@@ -19,13 +20,13 @@ One fraction-free step, ``_cancel``, clears a pivot column from a row of
 Python ints by gcd steps, and every elimination is made of it.
 ``SpanBuilder``, an incremental reduced echelon span of matrices, integer
 rows, coordinate sequences or sparse dicts, runs on it: a matrix or a row
-enters straight from (N, D), and only ``coords`` and ``rref`` turn rows into
-Fractions.  rref and rank read the span of the rows of N, kernel_basis and
+enters straight from (N, D), and a vector in the span comes out as an
+integer relation (num, den), from which rref and inverse build their
+matrices.  rref and rank read the span of the rows of N, kernel_basis and
 solve the coordinates of its columns, inverse the coordinates of D e_j over
 its rows, ``invariant_closure`` the span that a list of matrices generates
-from one vector, and ``MatrixSubspace`` keeps the span of its basis; the
-positive scale D enters only solve's and inverse's answers.  ``signature``
-clears the rows of N by the same step, as a symmetric elimination.
+from one vector, and ``MatrixSubspace`` keeps the span of its basis;
+``signature`` clears the rows of N by the same step.
 
 The module provides:
 
@@ -46,7 +47,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 import numpy as np
 
@@ -73,22 +74,29 @@ def _frac_of_int(i: int) -> Fraction:
     return _FCACHE[i + 256] if -256 <= i <= 256 else Fraction(i)
 
 
-def rat(x) -> Fraction:
-    """Coerce an int, Fraction or canonical "a/b" string to a Fraction."""
+def _pair(x) -> tuple[int, int]:
+    """(n, d) in lowest terms with d > 0 of an int, Fraction or canonical
+    "a/b" string: the integer intake of every matrix and coefficient."""
     t = type(x)
-    if t is Fraction:
-        return x
     if t is int:
-        return _frac_of_int(x)
+        return x, 1
     if t is str:
-        return rat_from_str(x)
+        return _rat_pair(x)
     if t is bool:
         raise BadInputError(f"boolean {x!r} is not a rational")
     if isinstance(x, Fraction):
-        return x
+        return x.numerator, x.denominator
     if isinstance(x, int):
-        return _frac_of_int(x)
+        return int(x), 1
     raise BadInputError(f"cannot interpret {x!r} as a rational")
+
+
+def rat(x) -> Fraction:
+    """Coerce an int, Fraction or canonical "a/b" string to a Fraction."""
+    if type(x) is Fraction:
+        return x
+    n, d = _pair(x)
+    return _frac_of_int(n) if d == 1 else Fraction(n, d)
 
 
 def _ratio_str(n: int, d: int) -> str:
@@ -106,16 +114,24 @@ def rat_to_str(x: Fraction) -> str:
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
-def rat_from_str(s: str) -> Fraction:
+def _rat_pair(s: str) -> tuple[int, int]:
     """Parse ASCII "[+-]digits" or "[+-]digits/digits" with a nonzero
-    denominator; any other text (spaces, "_", other digits) is rejected."""
+    denominator to a reduced (n, d); any other text (spaces, "_", other
+    digits) is rejected."""
     m = _RATIONAL.fullmatch(s)
-    if m is not None:
-        try:
-            return Fraction(int(m[1]), int(m[2] or 1))
-        except (ValueError, ZeroDivisionError):  # too many digits, zero denominator
-            pass
-    raise BadInputError(f"bad rational literal {s!r}")
+    try:
+        n, d = int(m[1]), int(m[2] or 1)
+    except (TypeError, ValueError):  # no match (m is None), too many digits
+        d = 0
+    if not d:
+        raise BadInputError(f"bad rational literal {s!r}")
+    g = gcd(n, d)
+    return n // g, d // g
+
+
+def rat_from_str(s: str) -> Fraction:
+    """The Fraction of a rational literal, as ``_rat_pair`` reads it."""
+    return Fraction(*_rat_pair(s))
 
 
 # ---------------------------------------------------------------------------
@@ -142,13 +158,14 @@ def _fraction(d: int):
     return _frac_of_int if d == 1 else lambda x: _ratio(x, d)
 
 
-def _integer_form(frac_rows, shape) -> tuple:
-    """(N, D) of rows of Fractions, D their least common denominator."""
-    d = lcm(*{x.denominator for r in frac_rows for x in r})
-    nums = [[x.numerator * (d // x.denominator) for x in r] for r in frac_rows]
+def _integer_form(pair_rows, shape) -> tuple:
+    """(N, D, max |N|) of rows of reduced pairs (n, d): D is their lcm, so N / D
+    is in lowest terms with no gcd pass."""
+    d = lcm(*{e for r in pair_rows for _, e in r})
+    nums = [[x * (d // e) for x, e in r] for r in pair_rows]
     bound = max((max(map(abs, r)) for r in nums if r), default=0)
     n = np.array(nums, dtype=object if bound >= _INT64_BOUND else np.int64)
-    return n.reshape(shape), d
+    return n.reshape(shape), d, bound
 
 
 def _listed(xs, what: str):
@@ -162,23 +179,30 @@ def _listed(xs, what: str):
 class RationalMatrix:
     """Immutable dense matrix over the rationals, stored as M = N / D: N an
     integer array (int64, or Python ints when an entry needs them) and D the
-    least positive common denominator.  Fractions are built on demand."""
+    least positive common denominator.  Fractions are built on demand; the
+    largest |N_ij| is computed once, when first asked for."""
 
-    __slots__ = ("rows", "cols", "_n", "_d", "_hash", "_mono")
+    __slots__ = ("rows", "cols", "_n", "_d", "_max", "_hash", "_mono")
 
     def __init__(self, rows):
-        frac_rows = [tuple(map(rat, _listed(r, "a row"))) for r in _listed(rows, "rows")]
-        cols = len(frac_rows[0]) if frac_rows else 0
-        if any(len(r) != cols for r in frac_rows):
+        pair_rows = [list(map(_pair, _listed(r, "a row"))) for r in _listed(rows, "rows")]
+        cols = len(pair_rows[0]) if pair_rows else 0
+        if any(len(r) != cols for r in pair_rows):
             raise DimensionMismatchError("ragged rows")
-        self._store(*_integer_form(frac_rows, (len(frac_rows), cols)))
+        self._store(*_integer_form(pair_rows, (len(pair_rows), cols)))
 
-    def _store(self, n, d: int) -> None:
+    def _store(self, n, d: int, bound) -> None:
         if not n.shape[0]:
             n = n.reshape(0, 0)  # a matrix with no rows is 0 x 0
         n.flags.writeable = False
         self.rows, self.cols = n.shape
-        self._n, self._d, self._hash, self._mono = n, d, None, None
+        self._n, self._d, self._max, self._hash, self._mono = n, d, bound, None, None
+
+    def _like(self, n) -> "RationalMatrix":
+        """n / D for n holding the entries of N, moved or negated."""
+        m = object.__new__(RationalMatrix)
+        m._store(n, self._d, self._max)
+        return m
 
     @classmethod
     def _of(cls, n, d: int) -> "RationalMatrix":
@@ -189,10 +213,11 @@ class RationalMatrix:
             g = gcd(content, d)
             if g > 1:
                 n, d = (n // g if content else n), d // g
-        if n.dtype == object and _bound(n) < _INT64_BOUND:
+        bound = _bound(n) if n.dtype == object else None
+        if bound is not None and bound < _INT64_BOUND:
             n = n.astype(np.int64)  # the canonical dtype
         m = object.__new__(cls)
-        m._store(n, d)
+        m._store(n, d, bound)
         return m
 
     # -- constructors
@@ -207,14 +232,24 @@ class RationalMatrix:
 
     @classmethod
     def diag(cls, values) -> "RationalMatrix":
-        vals = [rat(v) for v in _listed(values, "diagonal values")]
-        n, d = _integer_form([vals], (1, len(vals)))
+        vals = list(map(_pair, _listed(values, "diagonal values")))
+        n, d, _ = _integer_form([vals], (1, len(vals)))
         return cls._of(np.diag(n[0]), d)
+
+    @classmethod
+    def from_relations(cls, rels, cols: int) -> "RationalMatrix":
+        """The matrix with row i num / den for rels[i] = (num, den): an int dict
+        {column: value} over a positive int, as eliminations answer."""
+        d = lcm(*(e for _, e in rels))
+        n = np.zeros((len(rels), cols), dtype=object)
+        for i, (num, e) in enumerate(rels):
+            n[i, list(num)] = [x * (d // e) for x in num.values()]
+        return cls._of(n, d)
 
     def kron(self, other: "RationalMatrix") -> "RationalMatrix":
         """The Kronecker product self (x) other."""
         na, nb = self._n, other._n
-        if _bound(na) * _bound(nb) >= _INT64_BOUND:
+        if _nmax(self) * _nmax(other) >= _INT64_BOUND:
             na, nb = na.astype(object), nb.astype(object)
         return RationalMatrix._of(np.kron(na, nb), self._d * other._d)
 
@@ -223,7 +258,7 @@ class RationalMatrix:
         matrix (M[order[i], order[j]])_ij."""
         if not self.is_square() or sorted(order) != list(range(self.rows)):
             raise DimensionMismatchError(f"{order!r} is not a permutation of {self.rows} indices")
-        return RationalMatrix._of(self._n[np.ix_(order, order)], self._d)
+        return self._like(self._n[np.ix_(order, order)])
 
     # -- access: Fractions on demand
 
@@ -256,23 +291,23 @@ class RationalMatrix:
 
     def is_ternary(self) -> bool:
         """Every entry is -1, 0 or 1."""
-        return self._d == 1 and _bound(self._n) <= 1
+        return self._d == 1 and _nmax(self) <= 1
 
     # -- arithmetic
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         self._check_same_shape(other)
-        return _combine([(ONE, self), (ONE, other)], (self.rows, self.cols))
+        return _combine([((1, 1), self), ((1, 1), other)], (self.rows, self.cols))
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
         self._check_same_shape(other)
-        return _combine([(ONE, self), (-ONE, other)], (self.rows, self.cols))
+        return _combine([((1, 1), self), ((-1, 1), other)], (self.rows, self.cols))
 
     def __neg__(self) -> "RationalMatrix":
-        return RationalMatrix._of(-self._n, self._d)
+        return self._like(-self._n)
 
     def scale(self, c) -> "RationalMatrix":
-        return _combine([(rat(c), self)], (self.rows, self.cols))
+        return _combine([(_pair(c), self)], (self.rows, self.cols))
 
     def __mul__(self, other):
         if isinstance(other, RationalMatrix):
@@ -290,7 +325,7 @@ class RationalMatrix:
         return tuple(_int_product(self, column, False).entries())
 
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix._of(self._n.T, self._d)
+        return self._like(self._n.T)
 
     def trace(self) -> Fraction:
         if not self.is_square():
@@ -353,23 +388,30 @@ def _int_form(m: RationalMatrix) -> tuple:
     return m._n, m._d
 
 
+def _nmax(m: RationalMatrix) -> int:
+    """max |N_ij| of m, computed the first time it is asked for."""
+    if m._max is None:
+        m._max = _bound(m._n)
+    return m._max
+
+
 def _over_lcd(terms, total) -> tuple:
-    """(D, arrays) for terms (Fraction c, matrix M): D the least common
+    """(D, arrays) for terms (reduced pair c, matrix M): D the least common
     denominator of the c M and the arrays D c M.  They are int64 when
     ``total`` (sum or max) of their bounds is below the int64 bound, so that
     their sum (or stack) is exact, and Python ints otherwise."""
-    dens = [c.denominator * m._d for c, m in terms]
+    dens = [b * m._d for (_, b), m in terms]
     d = lcm(*dens)
-    fs = [c.numerator * (d // e) for (c, _), e in zip(terms, dens)]
+    fs = [a * (d // e) for ((a, _), _), e in zip(terms, dens)]
     # max(.., 1): an int64 array cannot even be multiplied by a huge factor
-    bound = total([abs(f) * max(_bound(m._n), 1) for f, (_, m) in zip(fs, terms)])
+    bound = total([abs(f) * max(_nmax(m), 1) for f, (_, m) in zip(fs, terms)])
     dtype = object if bound >= _INT64_BOUND else np.int64
     return d, [m._n.astype(dtype, copy=False) * f for f, (_, m) in zip(fs, terms)]
 
 
 def _combine(terms, shape) -> RationalMatrix:
-    """sum c M over the terms (Fraction c, matrix M of the given shape)."""
-    d, parts = _over_lcd([(c, m) for c, m in terms if c], sum)
+    """sum c M over the terms (reduced pair c, matrix M of the given shape)."""
+    d, parts = _over_lcd([(c, m) for c, m in terms if c[0]], sum)
     n = sum(parts[1:], parts[0]) if parts else np.zeros(shape, dtype=np.int64)
     return RationalMatrix._of(n, d)
 
@@ -415,7 +457,7 @@ def _int_product(a: RationalMatrix, b: RationalMatrix, commute: bool) -> Rationa
     With a monomial operand each entry of a product is a single term."""
     ma, mb = _monomial(a), _monomial(b)
     terms = 1 if ma is not None or mb is not None else max(a.cols, 1)
-    bound = (2 if commute else 1) * _bound(a._n) * _bound(b._n) * terms
+    bound = (2 if commute else 1) * _nmax(a) * _nmax(b) * terms
     na, nb = a._n, b._n
     if bound >= _INT64_BOUND:
         na, nb = na.astype(object), nb.astype(object)
@@ -452,24 +494,24 @@ def eta(p: int, q: int) -> RationalMatrix:
     return RationalMatrix.diag([1] * p + [-1] * q)
 
 
+def eta_conjugate(a: RationalMatrix, p: int, q: int) -> RationalMatrix:
+    """A^eta = eta A^T eta as the sign flip (A^eta)_ij = nu_i nu_j A_ji."""
+    signs = np.diag(eta(p, q)._n)
+    if a.rows != a.cols or a.rows != signs.size:
+        raise DimensionMismatchError(f"A^eta of a {a.rows}x{a.cols} matrix for p+q = {signs.size}")
+    return a._like(a._n.T * np.multiply.outer(signs, signs))
+
+
 # ---------------------------------------------------------------------------
 # elimination: every routine below reads a SpanBuilder of N's rows or columns
 
 
-def _dense(sparse: dict, n: int) -> tuple[Fraction, ...]:
-    return tuple(sparse.get(i, ZERO) for i in range(n))
-
-
 def rref(m: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
     """Reduced row echelon form and pivot column indices: the echelon rows
-    of the span of m's rows, padded with zero rows."""
+    num / num[p] of the span of m's rows, padded with zero rows."""
     echelon = sorted(SpanBuilder(m._n)._rows.items())
-    rows = [
-        tuple(map(_fraction(num[p]), (num.get(j, 0) for j in range(m.cols))))
-        for p, (num, _) in echelon
-    ]
-    rows += [(ZERO,) * m.cols] * (m.rows - len(rows))
-    return RationalMatrix(rows), tuple(p for p, _ in echelon)
+    rels = [(num, num[p]) for p, (num, _) in echelon] + [({}, 1)] * (m.rows - len(echelon))
+    return RationalMatrix.from_relations(rels, m.cols), tuple(p for p, _ in echelon)
 
 
 def rank(*ms: RationalMatrix) -> int:
@@ -508,19 +550,20 @@ def solve(a: RationalMatrix, b) -> tuple[Fraction, ...]:
     span = SpanBuilder(a._n.T)
     if span.dim != a.cols:
         raise SingularMatrixError("matrix is singular")
-    return tuple(a._d * x for x in _dense(span.coords(bv), a.cols))
+    num, den = span.relation(bv)
+    return tuple(map(_fraction(den), (a._d * num.get(j, 0) for j in range(a.cols))))
 
 
 def inverse(a: RationalMatrix) -> RationalMatrix:
     """A^{-1} for A = N / D: its row j is the coordinates of D e_j over the
-    rows of N."""
+    rows of N, read from their integer relation."""
     if not a.is_square():
         raise DimensionMismatchError("inverse of non-square matrix")
     n = a.rows
     span = SpanBuilder(a._n)
     if span.dim != n:
         raise SingularMatrixError("matrix is singular")
-    return RationalMatrix([_dense(span.coords({j: a._d}), n) for j in range(n)])
+    return RationalMatrix.from_relations([span.relation({j: a._d}) for j in range(n)], n)
 
 
 def char_poly(m: RationalMatrix) -> list[Fraction]:
@@ -551,15 +594,7 @@ def _poly_eval(coeffs: list[Fraction], x: Fraction) -> Fraction:
 
 def _divisors(n: int) -> list[int]:
     n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+    return sorted({e for d in range(1, isqrt(n) + 1) if n % d == 0 for e in (d, n // d)})
 
 
 def rational_roots(coeffs: list[Fraction]) -> tuple[dict[Fraction, int], int]:
@@ -656,9 +691,7 @@ class SignatureForm:
 
     def pair(self, u, v) -> Fraction:
         """Evaluate the form on two coordinate vectors."""
-        return sum(
-            (x * y for x, y in zip(u, self.matrix.apply(v))), ZERO
-        )
+        return sum((x * y for x, y in zip(u, self.matrix.apply(v))), ZERO)
 
     def scaled(self, c) -> "SignatureForm":
         return SignatureForm(self.matrix.scale(c))
@@ -759,9 +792,9 @@ class SpanBuilder:
             num = dict(zip(idx.tolist(), vec[idx].tolist()))
         else:
             items = vec.items() if isinstance(vec, dict) else enumerate(vec)
-            fracs = [(i, x) for i, x in ((i, rat(x)) for i, x in items) if x]
-            d = lcm(*(x.denominator for _, x in fracs))
-            num = {i: x.numerator * (d // x.denominator) for i, x in fracs}
+            pairs = [(i, x) for i, x in ((i, _pair(x)) for i, x in items) if x[0]]
+            d = lcm(*(e for _, (_, e) in pairs))
+            num = {i: x * (d // e) for i, (x, e) in pairs}
         comb = {self.dim: d}
         for p in num.keys() & self._rows.keys():
             _cancel(num, comb, *self._rows[p], p)
@@ -789,13 +822,18 @@ class SpanBuilder:
         v, _ = self._reduce(vec)
         return not v
 
-    def coords(self, vec) -> dict | None:
-        """Coefficients over the added vectors, or None if outside the span."""
+    def relation(self, vec) -> tuple[dict, int] | None:
+        """vec = sum_l num[l] / den v_l as (num, den), or None if outside the span."""
         num, comb = self._reduce(vec)
         if num:
             return None
-        frac = _fraction(comb.pop(self.dim))
-        return {lbl: frac(-x) for lbl, x in comb.items()}
+        den = comb.pop(self.dim)
+        return {lbl: -x for lbl, x in comb.items()}, den
+
+    def coords(self, vec) -> dict | None:
+        """Coefficients over the added vectors, or None if outside the span."""
+        rel = self.relation(vec)
+        return None if rel is None else dict(zip(rel[0], map(_fraction(rel[1]), rel[0].values())))
 
 
 def invariant_closure(maps, v) -> list[tuple[Fraction, ...]]:
@@ -851,12 +889,18 @@ class MatrixSubspace:
             return False
         return self._span.contains(m)
 
-    def coords(self, m: RationalMatrix) -> tuple[Fraction, ...] | None:
-        """Coefficients of m over the basis, or None if m is outside."""
+    def relation(self, m: RationalMatrix) -> tuple[dict, int] | None:
+        """m = sum_l num[l] / den basis[l] as (num, den), or None if m is outside."""
         if m.rows != self.ambient_dim or m.cols != self.ambient_dim:
             return None
-        comb = self._span.coords(m)
-        return None if comb is None else _dense(comb, self.dim)
+        return self._span.relation(m)
+
+    def coords(self, m: RationalMatrix) -> tuple[Fraction, ...] | None:
+        """Coefficients of m over the basis, or None if m is outside."""
+        rel = self.relation(m)
+        if rel is None:
+            return None
+        return tuple(map(_fraction(rel[1]), (rel[0].get(lbl, 0) for lbl in range(self.dim))))
 
     def element(self, coeffs) -> RationalMatrix:
         return lin_comb(coeffs, self.basis, self.ambient_dim)
@@ -900,11 +944,19 @@ def independent_subset(ambient_dim: int, mats) -> MatrixSubspace:
 
 def lin_comb(coeffs, mats, dim: int) -> RationalMatrix:
     """The dim x dim matrix sum_i c_i M_i (zero for an empty list)."""
-    terms = [(c, m) for c, m in zip(map(rat, coeffs), mats) if c]
+    terms = [(c, m) for c, m in zip(map(_pair, coeffs), mats) if c[0]]
     for _, m in terms:
         if m.rows != dim or m.cols != dim:
             raise DimensionMismatchError(f"{m.rows}x{m.cols} term in a {dim}x{dim} sum")
     return _combine(terms, (dim, dim))
+
+
+def block_diag(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
+    """The block-diagonal matrix diag(A, B)."""
+    d, (na, nb) = _over_lcd([((1, 1), a), ((1, 1), b)], max)
+    n = np.zeros((a.rows + b.rows, a.cols + b.cols), na.dtype)
+    n[: a.rows, : a.cols], n[a.rows :, a.cols :] = na, nb
+    return RationalMatrix._of(n, d)
 
 
 def trace_pairing(xs, ys) -> RationalMatrix:
@@ -922,8 +974,8 @@ def trace_pairing(xs, ys) -> RationalMatrix:
         raise DimensionMismatchError("trace pairing needs r x c against c x r matrices")
     if not c:
         return RationalMatrix.zeros(len(xs), len(ys))
-    dx, nxs = _over_lcd([(ONE, x) for x in xs], max)
-    dy, nys = _over_lcd([(ONE, y) for y in ys], max)
+    dx, nxs = _over_lcd([((1, 1), x) for x in xs], max)
+    dy, nys = _over_lcd([((1, 1), y) for y in ys], max)
     # row (i, j) of the right factor holds (Y_b^T)_ij = (Y_b)_ji for every b
     vec_x = RationalMatrix._of(np.stack([n.ravel() for n in nxs]), dx)
     vec_yt = RationalMatrix._of(np.stack([n.T.ravel() for n in nys], axis=1), dy)

@@ -422,13 +422,8 @@ def scaling_isomorphism(
     if not diagonalizable or any(r is None for r in sqrts.values()):
         return ScalingOutcome("irrational-scaling", s, tuple(cp))
     # phi_V acts as sqrt(lambda) on each eigenspace
-    cols = []
-    mus = []
-    for lam, v in eigvecs:
-        cols.append(v)
-        mus.append(sqrts[lam])
-    b = RationalMatrix(cols).transpose()
-    phi_v = b * RationalMatrix.diag(mus) * inverse(b)
+    b = RationalMatrix([v for _, v in eigvecs]).transpose()
+    phi_v = b * RationalMatrix.diag([sqrts[lam] for lam, _ in eigvecs]) * inverse(b)
     for sign, status in ((1, "isometry"), (-1, "anti-isometry")):
         ok = all(
             phi_v.transpose() * c1 * phi_v == c2.scale(sign)

@@ -34,7 +34,9 @@ from .exactlin import (
     MatrixSubspace,
     RationalMatrix,
     SignatureForm,
+    block_diag,
     eta,
+    eta_conjugate,
     independent_subset,
     kernel_basis,
     lin_comb,
@@ -160,22 +162,12 @@ def reduction_isomorphism(
         raise NotAdaptedError("reduction requires an adapted algebra")
     target = standard_algebra(p, q, eta_twist(structure_space(a), p, q, "left"))
     g_inv = target.algebra.form_Z.inverse_matrix()
-    m, n = a.m, a.n
-    rows = []
-    for i in range(m + n):
-        row = [ZERO] * (m + n)
-        if i < m:
-            row[i] = ONE
-        else:
-            for k in range(n):
-                # z_k -> -rho_k = -sum_l (G^{-1})_{lk} D^l: column m+k
-                row[m + k] = -g_inv.entry(i - m, k)
-        rows.append(row)
-    t = RationalMatrix(rows)
+    # z_k -> -rho_k = -sum_l (G^{-1})_{lk} D^l: T = diag(I_m, -G^{-1})
+    t = block_diag(RationalMatrix.identity(a.m), -g_inv)
     # certify on all basis pairs: the k-th coordinate of T([v_i, v_j]) is
     # -sum_l (G^{-1})_{kl} C^l_ij (both sides antisymmetric)
-    for k in range(n):
-        if -lin_comb(g_inv.row(k), a.structure, m) != target.algebra.structure[k]:
+    for k in range(a.n):
+        if -lin_comb(g_inv.row(k), a.structure, a.m) != target.algebra.structure[k]:
             raise HomomorphismError("reduction certificate failed; convention bug")
     return t, target
 
@@ -216,12 +208,6 @@ def free_isomorphism(p: int, q: int) -> dict:
         "signs_match_nu": sign_ok,
         "certified": certified and diagonal_ok and sign_ok,
     }
-
-
-def eta_conjugate(a: RationalMatrix, p: int, q: int) -> RationalMatrix:
-    """A^eta = eta A^T eta."""
-    e = eta(p, q)
-    return e * a.transpose() * e
 
 
 def gl_action(a: RationalMatrix, s: MatrixSubspace, p: int, q: int) -> MatrixSubspace:

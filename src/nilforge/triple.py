@@ -124,16 +124,15 @@ def _brackets_inside(ads, xs, ys, target) -> bool:
 
 def _ad_matrices(l: MatrixSubspace) -> list[RationalMatrix]:
     """ad_x in L's own basis coordinates for each basis x, from one bracket
-    per basis pair x < y; errors when L is not closed under the bracket."""
-    cols = [[(0,) * l.dim] * l.dim for _ in range(l.dim)]  # cols[x][y] = [l_x, l_y]
+    per basis pair x < y as an integer relation; raises if L is not closed."""
+    cols = [[({}, 1)] * l.dim for _ in range(l.dim)]  # cols[x][y] = [l_x, l_y]
     for x in range(l.dim):
         for y in range(x + 1, l.dim):
-            coords = l.coords(commutator(l.basis[x], l.basis[y]))
-            if coords is None:
+            rel = l.relation(commutator(l.basis[x], l.basis[y]))
+            if rel is None:
                 raise NotClosedError("subspace is not closed under the bracket")
-            cols[x][y] = coords
-            cols[y][x] = tuple(-c for c in coords)
-    return [RationalMatrix(c).transpose() for c in cols]
+            cols[x][y], cols[y][x] = rel, ({k: -c for k, c in rel[0].items()}, rel[1])
+    return [RationalMatrix.from_relations(c, l.dim).transpose() for c in cols]
 
 
 def killing_form(l: MatrixSubspace) -> RationalMatrix:
@@ -152,31 +151,33 @@ def clifford_triple_system(module: CliffordModule) -> MatrixSubspace:
     return MatrixSubspace(module.module_dim, module.generators)
 
 
-# L's ad matrices for each module that clifford_triple_report has seen, so
-# that the probe of the same L reads the table the report was built from
-_AD_TABLES: dict[CliffordModule, list[RationalMatrix]] = {}
-
-
 @lru_cache(maxsize=None)
-def clifford_triple_report(module: CliffordModule) -> TripleSystemReport:
-    """generated_algebra for the module's W, with the (3,0)/(1,2) ideal
-    split populated in the exceptional cases.
-
-    Memoized: the report is a pure function of the (immutable) module and
-    the computation is the most expensive in the package."""
+def _clifford_generated(module: CliffordModule) -> tuple[TripleSystemReport, list[RationalMatrix]]:
+    """clifford_triple_report's report and the ad table of its L, which the probe
+    reads; memoized, as the package's costliest pure function of the module."""
     report, ads = _generated(clifford_triple_system(module))
     if report.is_triple and (module.signature.r, module.signature.s) in ((3, 0), (1, 2)):
         report = replace(report, special_split=_ideal_split(module, report.L_basis, ads))
-    _AD_TABLES[module] = ads
-    return report
+    return report, ads
+
+
+def clifford_triple_report(module: CliffordModule) -> TripleSystemReport:
+    """generated_algebra for the module's W, with the (3,0)/(1,2) ideal
+    split populated in the exceptional cases; read from one memo."""
+    return _clifford_generated(module)[0]
+
+
+# the report's memo is _clifford_generated's, to clear or to bypass
+clifford_triple_report.cache_clear = _clifford_generated.cache_clear
+clifford_triple_report.__wrapped__ = lambda module: _clifford_generated.__wrapped__(module)[0]
 
 
 def clifford_ideal_probe(module: CliffordModule, seed: int) -> dict | None:
     """ideal_probe of the L of clifford_triple_report(module), read from the
     ad table that the report was built from; None when W is not a triple
     system."""
-    report = clifford_triple_report(module)
-    return _probe(_AD_TABLES[module], seed) if report.is_triple else None
+    report, ads = _clifford_generated(module)
+    return _probe(ads, seed) if report.is_triple else None
 
 
 def special_ideal_split(

@@ -1,6 +1,7 @@
 """CLI golden outputs, exit codes, and serialization round-trips."""
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -493,3 +494,33 @@ def test_cli_seed_accepts_signed_ascii_integers(capsys, monkeypatch, seed):
     code, d = _run_json(capsys, "triple", "1", "0")
     assert code == 0
     assert d["seed"] == int(seed)
+
+
+def test_closed_stdout_is_bad_input_not_a_crash():
+    # the reader closes the pipe before the report is written, as in
+    # `nilforge clifford 6 0 | (exit 0)`: no traceback, nothing more on
+    # stdout, one ERR_BAD_INPUT line on stderr, exit 2
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "nilforge.cli", "clifford", "6", "0"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()  # before the module is built and written
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 2
+    assert "Traceback" not in err
+    assert [json.loads(line)["error"] for line in err.splitlines()] == ["ERR_BAD_INPUT"]
+
+
+@pytest.mark.parametrize("verb", ["lattice", "reduce"])
+def test_over_long_json_integer_is_bad_input(tmp_path, capsys, verb):
+    # json.load raises a plain ValueError past int()'s 4300-digit limit
+    path = tmp_path / "long.json"
+    path.write_text('{"m": 1' + "0" * 4400 + ', "n": 1, "C": []}', encoding="utf-8")
+    code, d = _run_json(capsys, verb, str(path))
+    assert code == 2
+    assert d["error"] == "ERR_BAD_INPUT"
