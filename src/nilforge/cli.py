@@ -129,10 +129,23 @@ def _load_json(path: str) -> dict:
 
 
 def _emit(report, output_path: str | None) -> None:
+    """Write the report to stdout (and output_path), raising BrokenPipeError here
+    when the reader closes the pipe: a write it cuts short is retried for the rest."""
     text = canonical_json(report)
     if output_path:
         _write_file(output_path, text)
-    sys.stdout.write(text)
+    out = sys.stdout
+    if not hasattr(out, "buffer"):  # an in-process capture, such as a StringIO
+        out.write(text)
+        return
+    out.flush()
+    data = memoryview(text.encode(out.encoding))
+    while data:
+        written = out.buffer.write(data)
+        if not written:
+            raise BrokenPipeError("stdout takes no more bytes")
+        data = data[written:]
+    out.buffer.flush()
 
 
 def _cmd_clifford(args) -> int:

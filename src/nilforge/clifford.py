@@ -32,8 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import BadInputError, DimensionMismatchError, UnsupportedSignatureError
-from .exactlin import RationalMatrix, SignatureForm, lin_comb, nu, rat
+from .errors import BadInputError, UnsupportedSignatureError
+from .exactlin import RationalMatrix, SignatureForm, lin_comb, nu
 from .nilpotent import h_type_laws
 
 #: largest r+s accepted by build_module
@@ -244,10 +244,5 @@ def verify_module(module: CliffordModule) -> dict:
 
 
 def extend_J(module: CliffordModule, z) -> RationalMatrix:
-    """Linear extension z -> sum z_i J_i of the generator representation."""
-    zv = [rat(x) for x in z]
-    if len(zv) != module.signature.n:
-        raise DimensionMismatchError(
-            f"center vector length {len(zv)} != {module.signature.n}"
-        )
-    return lin_comb(zv, module.generators, module.module_dim)
+    """Linear extension z -> sum z_i J_i of the generators, one z_i for each."""
+    return lin_comb(z, module.generators, module.module_dim)

@@ -6,15 +6,18 @@ least positive common denominator, so (shape, D, N) is canonical.  Sums,
 products, commutators, Kronecker products, basis permutations, comparisons
 and hashes are array operations on the N's, where a bound on each result
 only picks the dtype (each matrix computes its max |N| once); there is no
-floating point anywhere.  Entries enter as reduced (n, d) pairs, Fractions
-are built only for what public functions return, and an entry's text is
-printed straight from (N, D).
+floating point anywhere.  Entries enter as reduced (n, d) pairs, each
+Fraction is built as Fraction(x, D) only for what a public function returns,
+and an entry's text is printed straight from (N, D).
 
 One kernel makes every product.  A square operand of size at least 16 is
 checked once, the first time it is multiplied, for being monomial (one
 nonzero in every row and every column, as a signed permutation is); a
 product with a monomial operand is then a gather of the other operand's
-rows or columns, scaled, instead of a dense integer matrix product.
+rows or columns, scaled, instead of a dense integer matrix product.  With
+the entries vec(M_l) of matrices stacked as rows, the linear combinations
+sum_l A_kl M_l for all rows k of A are one product (``lin_combs``), and so
+are all traces tr(X_a Y_b) = vec(X_a) . vec(Y_b^T) (``trace_pairing``).
 
 One fraction-free step, ``_cancel``, clears a pivot column from a row of
 Python ints by gcd steps, and every elimination is made of it.
@@ -37,8 +40,9 @@ The module provides:
 - ``SignatureForm``: a symmetric matrix together with its inertia,
 - ``MatrixSubspace``: a subspace of m x m matrices given by an independent
   basis, with exact membership and coordinate computations,
-- ``trace_pairing`` / ``trace_gram``: all traces tr(X_a Y_b) as one product,
-  and the Gram matrix of the trace form <X, Y> = -tr(XY),
+- ``lin_combs`` / ``lin_comb``: linear combinations of matrices, one coefficient each,
+- ``trace_pairing`` / ``trace_gram``: all traces tr(X_a Y_b), and the Gram
+  matrix of the trace form <X, Y> = -tr(XY),
 - canonical string/JSON serialization with bit-exact round-trip.
 """
 
@@ -67,13 +71,6 @@ ONE = Fraction(1)
 # rationals
 
 
-_FCACHE = tuple(Fraction(i) for i in range(-256, 257))
-
-
-def _frac_of_int(i: int) -> Fraction:
-    return _FCACHE[i + 256] if -256 <= i <= 256 else Fraction(i)
-
-
 def _pair(x) -> tuple[int, int]:
     """(n, d) in lowest terms with d > 0 of an int, Fraction or canonical
     "a/b" string: the integer intake of every matrix and coefficient."""
@@ -95,8 +92,7 @@ def rat(x) -> Fraction:
     """Coerce an int, Fraction or canonical "a/b" string to a Fraction."""
     if type(x) is Fraction:
         return x
-    n, d = _pair(x)
-    return _frac_of_int(n) if d == 1 else Fraction(n, d)
+    return Fraction(*_pair(x))
 
 
 def _ratio_str(n: int, d: int) -> str:
@@ -146,16 +142,6 @@ _INT64_BOUND = 2**62
 def _bound(n) -> int:
     """The largest |N_ij| as a Python int (0 for an empty array)."""
     return int(np.abs(n).max()) if n.size else 0
-
-
-@lru_cache(maxsize=4096)
-def _ratio(x: int, d: int) -> Fraction:
-    return Fraction(x, d)
-
-
-def _fraction(d: int):
-    """The map x -> x / d from numerators to Fractions."""
-    return _frac_of_int if d == 1 else lambda x: _ratio(x, d)
 
 
 def _integer_form(pair_rows, shape) -> tuple:
@@ -263,17 +249,17 @@ class RationalMatrix:
     # -- access: Fractions on demand
 
     def entry(self, i: int, j: int) -> Fraction:
-        return _fraction(self._d)(self._n.item(i, j))
+        return Fraction(self._n.item(i, j), self._d)
 
     def row(self, i: int) -> tuple[Fraction, ...]:
-        return tuple(map(_fraction(self._d), self._n[i].tolist()))
+        return tuple(Fraction(x, self._d) for x in self._n[i].tolist())
 
     def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(map(_fraction(self._d), self._n[:, j].tolist()))
+        return tuple(Fraction(x, self._d) for x in self._n[:, j].tolist())
 
     def entries(self):
         """Iterate over all entries row-major."""
-        return map(_fraction(self._d), self._n.ravel().tolist())
+        return (Fraction(x, self._d) for x in self._n.ravel().tolist())
 
     # -- structure predicates
 
@@ -530,12 +516,10 @@ def kernel_basis(m: RationalMatrix) -> list[tuple[Fraction, ...]]:
     for j, col in enumerate(cols):
         (pivots if span.add(col) else free).append(j)
     basis = []
-    for fc in free:
-        v = [ZERO] * m.cols
-        v[fc] = ONE
-        for k, c in span.coords(cols[fc]).items():
-            v[pivots[k]] = -c
-        basis.append(tuple(v))
+    for fc in free:  # den e_fc - sum_k num[k] e_pivots[k], over den
+        num, den = span.relation(cols[fc])
+        v = {fc: den, **{pivots[k]: -x for k, x in num.items()}}
+        basis.append(tuple(Fraction(v.get(j, 0), den) for j in range(m.cols)))
     return basis
 
 
@@ -551,7 +535,7 @@ def solve(a: RationalMatrix, b) -> tuple[Fraction, ...]:
     if span.dim != a.cols:
         raise SingularMatrixError("matrix is singular")
     num, den = span.relation(bv)
-    return tuple(map(_fraction(den), (a._d * num.get(j, 0) for j in range(a.cols))))
+    return tuple(Fraction(a._d * num.get(j, 0), den) for j in range(a.cols))
 
 
 def inverse(a: RationalMatrix) -> RationalMatrix:
@@ -727,7 +711,7 @@ def matrix_to_sparse(m: RationalMatrix) -> dict:
     """m row-major as a dict {i * cols + j: M_ij} of its nonzero entries."""
     flat = m._n.ravel()
     idx = np.flatnonzero(flat)
-    return dict(zip(idx.tolist(), map(_fraction(m._d), flat[idx].tolist())))
+    return {i: Fraction(x, m._d) for i, x in zip(idx.tolist(), flat[idx].tolist())}
 
 
 def _cancel(num: dict, comb: dict, pnum: dict, pcomb: dict, p: int) -> None:
@@ -833,14 +817,12 @@ class SpanBuilder:
     def coords(self, vec) -> dict | None:
         """Coefficients over the added vectors, or None if outside the span."""
         rel = self.relation(vec)
-        return None if rel is None else dict(zip(rel[0], map(_fraction(rel[1]), rel[0].values())))
+        return None if rel is None else {lbl: Fraction(x, rel[1]) for lbl, x in rel[0].items()}
 
 
-def invariant_closure(maps, v) -> list[tuple[Fraction, ...]]:
-    """Basis of the smallest subspace containing the coordinate vector v that
-    each matrix in maps sends into itself: v, then each A u (u kept, breadth
-    first; A in order) that enlarges the span, until the span is full."""
-    u, span = RationalMatrix([(x,) for x in v]), SpanBuilder()
+def _closure(maps, u: RationalMatrix) -> RationalMatrix:
+    """The matrix whose rows are invariant_closure's basis, for the column u."""
+    span = SpanBuilder()
     kept = [u] if span.add(u) else []
     for u in kept:  # kept grows while it is read
         for a in maps:
@@ -849,7 +831,15 @@ def invariant_closure(maps, v) -> list[tuple[Fraction, ...]]:
             image = a * u
             if span.add(image):
                 kept.append(image)
-    return [tuple(k.entries()) for k in kept]
+    return _vec_stack(kept)
+
+
+def invariant_closure(maps, v) -> list[tuple[Fraction, ...]]:
+    """Basis of the smallest subspace containing the coordinate vector v that
+    each matrix in maps sends into itself: v, then each A u (u kept, breadth
+    first; A in order) that enlarges the span, until the span is full."""
+    basis = _closure(maps, RationalMatrix([(x,) for x in v]))
+    return [basis.row(i) for i in range(basis.rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -900,7 +890,7 @@ class MatrixSubspace:
         rel = self.relation(m)
         if rel is None:
             return None
-        return tuple(map(_fraction(rel[1]), (rel[0].get(lbl, 0) for lbl in range(self.dim))))
+        return tuple(Fraction(rel[0].get(lbl, 0), rel[1]) for lbl in range(self.dim))
 
     def element(self, coeffs) -> RationalMatrix:
         return lin_comb(coeffs, self.basis, self.ambient_dim)
@@ -942,13 +932,36 @@ def independent_subset(ambient_dim: int, mats) -> MatrixSubspace:
     return s
 
 
+def _vec_stack(mats) -> RationalMatrix:
+    """The matrix whose row l is vec(M_l), the entries of M_l row-major, over
+    the least common denominator (so in lowest terms), with its bound read
+    from the parts; 0 x 0 for no matrices."""
+    if not mats:
+        return RationalMatrix.zeros(0, 0)
+    d, ns = _over_lcd([((1, 1), m) for m in mats], max)
+    stack = object.__new__(RationalMatrix)
+    stack._store(np.stack([n.ravel() for n in ns]), d, max(d // m._d * _nmax(m) for m in mats))
+    return stack
+
+
+def lin_combs(a: RationalMatrix, mats, dim: int) -> list[RationalMatrix]:
+    """The dim x dim matrices sum_l A_kl M_l, one for each row k of A (none
+    when A has no rows, as a matrix with no rows is 0 x 0): one product of A
+    with the stacked vec(M_l)."""
+    mats = list(mats)
+    if any(m.rows != dim or m.cols != dim for m in mats):
+        raise DimensionMismatchError(f"a term of a {dim}x{dim} sum has another shape")
+    if a.rows and a.cols != len(mats):
+        raise DimensionMismatchError(f"{a.cols} coefficients for {len(mats)} matrices")
+    if not (a.rows and mats and dim):
+        return [RationalMatrix.zeros(dim, dim)] * a.rows
+    prod = _matmul(a, _vec_stack(mats))
+    return [RationalMatrix._of(n.reshape(dim, dim), prod._d) for n in prod._n]
+
+
 def lin_comb(coeffs, mats, dim: int) -> RationalMatrix:
-    """The dim x dim matrix sum_i c_i M_i (zero for an empty list)."""
-    terms = [(c, m) for c, m in zip(map(_pair, coeffs), mats) if c[0]]
-    for _, m in terms:
-        if m.rows != dim or m.cols != dim:
-            raise DimensionMismatchError(f"{m.rows}x{m.cols} term in a {dim}x{dim} sum")
-    return _combine(terms, (dim, dim))
+    """sum_i c_i M_i, the one row of ``lin_combs``: as many c_i as M_i."""
+    return lin_combs(RationalMatrix([coeffs]), mats, dim)[0]
 
 
 def block_diag(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
@@ -974,12 +987,8 @@ def trace_pairing(xs, ys) -> RationalMatrix:
         raise DimensionMismatchError("trace pairing needs r x c against c x r matrices")
     if not c:
         return RationalMatrix.zeros(len(xs), len(ys))
-    dx, nxs = _over_lcd([((1, 1), x) for x in xs], max)
-    dy, nys = _over_lcd([((1, 1), y) for y in ys], max)
     # row (i, j) of the right factor holds (Y_b^T)_ij = (Y_b)_ji for every b
-    vec_x = RationalMatrix._of(np.stack([n.ravel() for n in nxs]), dx)
-    vec_yt = RationalMatrix._of(np.stack([n.T.ravel() for n in nys], axis=1), dy)
-    return _matmul(vec_x, vec_yt)
+    return _matmul(_vec_stack(xs), _vec_stack([y.transpose() for y in ys]).transpose())
 
 
 def trace_gram(s: MatrixSubspace) -> RationalMatrix:

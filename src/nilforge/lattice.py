@@ -27,7 +27,6 @@ from .exactlin import (
     SignatureForm,
     _int_form,
     eta,
-    rat,
     trace_pairing,
 )
 from .nilpotent import MetricAlgebra, NilpotentAlgebra2, algebra_from_J
@@ -120,9 +119,7 @@ def pseudo_H_pipeline_report(r: int, s: int) -> dict:
     # pairing rather than from the Gram that standard_algebra builds
     pairing = trace_pairing(module.generators, module.generators)
     traces = [-pairing.entry(i, i) for i in range(n)]
-    trace_identity = all(
-        t == rat(two_l * sig.nu(i + 1)) for i, t in enumerate(traces)
-    )
+    trace_identity = all(t == two_l * sig.nu(i + 1) for i, t in enumerate(traces))
     w = MatrixSubspace(big_n, module.generators)
     std = standard_algebra(p, q, w)
     gram_ok = std.gram_W == eta(r, s).scale(two_l)

@@ -40,6 +40,7 @@ from .exactlin import (
     kernel_basis,
     inverse,
     lin_comb,
+    lin_combs,
     rat,
     rational_roots,
     rref,
@@ -201,12 +202,8 @@ def bracket(a: NilpotentAlgebra2, x, y) -> tuple[Fraction, ...]:
 
 
 def j_map(ma: MetricAlgebra, z) -> RationalMatrix:
-    """The map J_z on V defined by <J_z v, w>_V = <z, [v,w]>_Z."""
-    zv = [rat(t) for t in z]
-    if len(zv) != ma.n:
-        raise DimensionMismatchError("center vector length != n")
-    w = ma.form_Z.matrix.apply(zv)
-    return -(ma.form_V.inverse_matrix() * lin_comb(w, ma.structure, ma.m))
+    """The map J_z on V defined by <J_z v, w>_V = <z, [v,w]>_Z, linear in z."""
+    return lin_comb(z, _j_basis(ma), ma.m)
 
 
 def algebra_from_J(j_list, form_V: SignatureForm, form_Z: SignatureForm) -> MetricAlgebra:
@@ -233,27 +230,19 @@ def algebra_from_J(j_list, form_V: SignatureForm, form_Z: SignatureForm) -> Metr
     algebra = NilpotentAlgebra2.tagged(
         m=m,
         n=n,
-        structure=tuple(lin_comb(gz_inv.row(k), rhs, m) for k in range(n)),
+        structure=tuple(lin_combs(gz_inv, rhs, m)),
         form_V=form_V,
         form_Z=form_Z,
     )
     return MetricAlgebra(algebra)
 
 
-def _derived(a: NilpotentAlgebra2):
-    """(basis, pairs i < j, echelon form) of the derived ideal: the columns of
-    the n x len(pairs) matrix are the center coordinates of the [v_i, v_j];
-    its pivot columns are the basis, and its reduced echelon rows hold every
-    column's coordinates over that basis."""
-    pairs = [(i, j) for i in range(a.m) for j in range(i + 1, a.m)]
-    brackets = RationalMatrix([[c.entry(i, j) for i, j in pairs] for c in a.structure])
-    red, pivots = rref(brackets)
-    return [tuple(c.entry(*pairs[p]) for c in a.structure) for p in pivots], pairs, red
-
-
 def derived_ideal(a: NilpotentAlgebra2) -> list[tuple[Fraction, ...]]:
-    """Basis of span{[v_i, v_j]} in center coordinates."""
-    return _derived(a)[0]
+    """Basis of span{[v_i, v_j]} in center coordinates: the pivot columns of
+    the n x len(pairs) matrix of the brackets' center coordinates."""
+    pairs = [(i, j) for i in range(a.m) for j in range(i + 1, a.m)]
+    _, pivots = rref(RationalMatrix([[c.entry(i, j) for i, j in pairs] for c in a.structure]))
+    return [tuple(c.entry(*pairs[p]) for c in a.structure) for p in pivots]
 
 
 def abelian_factor(ma: MetricAlgebra) -> tuple[NilpotentAlgebra2, int]:
@@ -263,26 +252,23 @@ def abelian_factor(ma: MetricAlgebra) -> tuple[NilpotentAlgebra2, int]:
     and the abelian factor dimension d = dim ker(J) = n - dim[g, g].
     """
     a = ma.algebra
-    derived, pairs, red = _derived(a)
-    d = len(derived)
-    a_dim = a.n - d
-    gram = RationalMatrix([[ma.form_Z.pair(u, v) for v in derived] for u in derived])
-    restricted = SignatureForm(gram)
-    if d and not restricted.is_nondegenerate():
+    b = RationalMatrix(derived_ideal(a))  # its rows are the basis u_k
+    d = b.rows
+    g_b = b * ma.form_Z.matrix if d else b  # B G_Z; a matrix with no rows is 0 x 0
+    restricted = SignatureForm(g_b * b.transpose())
+    if not restricted.is_nondegenerate():
         raise DegenerateRestrictionError("form_Z degenerates on the derived ideal")
-    new_structure = [[[ZERO] * a.m for _ in range(a.m)] for _ in range(d)]
-    for col, (i, j) in enumerate(pairs):
-        for k in range(d):
-            new_structure[k][i][j] = red.entry(k, col)
-            new_structure[k][j][i] = -red.entry(k, col)
+    # every bracket lies in span(u_k), where (B G_Z B^T)^{-1} B G_Z reads its
+    # coordinates, so C*^k = sum_l ((B G_Z B^T)^{-1} B G_Z)_kl C^l
+    coords = restricted.inverse_matrix() * g_b
     g_star = replace(
         a,
         n=d,
-        structure=tuple(RationalMatrix(c) for c in new_structure),
+        structure=tuple(lin_combs(coords, a.structure, a.m)),
         form_Z=restricted,
         tag="adapted" if d else "raw",
     )
-    return g_star, a_dim
+    return g_star, a.n - d
 
 
 def h_type_laws(js, g_v: RationalMatrix, g_z: RationalMatrix) -> dict:
@@ -322,9 +308,10 @@ def h_type_laws(js, g_v: RationalMatrix, g_z: RationalMatrix) -> dict:
 
 
 def _j_basis(ma: MetricAlgebra) -> list[RationalMatrix]:
-    """J_{z_1}, ..., J_{z_n} on the center basis vectors z_k."""
-    basis_z = RationalMatrix.identity(ma.n)
-    return [j_map(ma, basis_z.row(k)) for k in range(ma.n)]
+    """J_{z_1}, ..., J_{z_n} on the center basis vectors z_k: J_{z_k} =
+    -G_V^{-1} sum_l (G_Z)_lk C^l, and G_Z is symmetric."""
+    g_v_inv = ma.form_V.inverse_matrix()
+    return [-(g_v_inv * c) for c in lin_combs(ma.form_Z.matrix, ma.structure, ma.m)]
 
 
 def is_pseudo_H_type(ma: MetricAlgebra) -> dict:

@@ -29,8 +29,6 @@ from .errors import (
     SingularAError,
 )
 from .exactlin import (
-    ONE,
-    ZERO,
     MatrixSubspace,
     RationalMatrix,
     SignatureForm,
@@ -40,9 +38,9 @@ from .exactlin import (
     independent_subset,
     kernel_basis,
     lin_comb,
+    lin_combs,
     nu,
     rank,
-    rat,
     signature,
     trace_gram,
     trace_pairing,
@@ -59,15 +57,15 @@ def so_basis(p: int, q: int, normalized: bool = True) -> MatrixSubspace:
     """Basis phi_ij = -1/2 (E_ij - E_ji) eta_{p,q}, pairs (i, j) with i < j
     in lexicographic order.  ``normalized=False`` drops the 1/2 factor."""
     m = p + q
-    half = Fraction(1, 2) if normalized else ONE
+    half = Fraction(1, 2) if normalized else 1
     basis = []
     for i in range(m):
         for j in range(i + 1, m):
-            rows = [[ZERO] * m for _ in range(m)]
-            # -c (E_ij - E_ji) eta: column scaling by eta diagonal
-            rows[i][j] = -half * nu(p, q, j + 1)
-            rows[j][i] = half * nu(p, q, i + 1)
-            basis.append(RationalMatrix(rows))
+            rows = [[0] * m for _ in range(m)]
+            # -(E_ij - E_ji) eta in integers, column j scaled by the eta diagonal
+            rows[i][j] = -nu(p, q, j + 1)
+            rows[j][i] = nu(p, q, i + 1)
+            basis.append(RationalMatrix(rows).scale(half))
     return MatrixSubspace(m, basis)
 
 
@@ -161,14 +159,13 @@ def reduction_isomorphism(
     if a.tag != "adapted":
         raise NotAdaptedError("reduction requires an adapted algebra")
     target = standard_algebra(p, q, eta_twist(structure_space(a), p, q, "left"))
-    g_inv = target.algebra.form_Z.inverse_matrix()
+    neg_g_inv = -target.algebra.form_Z.inverse_matrix()
     # z_k -> -rho_k = -sum_l (G^{-1})_{lk} D^l: T = diag(I_m, -G^{-1})
-    t = block_diag(RationalMatrix.identity(a.m), -g_inv)
+    t = block_diag(RationalMatrix.identity(a.m), neg_g_inv)
     # certify on all basis pairs: the k-th coordinate of T([v_i, v_j]) is
     # -sum_l (G^{-1})_{kl} C^l_ij (both sides antisymmetric)
-    for k in range(a.n):
-        if -lin_comb(g_inv.row(k), a.structure, a.m) != target.algebra.structure[k]:
-            raise HomomorphismError("reduction certificate failed; convention bug")
+    if tuple(lin_combs(neg_g_inv, a.structure, a.m)) != target.algebra.structure:
+        raise HomomorphismError("reduction certificate failed; convention bug")
     return t, target
 
 
@@ -263,9 +260,8 @@ def apply_free_automorphism(
             rhs = free_bracket(p, q, (a.column(i), None), (a.column(j), None))
             if lhs != rhs:
                 raise HomomorphismError("free automorphism certificate failed")
-    xv = [rat(t) for t in x[0]]
-    new_v = a.apply(xv)
-    new_z = lin_comb(xv, s_hom, m)
+    new_v = a.apply(x[0])
+    new_z = lin_comb(x[0], s_hom, m)
     if x[1] is not None:
         new_z = a * x[1] * a_eta + new_z
     return new_v, new_z
@@ -288,7 +284,7 @@ def quotient_by_center_subspace(
     m = f.p + f.q
     if k.dim:
         pairing = -trace_pairing(k.basis, w.basis)
-        comp = [w.element(v) for v in kernel_basis(pairing)]
+        comp = lin_combs(RationalMatrix(kernel_basis(pairing)), w.basis, m)
     else:
         comp = list(w.basis)
     # K (+) complement, whose coordinates express the brackets below
@@ -299,16 +295,13 @@ def quotient_by_center_subspace(
         k_comp = independent_subset(m, list(k.basis) + list(w.basis))
         comp = list(k_comp.basis[k.dim:])
     nq = len(comp)
-    new_structure = [[[ZERO] * m for _ in range(m)] for _ in range(nq)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            coords = k_comp.coords(w.element([c.entry(i, j) for c in f.algebra.structure]))
-            if coords is None:
-                raise HomomorphismError("bracket lies outside K (+) complement")
-            for t in range(nq):
-                x = coords[k.dim + t]
-                new_structure[t][i][j] = x
-                new_structure[t][j][i] = -x
+    # [e_i, e_j] = sum_l C^l_ij w_l, so the t-th complement coordinate of the
+    # bracket is sum_l x_lt C^l_ij, x_lt that coordinate of w_l
+    rels = [k_comp.relation(b) for b in w.basis]
+    if None in rels:
+        raise HomomorphismError("W lies outside K (+) complement")
+    comp_rels = [({i - k.dim: x for i, x in num.items() if i >= k.dim}, den) for num, den in rels]
+    change = RationalMatrix.from_relations(comp_rels, nq).transpose()
     gram = -trace_pairing(comp, comp)
     form_z = None
     if nq:
@@ -318,7 +311,7 @@ def quotient_by_center_subspace(
     algebra = NilpotentAlgebra2.tagged(
         m=m,
         n=nq,
-        structure=tuple(RationalMatrix(c) for c in new_structure),
+        structure=tuple(lin_combs(change, f.algebra.structure, m)),
         form_V=SignatureForm.standard(f.p, f.q),
         form_Z=form_z,
     )

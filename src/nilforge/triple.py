@@ -21,15 +21,15 @@ from functools import lru_cache
 from .clifford import CliffordModule
 from .errors import HomomorphismError, NotClosedError, SignatureError
 from .exactlin import (
-    ZERO,
     MatrixSubspace,
     RationalMatrix,
+    _closure,
+    _vec_stack,
     commutator,
     eta,
     independent_subset,
-    invariant_closure,
     kernel_basis,
-    lin_comb,
+    lin_combs,
     rank,
     signature,
     trace_gram,
@@ -58,19 +58,22 @@ def _pair_brackets(w: MatrixSubspace) -> dict[tuple[int, int], RationalMatrix]:
     }
 
 
-def _center(w: MatrixSubspace, pairs) -> MatrixSubspace:
-    """Kernel of x -> ([x, w_b])_b, read from the table's coordinates over
-    its span t, with [w_b, w_a] = -[w_a, w_b] and [w_a, w_a] = 0."""
-    t = independent_subset(w.ambient_dim, pairs.values())
-    coords = {}
-    for (a, b), c in pairs.items():
-        coords[a, b] = t.coords(c)
-        coords[b, a] = tuple(-x for x in coords[a, b])
-    zero = (ZERO,) * t.dim
-    cols = [[x for b in range(w.dim) for x in coords.get((a, b), zero)] for a in range(w.dim)]
-    # the leading zero row keeps the width dim W when t = 0
-    stacked = RationalMatrix([(ZERO,) * w.dim, *zip(*cols)])
-    return MatrixSubspace(w.ambient_dim, [w.element(v) for v in kernel_basis(stacked)])
+def _pair_table(w: MatrixSubspace) -> tuple[MatrixSubspace, dict]:
+    """L = W + [W, W], opened by W's basis, and each [w_a, w_b], a < b, over L's basis."""
+    pairs = _pair_brackets(w)
+    l = independent_subset(w.ambient_dim, w.basis + tuple(pairs.values()))
+    return l, {ab: l.relation(c) for ab, c in pairs.items()}
+
+
+def _center(w: MatrixSubspace, l: MatrixSubspace, rels) -> MatrixSubspace:
+    """Kernel of x -> sum_a x_a vec(B_a), where row b of B_a is the table's
+    relation of [w_a, w_b] = -[w_b, w_a] over L's basis ([w_a, w_a] = 0)."""
+    rows = [[({}, 1)] * w.dim for _ in range(w.dim)]  # rows[a][b] = [w_a, w_b]
+    for (a, b), (num, den) in rels.items():
+        rows[a][b], rows[b][a] = (num, den), ({k: -x for k, x in num.items()}, den)
+    blocks = [RationalMatrix.from_relations(r, l.dim) for r in rows]
+    kernel = RationalMatrix(kernel_basis(_vec_stack(blocks).transpose()))
+    return MatrixSubspace(w.ambient_dim, lin_combs(kernel, w.basis, w.ambient_dim))
 
 
 def is_lie_triple(w: MatrixSubspace) -> bool:
@@ -80,7 +83,7 @@ def is_lie_triple(w: MatrixSubspace) -> bool:
 
 def triple_center(w: MatrixSubspace) -> MatrixSubspace:
     """{a in W : [a, b] = 0 for all b in W}, computed as a kernel."""
-    return _center(w, _pair_brackets(w))
+    return _center(w, *_pair_table(w))
 
 
 def generated_algebra(w: MatrixSubspace) -> TripleSystemReport:
@@ -91,17 +94,16 @@ def generated_algebra(w: MatrixSubspace) -> TripleSystemReport:
 def _generated(w: MatrixSubspace) -> tuple[TripleSystemReport, list[RationalMatrix]]:
     """generated_algebra's report and L's ad matrices (none when W is not a
     triple system)."""
-    pairs = _pair_brackets(w)
-    center_dim = _center(w, pairs).dim
+    l, rels = _pair_table(w)
+    center_dim = _center(w, l, rels).dim
     not_triple = TripleSystemReport(False, center_dim, L_basis=w, L_dim=w.dim), []
-    l = independent_subset(w.ambient_dim, w.basis + tuple(pairs.values()))
     try:
         ads = _ad_matrices(l)
     except NotClosedError:  # a triple system's L = W + [W, W] is closed
         return not_triple
     # in L-coordinates W's basis opens L's basis, and t is spanned by the table
-    p = [tuple(int(i == a) for i in range(l.dim)) for a in range(w.dim)]
-    t = [l.coords(c) for c in pairs.values()]
+    p = RationalMatrix.from_relations([({a: 1}, 1) for a in range(w.dim)], l.dim)
+    t = RationalMatrix.from_relations(list(rels.values()), l.dim)
     # W is a triple system exactly when [t, p] lies in p; the Cartan pair
     # adds [t, t] in t and [p, p] in t
     if not _brackets_inside(ads, t, p, p):
@@ -114,12 +116,10 @@ def _generated(w: MatrixSubspace) -> tuple[TripleSystemReport, list[RationalMatr
 
 
 def _brackets_inside(ads, xs, ys, target) -> bool:
-    """[x, y] = ad_x y lies in span(target) for all x in xs and y in ys, all
-    in L-coordinates: the brackets leave target's rank unchanged."""
-    yt = RationalMatrix(ys).transpose()
-    images = [(lin_comb(x, ads, len(ads)) * yt).transpose() for x in xs]
-    t = RationalMatrix(target)
-    return rank(t, *images) == rank(t)
+    """[x, y] = ad_x y lies in the span of target's rows for all rows x of xs and
+    y of ys, all in L-coordinates: the brackets leave target's rank unchanged."""
+    images = [ys * ad.transpose() for ad in lin_combs(xs, ads, len(ads))]  # rows ad_x y
+    return rank(target, *images) == rank(target)
 
 
 def _ad_matrices(l: MatrixSubspace) -> list[RationalMatrix]:
@@ -205,22 +205,26 @@ def _ideal_split(
     """h_pm and its brackets against J_2 and J_3, certified in L-coordinates,
     where J_1, J_2, J_3 open L's basis: [h, l_b] = ad_h e_b."""
     j1, j2, j3 = module.generators
-    parts = []
-    for lam in (1, -1):
-        h = l.coords(j1 + (j2 * j3).scale(lam))
-        if h is None:
-            raise HomomorphismError("h_pm lies outside L")
-        ad_h = lin_comb(h, ads, l.dim)
-        parts.append([h, ad_h.column(1), ad_h.column(2)])
-    h_plus, h_minus = parts
-    if l.dim != 6 or rank(RationalMatrix(h_plus + h_minus)) != 6:
+    rels = [l.relation(j1 + (j2 * j3).scale(lam)) for lam in (1, -1)]
+    if None in rels:
+        raise HomomorphismError("h_pm lies outside L")
+    # each part's rows: h, then columns 1 and 2 of ad_h, which sel picks from ad_h^T
+    first = RationalMatrix([[1], [0], [0]])
+    sel = RationalMatrix.from_relations([({}, 1), ({1: 1}, 1), ({2: 1}, 1)], l.dim)
+    ad_hs = lin_combs(RationalMatrix.from_relations(rels, l.dim), ads, l.dim)
+    parts = [
+        first * RationalMatrix.from_relations([rel], l.dim) + sel * ad_h.transpose()
+        for rel, ad_h in zip(rels, ad_hs)
+    ]
+    if l.dim != 6 or rank(*parts) != 6:
         raise HomomorphismError("h_+ and h_- do not make a basis of L")
-    if not _brackets_inside(ads, h_plus, h_minus, []):
+    h_plus, h_minus = parts
+    if not _brackets_inside(ads, h_plus, h_minus, RationalMatrix.zeros(0, 0)):
         raise HomomorphismError("h_+ and h_- do not commute")
-    units = [tuple(int(i == b) for i in range(6)) for b in range(6)]
-    if not all(_brackets_inside(ads, units, part, part) for part in parts):
+    if not all(_brackets_inside(ads, RationalMatrix.identity(6), part, part) for part in parts):
         raise HomomorphismError("split summand is not an ideal of L")
-    return tuple(MatrixSubspace(l.ambient_dim, [l.element(c) for c in part]) for part in parts)
+    dim = l.ambient_dim
+    return tuple(MatrixSubspace(dim, lin_combs(part, l.basis, dim)) for part in parts)
 
 
 def decomposition_checks(w: MatrixSubspace) -> dict:
@@ -231,8 +235,8 @@ def decomposition_checks(w: MatrixSubspace) -> dict:
     if not report.is_triple:
         return {"is_triple": False}
     n = report.L_dim
-    # Z(L) is the common kernel of the ad_x; [L, L] is spanned by their columns
-    z_l = kernel_basis(RationalMatrix([ad.row(i) for ad in ads for i in range(n)]))
+    # Z(L) is {v : ad_v = sum_x v_x ad_x = 0}; [L, L] is spanned by the ad columns
+    z_l = kernel_basis(_vec_stack(ads).transpose())
     ll = [ad.transpose() for ad in ads]  # their rows are the ad columns
     derived = rank(*ll)
     span_dim = rank(RationalMatrix(z_l), *ll)
@@ -278,11 +282,11 @@ def theta_closure(d1: MatrixSubspace, d2: MatrixSubspace, p: int, q: int) -> dic
 def generated_ideal(l: MatrixSubspace, x: RationalMatrix) -> MatrixSubspace:
     """Smallest ad-invariant subspace of L containing x, grown in
     L-coordinates: [l_b, s] has coordinates ad_b s."""
-    coords = l.coords(x)
-    if coords is None:
+    rel = l.relation(x)
+    if rel is None:
         raise NotClosedError("element is outside L")
-    closure = invariant_closure(_ad_matrices(l), coords)
-    return MatrixSubspace(l.ambient_dim, [l.element(c) for c in closure])
+    closure = _closure(_ad_matrices(l), RationalMatrix.from_relations([rel], l.dim).transpose())
+    return MatrixSubspace(l.ambient_dim, lin_combs(closure, l.basis, l.ambient_dim))
 
 
 def ideal_probe(l: MatrixSubspace, seed: int, trials: int = 8) -> dict | None:
@@ -300,7 +304,7 @@ def _probe(ads, seed: int, trials: int = 8) -> dict | None:
         coeffs = [rng.randint(-3, 3) for _ in range(dim)]
         if all(c == 0 for c in coeffs):
             coeffs[rng.randrange(dim)] = 1
-        ideal_dim = len(invariant_closure(ads, coeffs))
+        ideal_dim = _closure(ads, RationalMatrix([(c,) for c in coeffs])).rows
         if 0 < ideal_dim < dim:
             return {"trial": trial, "coefficients": coeffs, "ideal_dim": ideal_dim}
     return None

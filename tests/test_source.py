@@ -93,3 +93,22 @@ def test_one_pretty_printer():
         and any(k.arg in ("indent", None) for k in node.keywords)  # None: a **mapping
     ]
     assert found == []
+
+
+def test_rows_become_matrices_only_in_exactlin():
+    # exactlin.lin_combs turns coefficient rows into matrices in one product;
+    # a lin_comb or .element( call per row or per vector, in a for loop or a
+    # comprehension, is the per-row idiom it replaces
+    loops = (ast.For, ast.AsyncFor, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    found = sorted({
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        if path.name != "exactlin.py"
+        for loop in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(loop, loops)
+        for node in ast.walk(loop)
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) == "lin_comb"
+             or getattr(node.func, "attr", None) in ("lin_comb", "element"))
+    })
+    assert found == []
