@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import BadInputError, UnsupportedSignatureError
-from .exactlin import RationalMatrix, SignatureForm, lin_comb, nu
+from .exactlin import RationalMatrix, SignatureForm, _int_form, lin_comb, nu
 from .nilpotent import h_type_laws
 
 #: largest r+s accepted by build_module
@@ -71,11 +71,13 @@ class CliffordModule:
     construction_path: tuple[str, ...] = ()
 
     def to_json(self) -> dict:
+        n, d = _int_form(self.module_form.matrix)
         return {
             "r": self.signature.r,
             "s": self.signature.s,
             "N": self.module_dim,
-            "eta": [int(self.module_form.matrix.entry(i, i)) for i in range(self.module_dim)],
+            # each diagonal entry x / d as an int, rounded toward zero
+            "eta": [x // d if x >= 0 else -(-x // d) for x in n.diagonal().tolist()],
             "generators": [g.to_json() for g in self.generators],
         }
 

@@ -35,6 +35,7 @@ from .exactlin import (
     MatrixSubspace,
     RationalMatrix,
     SignatureForm,
+    _int_form,
     char_poly,
     independent_subset,
     kernel_basis,
@@ -218,13 +219,14 @@ def algebra_from_J(j_list, form_V: SignatureForm, form_Z: SignatureForm) -> Metr
         raise DimensionMismatchError("need one J per center basis vector")
     gv = form_V.matrix
     # J_l^T G_V = sum_k (G_Z)_{kl} C^k  =>  C^k = sum_l (G_Z^{-1})_{kl} J_l^T G_V;
-    # each J_l^T G_V is formed once and is also the skew test's left side
+    # G_V is symmetric, so J^T G_V = -G_V J = -(J^T G_V)^T says that J_l^T G_V
+    # is antisymmetric
     rhs = []
     for j in j_list:
         if j.rows != m or j.cols != m:
             raise DimensionMismatchError("J matrix size != m")
         rhs.append(j.transpose() * gv)
-        if rhs[-1] != -(gv * j):
+        if not rhs[-1].is_antisymmetric():
             raise NotSkewError("J_k is not skew-symmetric for form_V")
     gz_inv = form_Z.inverse_matrix()
     algebra = NilpotentAlgebra2.tagged(
@@ -286,23 +288,24 @@ def h_type_laws(js, g_v: RationalMatrix, g_z: RationalMatrix) -> dict:
     n = len(js)
     if g_z.rows != n or g_z.cols != n:
         raise DimensionMismatchError(f"{n} maps against a {g_z.rows}x{g_z.cols} G_Z")
-    ident = RationalMatrix.identity(g_v.rows)
+    # (G_Z)_kl = gz[k][l] / dz, so every right side is an integer multiple of
+    # I / dz or of G_V / dz
+    gz, dz = _int_form(g_z)
+    gz = gz.tolist()
+    unit = RationalMatrix.from_relations([({i: 1}, dz) for i in range(g_v.rows)], g_v.rows)
+    g_unit = g_v * unit
     jts = [j.transpose() for j in js]
     gjs = [g_v * j for j in js]
     pairs = [(k, l) for k in range(n) for l in range(k + 1, n)]
     return {
         "skew": all(jt * g_v == -gj for jt, gj in zip(jts, gjs)),
-        "square": all(j * j == ident.scale(-g_z.entry(k, k)) for k, j in enumerate(js)),
+        "square": all(j * j == unit.scale(-gz[k][k]) for k, j in enumerate(js)),
         "anticommutation": all(
-            js[k] * js[l] + js[l] * js[k] == ident.scale(-2 * g_z.entry(k, l))
-            for k, l in pairs
+            js[k] * js[l] + js[l] * js[k] == unit.scale(-2 * gz[k][l]) for k, l in pairs
         ),
-        "orthogonality": all(
-            jts[k] * gjs[k] == g_v.scale(g_z.entry(k, k)) for k in range(n)
-        )
+        "orthogonality": all(jts[k] * gjs[k] == g_unit.scale(gz[k][k]) for k in range(n))
         and all(
-            jts[k] * gjs[l] + jts[l] * gjs[k] == g_v.scale(2 * g_z.entry(k, l))
-            for k, l in pairs
+            jts[k] * gjs[l] + jts[l] * gjs[k] == g_unit.scale(2 * gz[k][l]) for k, l in pairs
         ),
     }
 

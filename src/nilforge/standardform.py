@@ -117,15 +117,18 @@ def eta_twist(c: MatrixSubspace, p: int, q: int, side: str = "right") -> MatrixS
 
 def find_realizations(a: NilpotentAlgebra2) -> list[dict]:
     """All (p, q) with p+q = m whose right-twisted structure space carries a
-    non-degenerate trace Gram; ascending p.  May be empty."""
+    non-degenerate trace Gram; ascending p.  May be empty.
+
+    The Gram -tr(C^k eta C^l eta) of the twisted basis C^k eta is read as
+    tr(C^k (C^l)^eta), as C^l is antisymmetric; the adapted check has made
+    the C^k a basis, and each C^k eta lies in so(p, q)."""
     if a.tag != "adapted":
         raise NotAdaptedError("find_realizations requires an adapted algebra")
-    c = structure_space(a)
     out = []
     for p in range(a.m + 1):
         q = a.m - p
-        d = eta_twist(c, p, q, "right")
-        sp, sq, nullity = signature(trace_gram(d))
+        twisted = [eta_conjugate(c, p, q) for c in a.structure]
+        sp, sq, nullity = signature(trace_pairing(a.structure, twisted))
         if nullity == 0:
             out.append({"p": p, "q": q, "signature": (sp, sq)})
     return out
