@@ -305,8 +305,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def out_flag(p):
-        p.add_argument("-o", "--output", default=None, help="also write the JSON report here")
+    def out_flag(p, text="also write the JSON report here"):
+        p.add_argument("-o", "--output", default=None, help=text)
 
     p = sub.add_parser("clifford", help="build and verify an integer Clifford module")
     p.add_argument("r", type=int)
@@ -317,7 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="build the pseudo H-type algebra n_{r,s}")
     p.add_argument("r", type=int)
     p.add_argument("s", type=int)
-    out_flag(p)
+    out_flag(p, "write the algebra JSON, the input of reduce FILE and lattice FILE, here")
     p.set_defaults(func=_cmd_build)
 
     p = sub.add_parser("reduce", help="realizations and certified standard reductions")

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import BadInputError, UnsupportedSignatureError
+from .errors import BadInputError, HomomorphismError, UnsupportedSignatureError
 from .exactlin import RationalMatrix, SignatureForm, _int_form, lin_comb, nu
 from .nilpotent import h_type_laws
 
@@ -200,9 +200,7 @@ def build_module(sig: CliffordSignature) -> CliffordModule:
     report = verify_module(module)
     if not report["passed"]:
         # the recursion is self-certifying; a failure here is a builder bug
-        raise UnsupportedSignatureError(
-            f"internal: constructed module for ({sig.r},{sig.s}) failed verification"
-        )
+        raise HomomorphismError(f"constructed module for ({sig.r},{sig.s}) failed verification")
     return module
 
 

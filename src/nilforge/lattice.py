@@ -21,14 +21,7 @@ from math import lcm
 
 from .clifford import CliffordModule, CliffordSignature, build_module
 from .errors import HomomorphismError
-from .exactlin import (
-    MatrixSubspace,
-    RationalMatrix,
-    SignatureForm,
-    _int_form,
-    eta,
-    trace_pairing,
-)
+from .exactlin import MatrixSubspace, RationalMatrix, SignatureForm, _int_form, eta
 from .nilpotent import MetricAlgebra, NilpotentAlgebra2, algebra_from_J
 from .standardform import standard_algebra
 
@@ -115,13 +108,12 @@ def pseudo_H_pipeline_report(r: int, s: int) -> dict:
     two_l = big_n
     p, q = module.module_form.p, module.module_form.q
     constants_unit = all(c.is_ternary() for c in n_alg.structure)
-    # -tr(J_i^2) = -tr(-nu_i I_N) = 2l * nu_i, read off the diagonal of the
-    # pairing rather than from the Gram that standard_algebra builds
-    pairing = trace_pairing(module.generators, module.generators)
-    traces = [-pairing.entry(i, i) for i in range(n)]
-    trace_identity = all(t == two_l * sig.nu(i + 1) for i, t in enumerate(traces))
     w = MatrixSubspace(big_n, module.generators)
     std = standard_algebra(p, q, w)
+    # -tr(J_i^2) = -tr(-nu_i I_N) = 2l * nu_i, read off the diagonal of the
+    # trace Gram that standard_algebra built on W = span{J_i}
+    traces = [std.gram_W.entry(i, i) for i in range(n)]
+    trace_identity = all(t == two_l * sig.nu(i + 1) for i, t in enumerate(traces))
     gram_ok = std.gram_W == eta(r, s).scale(two_l)
     # T fixes V and sends z_k -> w_k / (2l): structure must satisfy
     # C_std^k = C_n^k / (2l)

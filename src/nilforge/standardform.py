@@ -53,6 +53,15 @@ def in_so(m: RationalMatrix, p: int, q: int) -> bool:
     return m.is_square() and m.rows == p + q and eta_conjugate(m, p, q) == -m
 
 
+def _so_image(mats, p: int, q: int, what: str) -> MatrixSubspace:
+    """The span of the images ``mats``, certified to lie in so(p,q) on its
+    basis; ``what`` names the map in the HomomorphismError."""
+    out = MatrixSubspace(p + q, mats)
+    if not all(in_so(b, p, q) for b in out.basis):
+        raise HomomorphismError(f"{what} does not land in so({p},{q})")
+    return out
+
+
 def so_basis(p: int, q: int, normalized: bool = True) -> MatrixSubspace:
     """Basis phi_ij = -1/2 (E_ij - E_ji) eta_{p,q}, pairs (i, j) with i < j
     in lexicographic order.  ``normalized=False`` drops the 1/2 factor."""
@@ -105,14 +114,8 @@ def eta_twist(c: MatrixSubspace, p: int, q: int, side: str = "right") -> MatrixS
     if side not in ("right", "left"):
         raise PreconditionError(f"unknown twist side {side!r}")
     e = eta(p, q)
-    if side == "right":
-        basis = [b * e for b in c.basis]
-    else:
-        basis = [e * b for b in c.basis]
-    out = MatrixSubspace(c.ambient_dim, basis)
-    if not all(in_so(b, p, q) for b in out.basis):
-        raise HomomorphismError(f"eta twist does not land in so({p},{q})")
-    return out
+    basis = [b * e for b in c.basis] if side == "right" else [e * b for b in c.basis]
+    return _so_image(basis, p, q, "eta twist")
 
 
 def find_realizations(a: NilpotentAlgebra2) -> list[dict]:
@@ -218,10 +221,7 @@ def gl_action(a: RationalMatrix, s: MatrixSubspace, p: int, q: int) -> MatrixSub
     if rank(a) != m:
         raise SingularAError("A is not invertible")
     a_eta = eta_conjugate(a, p, q)
-    out = MatrixSubspace(m, [a * z * a_eta for z in s.basis])
-    if not all(in_so(b, p, q) for b in out.basis):
-        raise HomomorphismError(f"GL(m) action does not land in so({p},{q})")
-    return out
+    return _so_image([a * z * a_eta for z in s.basis], p, q, "GL(m) action")
 
 
 FreeElement = tuple[tuple, RationalMatrix]  # (V part, center part in so(p,q))
@@ -246,27 +246,28 @@ def apply_free_automorphism(
     """Apply phi(v + Z) = (A v) + (S_hom(v) + A Z A^eta) to an element of
     F_2(p,q); the map is certified as an automorphism on all basis pairs.
 
-    ``s_hom`` is the list of m matrices S_hom(e_i) in so(p,q).
+    ``s_hom`` is the list of m matrices S_hom(e_i) in so(p,q).  The
+    certificate compares two constructions of phi([e_i, e_j]): rho(A) of
+    phi_ij = [e_i, e_j] from ``so_basis``, and [A e_i, A e_j] from
+    ``free_bracket``, for all pairs i < j in ``so_basis`` order.
     """
     m = p + q
-    if rank(a) != m:
-        raise SingularAError("A is not invertible")
     s_hom = list(s_hom)
     if len(s_hom) != m:
         raise DimensionMismatchError("S_hom needs one image matrix per basis vector")
-    a_eta = eta_conjugate(a, p, q)
-    ident = RationalMatrix.identity(m)
-    # certification: phi([e_i, e_j]) = [phi(e_i), phi(e_j)] on all pairs
-    for i in range(m):
-        for j in range(i + 1, m):
-            lhs = a * free_bracket(p, q, (ident.row(i), None), (ident.row(j), None)) * a_eta
-            rhs = free_bracket(p, q, (a.column(i), None), (a.column(j), None))
-            if lhs != rhs:
-                raise HomomorphismError("free automorphism certificate failed")
+    # gl_action rejects a wrongly sized or singular A
+    images = gl_action(a, so_basis(p, q), p, q).basis
+    brackets = tuple(
+        free_bracket(p, q, (a.column(i), None), (a.column(j), None))
+        for i in range(m)
+        for j in range(i + 1, m)
+    )
+    if images != brackets:
+        raise HomomorphismError("free automorphism certificate failed")
     new_v = a.apply(x[0])
     new_z = lin_comb(x[0], s_hom, m)
     if x[1] is not None:
-        new_z = a * x[1] * a_eta + new_z
+        new_z = a * x[1] * eta_conjugate(a, p, q) + new_z
     return new_v, new_z
 
 
