@@ -99,6 +99,11 @@ def pseudo_H_pipeline_report(r: int, s: int) -> dict:
     trace identity -tr(J_{Z_i}^2) = 2l * nu_i and the Gram rescaling
     <J_Z, J_Z'> = 2l <Z, Z'>; certify that T = diag(I, I/(2l)) is a Lie
     algebra isomorphism n_{r,s} -> G by comparing structure tensors.
+
+    The trace identity is the diagonal of the Gram comparison, so it holds
+    whenever ``gram_ok`` does and cannot fail on its own; it stays in the
+    final check because ``trace_identity`` and ``traces`` are fields of the
+    printed report.
     """
     sig = CliffordSignature(r, s)
     module = build_module(sig)

@@ -246,15 +246,18 @@ def apply_free_automorphism(
     """Apply phi(v + Z) = (A v) + (S_hom(v) + A Z A^eta) to an element of
     F_2(p,q); the map is certified as an automorphism on all basis pairs.
 
-    ``s_hom`` is the list of m matrices S_hom(e_i) in so(p,q).  The
-    certificate compares two constructions of phi([e_i, e_j]): rho(A) of
-    phi_ij = [e_i, e_j] from ``so_basis``, and [A e_i, A e_j] from
-    ``free_bracket``, for all pairs i < j in ``so_basis`` order.
+    ``s_hom`` is the list of m matrices S_hom(e_i), each checked to lie in
+    so(p,q) (they may be dependent, even zero).  The certificate compares
+    two constructions of phi([e_i, e_j]): rho(A) of phi_ij = [e_i, e_j]
+    from ``so_basis``, and [A e_i, A e_j] from ``free_bracket``, for all
+    pairs i < j in ``so_basis`` order.
     """
     m = p + q
     s_hom = list(s_hom)
     if len(s_hom) != m:
         raise DimensionMismatchError("S_hom needs one image matrix per basis vector")
+    if not all(in_so(s, p, q) for s in s_hom):
+        raise HomomorphismError(f"S_hom does not land in so({p},{q})")
     # gl_action rejects a wrongly sized or singular A
     images = gl_action(a, so_basis(p, q), p, q).basis
     brackets = tuple(

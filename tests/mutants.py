@@ -1,9 +1,10 @@
 """Checked-in certificate mutants and a runner that tries each one.
 
-Each entry switches off one certificate of the package: the exact old text,
-which must occur once under src/nilforge, is replaced by the new text.  A
-mutant is killed when the test suite fails against it; a mutant that
-survives names a certificate that no test can fail.
+Each entry switches off one certificate of the package, or breaks one exact
+kernel that the certificates compute with: the exact old text, which must
+occur once under src/nilforge, is replaced by the new text.  A mutant is
+killed when the test suite fails against it; a mutant that survives names a
+check that no test can fail.
 
     python tests/mutants.py            # every mutant
     python tests/mutants.py 0 2        # the mutants with these indices
@@ -54,6 +55,30 @@ MUTANTS = [
         '    if not report["passed"]:\n',
         "    if False:\n",
         "build_module: a module that fails verify_module is returned",
+    ),
+    (
+        "standardform.py",
+        "    if not all(in_so(s, p, q) for s in s_hom):\n",
+        "    if False:\n",
+        "apply_free_automorphism: the images S_hom(e_i) are not checked to lie in so(p,q)",
+    ),
+    (
+        "standardform.py",
+        "    if tuple(lin_combs(neg_g_inv, a.structure, a.m)) != target.algebra.structure:\n",
+        "    if False:\n",
+        "reduction_isomorphism: T([v_i, v_j]) is not compared with the standard structure",
+    ),
+    (
+        "exactlin.py",
+        "        g = gcd(content, d)  # d for a zero row, whose D is then 1\n",
+        "        g = 1\n",
+        "lin_combs: int64 outputs are not brought to lowest terms",
+    ),
+    (
+        "exactlin.py",
+        "        ({l: d * x for l, x in comb.items()}, num[p])\n",
+        "        ({l: d * x for l, x in comb.items()}, 1)\n",
+        "inverse: the echelon combinations are not divided by their pivot entry",
     ),
 ]
 

@@ -98,6 +98,48 @@ def test_free_automorphism_rejects_a_singular_a():
         apply_free_automorphism(p, q, singular, s_hom, x)
 
 
+def test_free_automorphism_rejects_an_s_hom_outside_so():
+    p, q, _, _, x = _automorphism_args()
+    ident = RationalMatrix.identity(3)
+    with pytest.raises(HomomorphismError):
+        apply_free_automorphism(p, q, ident, [ident] * 3, x)
+
+
+def _perturb_standard_target(monkeypatch):
+    """standard_algebra whose C^1 has entry (0, 1) raised by 1 (and (1, 0)
+    lowered, so the target stays an adapted algebra)."""
+    real = standardform.standard_algebra
+
+    def perturbed(p, q, w):
+        std = real(p, q, w)
+        c = std.algebra.structure
+        bump = _unit(c[0].rows, 0, 1) - _unit(c[0].rows, 1, 0)
+        wrong = dataclasses.replace(std.algebra, structure=(c[0] + bump,) + c[1:])
+        return dataclasses.replace(std, algebra=wrong)
+
+    monkeypatch.setattr(standardform, "standard_algebra", perturbed)
+
+
+def test_reduction_rejects_a_perturbed_target(monkeypatch):
+    a = n20().algebra
+    for real in standardform.find_realizations(a):
+        standardform.reduction_isomorphism(a, real["p"], real["q"])
+    _perturb_standard_target(monkeypatch)
+    for real in standardform.find_realizations(a):
+        with pytest.raises(HomomorphismError):
+            standardform.reduction_isomorphism(a, real["p"], real["q"])
+
+
+def test_reduce_verb_reports_a_perturbed_target(monkeypatch, capsys, tmp_path):
+    path = tmp_path / "n20.json"
+    cli.save_algebra(n20().algebra, str(path))
+    assert cli.main(["reduce", str(path)]) == 0
+    capsys.readouterr()
+    _perturb_standard_target(monkeypatch)
+    assert cli.main(["reduce", str(path)]) != 0
+    assert json.loads(capsys.readouterr().out)["error"] == "ERR_HOMOMORPHISM"
+
+
 def test_pseudo_h_pipeline_rejects_a_perturbed_gram(monkeypatch, capsys):
     real = lattice.standard_algebra
 
