@@ -216,6 +216,8 @@ def _cmd_triple(args) -> int:
 
 
 def _cmd_lattice(args) -> int:
+    if args.pseudo_h is not None and args.input is not None:
+        raise BadInputError("lattice takes an input file or --pseudo-h R S, not both")
     if args.pseudo_h is not None:
         r, s = args.pseudo_h
         report = pseudo_H_pipeline_report(r, s)

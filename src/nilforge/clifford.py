@@ -88,7 +88,10 @@ class CliffordModule:
                 if type(obj[key]) is not int:
                     raise BadInputError(f"{key} must be an integer, not {obj[key]!r}")
             sig = CliffordSignature(obj["r"], obj["s"])
-            form = SignatureForm(RationalMatrix.diag(obj["eta"]))
+            eta = obj["eta"]
+            if type(eta) is not list or any(type(x) is not int or abs(x) != 1 for x in eta):
+                raise BadInputError(f"eta must be a list of the integers 1 and -1, not {eta!r}")
+            form = SignatureForm(RationalMatrix.diag(eta))
             gens = tuple(RationalMatrix.from_json(g) for g in obj["generators"])
         except (KeyError, TypeError) as exc:
             raise BadInputError(f"bad module object: {exc}") from exc

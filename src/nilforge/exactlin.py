@@ -6,7 +6,8 @@ least positive common denominator, so (shape, D, N) is canonical.  Sums,
 products, commutators, Kronecker products, basis permutations, comparisons
 and hashes are array operations on the N's, where a bound on each result
 only picks the dtype (each matrix computes its max |N| once); there is no
-floating point anywhere.  Entries enter as reduced (n, d) pairs, each
+floating point anywhere.  A computed matrix reaches lowest terms only in
+``RationalMatrix._of``.  Entries enter as reduced (n, d) pairs, each
 Fraction is built as Fraction(x, D) only for what a public function returns,
 and an entry's text is printed straight from (N, D), or, for a large int64 N
 whose values span fewer integers than it has entries, gathered in one step
@@ -202,12 +203,15 @@ class RationalMatrix:
         return m
 
     @classmethod
-    def _of(cls, n, d: int) -> "RationalMatrix":
+    def _of(cls, n, d: int, content: int | None = None) -> "RationalMatrix":
         """The matrix n / d for an integer array n (int64 below the bound, or
-        Python ints) and a positive int d, brought to lowest terms."""
+        Python ints) and a positive int d, brought to lowest terms: the one
+        place a computed matrix is reduced.  ``content``, the gcd of n's
+        entries (0 for a zero n), is taken when the caller already has it."""
         if d > 1:
-            content = int(np.gcd.reduce(n, axis=None))  # 0 for a zero matrix
-            g = gcd(content, d)
+            if content is None:
+                content = int(np.gcd.reduce(n, axis=None))
+            g = gcd(content, d)  # d for a zero n, whose D is then 1
             if g > 1:
                 n, d = (n // g if content else n), d // g
         bound = _bound(n) if n.dtype == object else None
@@ -1016,19 +1020,9 @@ def lin_combs(a: RationalMatrix, mats, dim: int) -> list[RationalMatrix]:
         return [RationalMatrix.zeros(dim, dim)] * a.rows
     stack = _vec_stack(mats)
     prod, d = _product_numerators(a, stack, False), a._d * stack._d
-    if prod.dtype == object:
-        return [RationalMatrix._of(n.reshape(dim, dim), d) for n in prod]
-    # int64 rows stay int64 in lowest terms, every row's content in one pass
-    # (no _of per output and no gcd over the whole product): three 6 x 6
-    # outputs in 32 against 43 us, or 36 against 61 us over D = 2
-    out = []
-    for n, content in zip(prod, np.gcd.reduce(prod, axis=1).tolist()):
-        g = gcd(content, d)  # d for a zero row, whose D is then 1
-        m = object.__new__(RationalMatrix)
-        # a zero row stays as it is: its g = d may not fit in int64
-        m._store((n // g if content and g > 1 else n).reshape(dim, dim), d // g, None)
-        out.append(m)
-    return out
+    # every output's content in one pass over the product's rows
+    contents = np.gcd.reduce(prod, axis=1).tolist()
+    return [RationalMatrix._of(n.reshape(dim, dim), d, c) for n, c in zip(prod, contents)]
 
 
 def lin_comb(coeffs, mats, dim: int) -> RationalMatrix:

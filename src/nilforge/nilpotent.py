@@ -209,7 +209,8 @@ def j_map(ma: MetricAlgebra, z) -> RationalMatrix:
 
 def algebra_from_J(j_list, form_V: SignatureForm, form_Z: SignatureForm) -> MetricAlgebra:
     """Build the metric algebra whose J-map sends the k-th center basis
-    vector to j_list[k]; inverse of ``j_map`` on basis vectors."""
+    vector to j_list[k]; inverse of ``j_map`` on basis vectors.  G_V, a
+    form, is symmetric, and each G_V J_k must be antisymmetric (J_k skew)."""
     if not form_V.is_nondegenerate() or not form_Z.is_nondegenerate():
         raise DegenerateFormError("both forms must be non-degenerate")
     j_list = tuple(j_list)
@@ -219,15 +220,16 @@ def algebra_from_J(j_list, form_V: SignatureForm, form_Z: SignatureForm) -> Metr
         raise DimensionMismatchError("need one J per center basis vector")
     gv = form_V.matrix
     # J_l^T G_V = sum_k (G_Z)_{kl} C^k  =>  C^k = sum_l (G_Z^{-1})_{kl} J_l^T G_V;
-    # G_V is symmetric, so J^T G_V = -G_V J = -(J^T G_V)^T says that J_l^T G_V
-    # is antisymmetric
+    # G_V is symmetric, so J^T G_V = (G_V J)^T: the skew law J^T G_V = -G_V J
+    # says that G_V J is antisymmetric, and -G_V J is then J^T G_V
     rhs = []
     for j in j_list:
         if j.rows != m or j.cols != m:
             raise DimensionMismatchError("J matrix size != m")
-        rhs.append(j.transpose() * gv)
-        if not rhs[-1].is_antisymmetric():
+        gj = gv * j
+        if not gj.is_antisymmetric():
             raise NotSkewError("J_k is not skew-symmetric for form_V")
+        rhs.append(-gj)
     gz_inv = form_Z.inverse_matrix()
     algebra = NilpotentAlgebra2.tagged(
         m=m,
@@ -276,9 +278,9 @@ def abelian_factor(ma: MetricAlgebra) -> tuple[NilpotentAlgebra2, int]:
 def h_type_laws(js, g_v: RationalMatrix, g_z: RationalMatrix) -> dict:
     """The pseudo H-type laws of maps J_1..J_n on (V, G_V) over (Z, G_Z),
     polarized on basis pairs; for G_Z = eta_{r,s} they are the laws of an
-    admissible Clifford module.
+    admissible Clifford module.  G_V is a form, so symmetric.
 
-    - skew: J_k^T G_V = -G_V J_k,
+    - skew: J_k^T G_V = -G_V J_k, that is G_V J_k = -(G_V J_k)^T,
     - square: J_k^2 = -(G_Z)_kk I,
     - anticommutation: J_k J_l + J_l J_k = -2 (G_Z)_kl I for k < l,
     - orthogonality: J_k^T G_V J_l + J_l^T G_V J_k = 2 (G_Z)_kl G_V for
@@ -298,7 +300,7 @@ def h_type_laws(js, g_v: RationalMatrix, g_z: RationalMatrix) -> dict:
     gjs = [g_v * j for j in js]
     pairs = [(k, l) for k in range(n) for l in range(k + 1, n)]
     return {
-        "skew": all(jt * g_v == -gj for jt, gj in zip(jts, gjs)),
+        "skew": all(gj.is_antisymmetric() for gj in gjs),
         "square": all(j * j == unit.scale(-gz[k][k]) for k, j in enumerate(js)),
         "anticommutation": all(
             js[k] * js[l] + js[l] * js[k] == unit.scale(-2 * gz[k][l]) for k, l in pairs

@@ -71,10 +71,10 @@ def so_basis(p: int, q: int, normalized: bool = True) -> MatrixSubspace:
     for i in range(m):
         for j in range(i + 1, m):
             rows = [[0] * m for _ in range(m)]
-            # -(E_ij - E_ji) eta in integers, column j scaled by the eta diagonal
-            rows[i][j] = -nu(p, q, j + 1)
-            rows[j][i] = nu(p, q, i + 1)
-            basis.append(RationalMatrix(rows).scale(half))
+            # -1/2 (E_ij - E_ji) eta, column j scaled by the eta diagonal
+            rows[i][j] = -nu(p, q, j + 1) * half
+            rows[j][i] = nu(p, q, i + 1) * half
+            basis.append(RationalMatrix(rows))
     return MatrixSubspace(m, basis)
 
 
@@ -247,10 +247,11 @@ def apply_free_automorphism(
     F_2(p,q); the map is certified as an automorphism on all basis pairs.
 
     ``s_hom`` is the list of m matrices S_hom(e_i), each checked to lie in
-    so(p,q) (they may be dependent, even zero).  The certificate compares
-    two constructions of phi([e_i, e_j]): rho(A) of phi_ij = [e_i, e_j]
-    from ``so_basis``, and [A e_i, A e_j] from ``free_bracket``, for all
-    pairs i < j in ``so_basis`` order.
+    so(p,q) (they may be dependent, even zero), as is the center part of x
+    when given.  The certificate compares two constructions of
+    phi([e_i, e_j]): rho(A) of phi_ij = [e_i, e_j] from ``so_basis``, and
+    [A e_i, A e_j] from ``free_bracket``, for all pairs i < j in
+    ``so_basis`` order.
     """
     m = p + q
     s_hom = list(s_hom)
@@ -258,6 +259,8 @@ def apply_free_automorphism(
         raise DimensionMismatchError("S_hom needs one image matrix per basis vector")
     if not all(in_so(s, p, q) for s in s_hom):
         raise HomomorphismError(f"S_hom does not land in so({p},{q})")
+    if x[1] is not None and not in_so(x[1], p, q):
+        raise HomomorphismError(f"the center part of x is not in so({p},{q})")
     # gl_action rejects a wrongly sized or singular A
     images = gl_action(a, so_basis(p, q), p, q).basis
     brackets = tuple(

@@ -70,15 +70,45 @@ MUTANTS = [
     ),
     (
         "exactlin.py",
-        "        g = gcd(content, d)  # d for a zero row, whose D is then 1\n",
-        "        g = 1\n",
-        "lin_combs: int64 outputs are not brought to lowest terms",
+        "            g = gcd(content, d)  # d for a zero n, whose D is then 1\n",
+        "            g = 1\n",
+        "_of: computed matrices, lin_combs' outputs among them, are not brought to lowest terms",
     ),
     (
         "exactlin.py",
         "        ({l: d * x for l, x in comb.items()}, num[p])\n",
         "        ({l: d * x for l, x in comb.items()}, 1)\n",
         "inverse: the echelon combinations are not divided by their pivot entry",
+    ),
+    (
+        "standardform.py",
+        "    if x[1] is not None and not in_so(x[1], p, q):\n",
+        "    if False:\n",
+        "apply_free_automorphism: the center part of x is not checked to lie in so(p,q)",
+    ),
+    (
+        "exactlin.py",
+        "    contents = np.gcd.reduce(prod, axis=1).tolist()\n",
+        "    contents = [1] * len(prod)\n",
+        "lin_combs: _of is handed content 1 for every row, so no output is reduced",
+    ),
+    (
+        "exactlin.py",
+        "    prod, d = _product_numerators(a, stack, False), a._d * stack._d\n",
+        "    prod, d = _product_numerators(a.transpose(), stack, False), a._d * stack._d\n",
+        "lin_combs: the coefficient matrix is read transposed",
+    ),
+    (
+        "clifford.py",
+        '        "two_of_three": [skew, orth, square].count(True) != 2,\n',
+        '        "two_of_three": True,\n',
+        "verify_module: the two-of-three spot check always passes",
+    ),
+    (
+        "clifford.py",
+        '        "integer_entries": all(g.is_ternary() for g in module.generators),\n',
+        '        "integer_entries": True,\n',
+        "verify_module: generator entries are not checked to be -1, 0 or 1",
     ),
 ]
 
