@@ -32,7 +32,8 @@ rank read the span of the rows of N, kernel_basis and solve the coordinates
 of its columns, inverse the combinations of the echelon rows of N's rows
 (each num[p] e_p = sum_l comb[l] N_l once every column is a pivot, so no
 vector is reduced after the span is built), ``invariant_closure`` the span
-that a list of matrices generates from one vector, and ``MatrixSubspace``
+that a list of matrices generates from one vector (``closure_is_full`` proves
+it full mod a prime, by one batched Krylov rank test), and ``MatrixSubspace``
 keeps the span of its basis; ``signature`` clears the rows of N by the same
 step.
 
@@ -893,6 +894,39 @@ def _closure(maps, u: RationalMatrix) -> RationalMatrix:
     return _vec_stack(kept)
 
 
+# the Krylov prime P and dim cap: cap products below P**2 sum to less than 2**63
+_KRYLOV_PRIME, _KRYLOV_DIM_CAP = 67_108_859, 2047
+
+
+def closure_is_full(maps, us: RationalMatrix) -> list[bool]:
+    """For each column u of us, True when a rank test mod P (at dims up to
+    the cap) proves ``_closure(maps, u)`` the whole space; False proves
+    nothing.  The numerators N_a = D_a A_a keep u's closure, and so does
+    Y = Z_1 + Z_2 Z_3 for fixed integer sums Z_i of them (an ad_x alone has a
+    kernel of dim rank L or more: no full Krylov space once rank L > 1).  So
+    each Y^j N_u, j < dim, is an integer vector of the closure, reduced mod P
+    here, and a nonzero determinant of them mod P is a nonzero integer one."""
+    dim, p = us.rows, _KRYLOV_PRIME
+    if not us.cols or dim > _KRYLOV_DIM_CAP:
+        return [False] * us.cols
+    ns = np.array([m._n % p for m in maps], dtype=np.int64).reshape(len(maps), dim * dim)
+    mix = np.arange(3 * len(maps), dtype=np.int64).reshape(3, -1) ** 2 % 11 + 1
+    z1, z2, z3 = (mix @ ns % p).reshape(3, dim, dim)
+    y = (z1 + z2 @ z3) % p
+    v, krylov = (us._n % p).astype(np.int64), np.empty((us.cols, dim, dim), dtype=np.int64)
+    for j in range(dim):
+        krylov[:, j], v = v.T, y @ v % p
+    full, trials = np.ones(us.cols, dtype=bool), np.arange(us.cols)
+    for c in range(dim):  # fraction-free: row <- pivot * row - row[c] * pivot row
+        piv = (krylov[:, c:, c] != 0).argmax(axis=1) + c
+        row = krylov[trials, piv]
+        full &= row[:, c] != 0
+        krylov[trials, piv] = krylov[trials, c]
+        rest = krylov[:, c + 1 :, c:]
+        rest[...] = (row[:, c, None, None] * rest - rest[:, :, :1] * row[:, None, c:]) % p
+    return full.tolist()
+
+
 def invariant_closure(maps, v) -> list[tuple[Fraction, ...]]:
     """Basis of the smallest subspace containing the coordinate vector v that
     each matrix in maps sends into itself: v, then each A u (u kept, breadth
@@ -1020,6 +1054,8 @@ def lin_combs(a: RationalMatrix, mats, dim: int) -> list[RationalMatrix]:
         return [RationalMatrix.zeros(dim, dim)] * a.rows
     stack = _vec_stack(mats)
     prod, d = _product_numerators(a, stack, False), a._d * stack._d
+    if d == 1:  # _of reads no content at D = 1
+        return [RationalMatrix._of(n.reshape(dim, dim), 1) for n in prod]
     # every output's content in one pass over the product's rows
     contents = np.gcd.reduce(prod, axis=1).tolist()
     return [RationalMatrix._of(n.reshape(dim, dim), d, c) for n, c in zip(prod, contents)]

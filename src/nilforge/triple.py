@@ -4,12 +4,12 @@ A subspace W of matrices is a Lie triple system when [W, [W, W]] lies back
 in W; it generates L = W + [W, W] with the Cartan pair (p, t) = (W, [W, W]).
 Every certificate reads one of two tables, each computed once: W's pair
 brackets [w_a, w_b], a < b (the centre of W, t and L's basis), and L's
-structure constants as ad matrices in L's own coordinates (the triple test,
-the Killing form, the Cartan inclusions as exact rank tests, the centre of
-L and [L, L], generated ideals and the seeded probe for proper ideals, and
-the two-ideal split of the Clifford signatures (3,0) and (1,2)).  W is a
-triple system exactly when L is closed under the bracket and [t, p] lies in
-p, so the triple test is one of the Cartan inclusions.
+structure constants as ad matrices in L's own coordinates (the triple test
+as an exact rank test, the Killing form, the centre of L and [L, L],
+generated ideals, the seeded probe for proper ideals, certified mod p where
+it can be, and the two-ideal split of the Clifford signatures (3,0) and
+(1,2)).  W is a triple system exactly when L is closed under the bracket and
+[t, p] lies in p, and the other Cartan inclusions follow from that one.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .exactlin import (
     RationalMatrix,
     _closure,
     _vec_stack,
+    closure_is_full,
     commutator,
     eta,
     independent_subset,
@@ -93,7 +94,9 @@ def generated_algebra(w: MatrixSubspace) -> TripleSystemReport:
 
 def _generated(w: MatrixSubspace) -> tuple[TripleSystemReport, list[RationalMatrix]]:
     """generated_algebra's report and L's ad matrices (none when W is not a
-    triple system)."""
+    triple system).  The triple test certifies the Cartan pair: t is spanned
+    by [p, p], and once [t, p] lies in p, Jacobi puts [[a,b],[c,d]] =
+    [[[a,b],c],d] + [c,[[a,b],d]] in [p, p], so [t, t] lies in t."""
     l, rels = _pair_table(w)
     center_dim = _center(w, l, rels).dim
     not_triple = TripleSystemReport(False, center_dim, L_basis=w, L_dim=w.dim), []
@@ -104,14 +107,12 @@ def _generated(w: MatrixSubspace) -> tuple[TripleSystemReport, list[RationalMatr
     # in L-coordinates W's basis opens L's basis, and t is spanned by the table
     p = RationalMatrix.from_relations([({a: 1}, 1) for a in range(w.dim)], l.dim)
     t = RationalMatrix.from_relations(list(rels.values()), l.dim)
-    # W is a triple system exactly when [t, p] lies in p; the Cartan pair
-    # adds [t, t] in t and [p, p] in t
+    # W is a triple system exactly when [t, p] lies in p
     if not _brackets_inside(ads, t, p, p):
         return not_triple
-    cartan = _brackets_inside(ads, t, t, t) and _brackets_inside(ads, p, p, t)
     killing = trace_pairing(ads, ads)
     return TripleSystemReport(
-        True, center_dim, l, l.dim, killing, signature(killing), cartan_certified=cartan
+        True, center_dim, l, l.dim, killing, signature(killing), cartan_certified=True
     ), ads
 
 
@@ -297,14 +298,16 @@ def ideal_probe(l: MatrixSubspace, seed: int, trials: int = 8) -> dict | None:
 
 
 def _probe(ads, seed: int, trials: int = 8) -> dict | None:
-    """ideal_probe on L's ad matrices."""
-    dim = len(ads)
-    rng = random.Random(seed)
-    for trial in range(trials):
-        coeffs = [rng.randint(-3, 3) for _ in range(dim)]
-        if all(c == 0 for c in coeffs):
-            coeffs[rng.randrange(dim)] = 1
-        ideal_dim = _closure(ads, RationalMatrix([(c,) for c in coeffs])).rows
+    """ideal_probe on L's ad matrices: every trial is drawn first, and the exact
+    closure runs, in trial order, only where ``closure_is_full`` leaves it open."""
+    dim, rng, draws = len(ads), random.Random(seed), []
+    for _ in range(trials):
+        draws.append([rng.randint(-3, 3) for _ in range(dim)])
+        if not any(draws[-1]):
+            draws[-1][rng.randrange(dim)] = 1
+    full = closure_is_full(ads, RationalMatrix(draws).transpose())
+    for trial, x in enumerate(draws):
+        ideal_dim = dim if full[trial] else _closure(ads, RationalMatrix([x]).transpose()).rows
         if 0 < ideal_dim < dim:
-            return {"trial": trial, "coefficients": coeffs, "ideal_dim": ideal_dim}
+            return {"trial": trial, "coefficients": x, "ideal_dim": ideal_dim}
     return None

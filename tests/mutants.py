@@ -110,6 +110,24 @@ MUTANTS = [
         '        "integer_entries": True,\n',
         "verify_module: generator entries are not checked to be -1, 0 or 1",
     ),
+    (
+        "exactlin.py",
+        "    return full.tolist()\n",
+        "    return [True] * us.cols\n",
+        "closure_is_full: every start vector's closure is certified full",
+    ),
+    (
+        "exactlin.py",
+        "    y = (z1 + z2 @ z3) % p\n",
+        "    y = z1 % p\n",
+        "closure_is_full: Y loses its product term, and an ad matrix has no full Krylov space",
+    ),
+    (
+        "standardform.py",
+        '    if None in rels:\n        raise HomomorphismError("W lies outside K (+) complement")\n',
+        '    if False:\n        raise HomomorphismError("W lies outside K (+) complement")\n',
+        "quotient_by_center_subspace: W is not checked to lie in K (+) complement",
+    ),
 ]
 
 
