@@ -1054,8 +1054,6 @@ def lin_combs(a: RationalMatrix, mats, dim: int) -> list[RationalMatrix]:
         return [RationalMatrix.zeros(dim, dim)] * a.rows
     stack = _vec_stack(mats)
     prod, d = _product_numerators(a, stack, False), a._d * stack._d
-    if d == 1:  # _of reads no content at D = 1
-        return [RationalMatrix._of(n.reshape(dim, dim), 1) for n in prod]
     # every output's content in one pass over the product's rows
     contents = np.gcd.reduce(prod, axis=1).tolist()
     return [RationalMatrix._of(n.reshape(dim, dim), d, c) for n, c in zip(prod, contents)]

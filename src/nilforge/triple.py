@@ -15,7 +15,7 @@ it can be, and the two-ideal split of the Clifford signatures (3,0) and
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 from .clifford import CliffordModule
@@ -46,8 +46,11 @@ class TripleSystemReport:
     L_dim: int
     killing: RationalMatrix | None = None
     killing_signature: tuple[int, int, int] | None = None
-    cartan_certified: bool = False
+    cartan_certified: bool = field(init=False)  # the triple verdict, see _generated
     special_split: tuple[MatrixSubspace, MatrixSubspace] | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "cartan_certified", self.is_triple)
 
 
 def _pair_brackets(w: MatrixSubspace) -> dict[tuple[int, int], RationalMatrix]:
@@ -111,9 +114,7 @@ def _generated(w: MatrixSubspace) -> tuple[TripleSystemReport, list[RationalMatr
     if not _brackets_inside(ads, t, p, p):
         return not_triple
     killing = trace_pairing(ads, ads)
-    return TripleSystemReport(
-        True, center_dim, l, l.dim, killing, signature(killing), cartan_certified=True
-    ), ads
+    return TripleSystemReport(True, center_dim, l, l.dim, killing, signature(killing)), ads
 
 
 def _brackets_inside(ads, xs, ys, target) -> bool:
