@@ -85,13 +85,17 @@ def _write_json(x, nl: str, out: list[str]) -> None:
     elif isinstance(x, (list, tuple)) and x:
         # strings are one join, non-empty lists of strings (matrix rows) one each:
         # a 5x5 matrix object takes 12 us, against 15 us with a call per row, on
-        # a 2-CPU x86-64 VM
+        # a 2-CPU x86-64 VM.  When quoting all the rows' text at once adds just
+        # two quotes, no entry needs an escape: the quotes go into the joins (the
+        # seed-7 `modules` reports: 15 against 21 ms, `to_json` included)
         try:
             if isinstance(x[0], (list, tuple)) and all(
                 isinstance(r, (list, tuple)) and r for r in x
             ):
-                row = "," + inner + "  "
-                items = ["[" + row[1:] + row.join(map(_quote, r)) + inner + "]" for r in x]
+                text = "".join(map("".join, x))
+                q = '"' if len(_quote(text)) == len(text) + 2 else ""
+                row, head = q + "," + inner + "  " + q, "[" + inner + "  " + q
+                items = [head + row.join(r if q else map(_quote, r)) + q + inner + "]" for r in x]
             else:
                 items = map(_quote, x)
             out.append("[" + inner + ("," + inner).join(items) + nl + "]")

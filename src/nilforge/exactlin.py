@@ -49,6 +49,7 @@ The module provides:
 - ``lin_combs`` / ``lin_comb``: linear combinations of matrices, one coefficient each,
 - ``trace_pairing`` / ``trace_gram``: all traces tr(X_a Y_b), and the Gram
   matrix of the trace form <X, Y> = -tr(XY),
+- ``polarized_match``: X_k Y_l + X_l Y_k == c_kl T for every pair at once,
 - canonical string/JSON serialization with bit-exact round-trip.
 """
 
@@ -1094,3 +1095,46 @@ def trace_pairing(xs, ys) -> RationalMatrix:
 def trace_gram(s: MatrixSubspace) -> RationalMatrix:
     """Gram matrix of the trace form <X, Y> = -tr(XY) on the basis of s."""
     return -trace_pairing(s.basis, s.basis)
+
+
+def polarized_match(xs, ys, t: RationalMatrix, coeffs, den: int) -> list[list[bool]]:
+    """[[X_k Y_l + X_l Y_k == (coeffs[k][l] / den) T]] for square X_k, Y_l, T of
+    one size, int coefficients and den > 0, both sides as integer arrays over
+    lcm(D_X D_Y, den D_T), D_X and D_Y the lcms of the X's and Y's denominators.
+
+    When every X_k, Y_l and T is monomial (``_monomial``), no product is
+    formed.  Row i of X_k Y_l is one nonzero, x_ki y_lj at column cy_lj for
+    j = cx_ki, and row i of c T is c t_i at column ct_i.  So row i of the sum
+    equals row i of c T exactly when both products hit the same column, the
+    values add to c t_i, and that column is ct_i; when c = 0 the row must be
+    zero: the same column, and values that cancel.  Otherwise all the X_k Y_l
+    are one batched matmul of the stacked numerators, on Python ints when
+    the bound reaches 2**62."""
+    xs, ys, n, dim = list(xs), list(ys), len(coeffs), t.rows
+    if not len(xs) == len(ys) == n or any(m.rows != dim or m.cols != dim for m in (*xs, *ys, t)):
+        raise DimensionMismatchError(f"{len(xs)} X and {len(ys)} Y of another shape than T")
+    if not n:
+        return []
+    mats, dy = (*xs, *ys, t), lcm(*(m._d for m in ys))
+    big = lcm(lcm(*(m._d for m in xs)) * dy, den * t._d)
+    scales = [big // (dy * m._d) for m in xs] + [dy // m._d for m in ys] + [big // (den * t._d)]
+    bounds = [s * max(_nmax(m), 1) for m, s in zip(mats, scales)]
+    monos = [_monomial(m) for m in mats]
+    index = all(p is not None for p in monos)
+    bc = max(1, *(abs(x) for r in coeffs for x in r))
+    bound = max(2 * max(bounds[:n]) * max(bounds[n:-1]) * (1 if index else dim), bc * bounds[-1])
+    dtype = object if bound >= _INT64_BOUND else np.int64
+    c = np.array(coeffs, dtype=dtype).reshape(n, n)
+    if index:
+        cols = np.array([p[0] for p in monos])
+        vals = np.array([p[1].astype(dtype) * s for p, s in zip(monos, scales)])
+        (cx, cy, ct), (vx, vy, vt) = ((a[:n], a[n:-1], a[-1]) for a in (cols, vals))
+        col = cy[:, cx].swapaxes(0, 1)  # col[k, l, i]: the column of row i of X_k Y_l
+        val = vx[:, None] * vy[:, cx].swapaxes(0, 1)
+        same = col == col.swapaxes(0, 1)
+        sums = val + val.swapaxes(0, 1) == c[:, :, None] * vt
+        return (same & sums & ((col == ct) | (c == 0)[:, :, None])).all(axis=2).tolist()
+    stack = np.array([m._n.astype(dtype) * s for m, s in zip(mats, scales)])
+    prods = np.matmul(stack[:n, None], stack[None, n:-1])
+    sums = prods + prods.swapaxes(0, 1) == c[:, :, None, None] * stack[-1]
+    return sums.all(axis=(2, 3)).tolist()

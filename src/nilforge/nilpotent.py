@@ -42,6 +42,7 @@ from .exactlin import (
     inverse,
     lin_comb,
     lin_combs,
+    polarized_match,
     rat,
     rational_roots,
     rref,
@@ -290,25 +291,19 @@ def h_type_laws(js, g_v: RationalMatrix, g_z: RationalMatrix) -> dict:
     n = len(js)
     if g_z.rows != n or g_z.cols != n:
         raise DimensionMismatchError(f"{n} maps against a {g_z.rows}x{g_z.cols} G_Z")
-    # (G_Z)_kl = gz[k][l] / dz, so every right side is an integer multiple of
-    # I / dz or of G_V / dz
+    # (G_Z)_kl = gz[k][l] / dz; square and anticommutation are the diagonal
+    # and k < l of one polarized_match, orthogonality is k <= l of another
     gz, dz = _int_form(g_z)
     gz = gz.tolist()
-    unit = RationalMatrix.from_relations([({i: 1}, dz) for i in range(g_v.rows)], g_v.rows)
-    g_unit = g_v * unit
-    jts = [j.transpose() for j in js]
-    gjs = [g_v * j for j in js]
-    pairs = [(k, l) for k in range(n) for l in range(k + 1, n)]
+    gjs, jts = [g_v * j for j in js], [j.transpose() for j in js]
+    unit, twice = RationalMatrix.identity(g_v.rows), [[2 * x for x in r] for r in gz]
+    law = polarized_match(js, js, unit, [[-x for x in r] for r in twice], dz)
+    orth = polarized_match(jts, gjs, g_v, twice, dz)
     return {
         "skew": all(gj.is_antisymmetric() for gj in gjs),
-        "square": all(j * j == unit.scale(-gz[k][k]) for k, j in enumerate(js)),
-        "anticommutation": all(
-            js[k] * js[l] + js[l] * js[k] == unit.scale(-2 * gz[k][l]) for k, l in pairs
-        ),
-        "orthogonality": all(jts[k] * gjs[k] == g_unit.scale(gz[k][k]) for k in range(n))
-        and all(
-            jts[k] * gjs[l] + jts[l] * gjs[k] == g_unit.scale(2 * gz[k][l]) for k, l in pairs
-        ),
+        "square": all(law[k][k] for k in range(n)),
+        "anticommutation": all(law[k][l] for k in range(n) for l in range(k + 1, n)),
+        "orthogonality": all(orth[k][l] for k in range(n) for l in range(k, n)),
     }
 
 

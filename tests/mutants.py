@@ -128,6 +128,39 @@ MUTANTS = [
         '    if False:\n        raise HomomorphismError("W lies outside K (+) complement")\n',
         "quotient_by_center_subspace: W is not checked to lie in K (+) complement",
     ),
+    (
+        "exactlin.py",
+        "        return (same & sums & ((col == ct) | (c == 0)[:, :, None])).all(axis=2).tolist()\n",
+        "        return (sums & ((col == ct) | (c == 0)[:, :, None])).all(axis=2).tolist()\n",
+        "polarized_match: two products in different columns of a row count as one entry",
+    ),
+    (
+        "exactlin.py",
+        "        return (same & sums & ((col == ct) | (c == 0)[:, :, None])).all(axis=2).tolist()\n",
+        "        return (same & sums).all(axis=2).tolist()\n",
+        "polarized_match: the sum's column is not compared with T's",
+    ),
+    (
+        "exactlin.py",
+        "    g = gcd(n, d)\n    return n // g, d // g\n",
+        "    g = gcd(n, d)\n    return n, d\n",
+        "_rat_pair: a literal such as 2/4 enters unreduced, so N / D is not in lowest terms",
+    ),
+    (
+        "exactlin.py",
+        "        if d > 1:\n            if content is None:\n"
+        "                content = int(np.gcd.reduce(n, axis=None))\n"
+        "            g = gcd(content, d)  # d for a zero n, whose D is then 1\n"
+        "            if g > 1:\n                n, d = (n // g if content else n), d // g\n"
+        "        bound = _bound(n) if n.dtype == object else None\n",
+        "        bound = _bound(n) if n.dtype == object else None\n"
+        "        if d > 1:\n            if content is None:\n"
+        "                content = int(np.gcd.reduce(n, axis=None))\n"
+        "            g = gcd(content, d)  # d for a zero n, whose D is then 1\n"
+        "            if g > 1:\n                n, d = (n // g if content else n), d // g\n",
+        "_of: the bound is taken before the content is divided out, so a result that fits"
+        " int64 stays Python ints",
+    ),
 ]
 
 
