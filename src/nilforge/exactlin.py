@@ -19,8 +19,10 @@ nonzero in every row and every column, as a signed permutation is); a
 product with a monomial operand is then a gather of the other operand's
 rows or columns, scaled, instead of a dense integer matrix product.  With
 the entries vec(M_l) of matrices stacked as rows, the linear combinations
-sum_l A_kl M_l for all rows k of A are one product (``lin_combs``), and so
-are all traces tr(X_a Y_b) = vec(X_a) . vec(Y_b^T) (``trace_pairing``).
+sum_l A_kl M_l for all rows k of A are one product (``lin_combs``, and
+``skew_combs`` for M_l = -G J_l, made by one product of G with the J_l side
+by side), and so are all traces tr(X_a Y_b) = vec(X_a) . vec(Y_b^T)
+(``trace_pairing``) and the trace Grams of every eta twist (``eta_pairings``).
 
 One fraction-free step, ``_cancel``, clears a pivot column from a row of
 Python ints by gcd steps, and every elimination is made of it.
@@ -46,9 +48,9 @@ The module provides:
 - ``SignatureForm``: a symmetric matrix together with its inertia,
 - ``MatrixSubspace``: a subspace of m x m matrices given by an independent
   basis, with exact membership and coordinate computations,
-- ``lin_combs`` / ``lin_comb``: linear combinations of matrices, one coefficient each,
-- ``trace_pairing`` / ``trace_gram``: all traces tr(X_a Y_b), and the Gram
-  matrix of the trace form <X, Y> = -tr(XY),
+- ``lin_combs`` / ``lin_comb`` / ``skew_combs``: linear combinations of matrices,
+- ``trace_pairing`` / ``trace_gram`` / ``eta_pairings``: all traces tr(X_a Y_b),
+  the Gram matrix of the trace form <X, Y> = -tr(XY), and its eta twists,
 - ``polarized_match``: X_k Y_l + X_l Y_k == c_kl T for every pair at once,
 - canonical string/JSON serialization with bit-exact round-trip.
 """
@@ -117,10 +119,11 @@ def rat_to_str(x: Fraction) -> str:
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
+@lru_cache(maxsize=4096)
 def _rat_pair(s: str) -> tuple[int, int]:
     """Parse ASCII "[+-]digits" or "[+-]digits/digits" with a nonzero
     denominator to a reduced (n, d); any other text (spaces, "_", other
-    digits) is rejected."""
+    digits) is rejected.  Memoized: a rejected literal raises on every call."""
     m = _RATIONAL.fullmatch(s)
     try:
         n, d = int(m[1]), int(m[2] or 1)
@@ -198,10 +201,17 @@ class RationalMatrix:
         self.rows, self.cols = n.shape
         self._n, self._d, self._max, self._hash, self._mono = n, d, bound, None, None
 
-    def _like(self, n) -> "RationalMatrix":
-        """n / D for n holding the entries of N, moved or negated."""
-        m = object.__new__(RationalMatrix)
-        m._store(n, self._d, self._max)
+    @classmethod
+    def _raw(cls, n, d: int, bound=None) -> "RationalMatrix":
+        """n / d as it is, for an integer array n already over its D."""
+        m = object.__new__(cls)
+        m._store(n, d, bound)
+        return m
+
+    def _like(self, n, mono=None) -> "RationalMatrix":
+        """n / D for n holding the entries of N, moved or negated (form ``mono``)."""
+        m = RationalMatrix._raw(n, self._d, self._max)
+        m._mono = mono
         return m
 
     @classmethod
@@ -219,9 +229,7 @@ class RationalMatrix:
         bound = _bound(n) if n.dtype == object else None
         if bound is not None and bound < _INT64_BOUND:
             n = n.astype(np.int64)  # the canonical dtype
-        m = object.__new__(cls)
-        m._store(n, d, bound)
-        return m
+        return cls._raw(n, d, bound)
 
     # -- constructors
 
@@ -242,11 +250,13 @@ class RationalMatrix:
     @classmethod
     def from_relations(cls, rels, cols: int) -> "RationalMatrix":
         """The matrix with row i num / den for rels[i] = (num, den): an int dict
-        {column: value} over a positive int, as eliminations answer."""
+        {column: value} over a positive int, as eliminations answer (N int64 below 2**62)."""
         d = lcm(*(e for _, e in rels))
-        n = np.zeros((len(rels), cols), dtype=object)
-        for i, (num, e) in enumerate(rels):
-            n[i, list(num)] = [x * (d // e) for x in num.values()]
+        vals = [x * (d // e) for num, e in rels for x in num.values()]
+        bound = max(map(abs, vals), default=0)
+        n = np.zeros((len(rels), cols), dtype=object if bound >= _INT64_BOUND else np.int64)
+        nums = [num for num, _ in rels]
+        n[[i for i, num in enumerate(nums) for _ in num], [j for num in nums for j in num]] = vals
         return cls._of(n, d)
 
     def kron(self, other: "RationalMatrix") -> "RationalMatrix":
@@ -307,7 +317,7 @@ class RationalMatrix:
         return _combine([((1, 1), self), ((-1, 1), other)], (self.rows, self.cols))
 
     def __neg__(self) -> "RationalMatrix":
-        return self._like(-self._n)
+        return self._like(-self._n, self._mono and (self._mono[0], -self._mono[1]))
 
     def scale(self, c) -> "RationalMatrix":
         return _combine([(_pair(c), self)], (self.rows, self.cols))
@@ -328,7 +338,11 @@ class RationalMatrix:
         return tuple(_int_product(self, column, False).entries())
 
     def transpose(self) -> "RationalMatrix":
-        return self._like(self._n.T)
+        mono = self._mono  # row j of M^T holds vals[i] at column i, cols[i] = j
+        if mono:
+            inv = np.argsort(mono[0])
+            mono = inv, mono[1][inv]
+        return self._like(self._n.T, mono)
 
     def trace(self) -> Fraction:
         if not self.is_square():
@@ -536,6 +550,25 @@ def eta_conjugate(a: RationalMatrix, p: int, q: int) -> RationalMatrix:
     if a.rows != a.cols or a.rows != p + q:
         raise DimensionMismatchError(f"A^eta of a {a.rows}x{a.cols} matrix for p+q = {p + q}")
     return a._like(a._n.T * signs)
+
+
+def eta_sides(mats, p: int, q: int, left: bool) -> list[RationalMatrix]:
+    """eta M (``left``) or M eta for each square M of size p + q: the sign
+    flips nu_i of N's rows or columns, so D and the bound do not change."""
+    signs = np.diag(eta(p, q)._n)
+    return [m._like(signs[:, None] * m._n if left else m._n * signs) for m in mats]
+
+
+def eta_pairings(mats, ps) -> list[RationalMatrix]:
+    """For each p in ps, the matrix [tr(M_k (M_l)^eta)] of one or more m x m
+    matrices M_k, with A^eta = eta A^T eta for eta = eta(p, m - p).  The trace
+    is sum_ij nu_i nu_j (M_k)_ij (M_l)_ij, so all of them are one product of
+    the stacked vec(M_k), times each sign row vec(nu nu^T), with the stack."""
+    ps, m = list(ps), mats[0].rows
+    stack = _vec_stack(mats)
+    n = stack._n.astype(object) if _nmax(stack) ** 2 * m * m >= _INT64_BOUND else stack._n
+    signs = np.array([_eta_signs(p, m - p) for p in ps]).reshape(len(ps), 1, m * m)
+    return [RationalMatrix._of(g, stack._d**2) for g in n * signs @ n.T]
 
 
 # ---------------------------------------------------------------------------
@@ -1036,10 +1069,8 @@ def _vec_stack(mats) -> RationalMatrix:
     # 6 x 6 matrices in 14 (one D) or 19 us (D in 1, 2, 3) against 25 us with
     # an astype, a x1 and a ravel per term before np.stack
     d, ns = _over_lcd([((1, 1), m) for m in mats], max)
-    stack = object.__new__(RationalMatrix)
     n = np.array(ns).reshape(len(ns), mats[0].rows * mats[0].cols)
-    stack._store(n, d, max(d // m._d * _nmax(m) for m in mats))
-    return stack
+    return RationalMatrix._raw(n, d, max(d // m._d * _nmax(m) for m in mats))
 
 
 def lin_combs(a: RationalMatrix, mats, dim: int) -> list[RationalMatrix]:
@@ -1053,7 +1084,28 @@ def lin_combs(a: RationalMatrix, mats, dim: int) -> list[RationalMatrix]:
         raise DimensionMismatchError(f"{a.cols} coefficients for {len(mats)} matrices")
     if not (a.rows and mats and dim):
         return [RationalMatrix.zeros(dim, dim)] * a.rows
-    stack = _vec_stack(mats)
+    return _stack_combs(a, _vec_stack(mats), dim)
+
+
+def skew_combs(a: RationalMatrix, g: RationalMatrix, js, dim: int) -> list[RationalMatrix] | None:
+    """The dim x dim matrices sum_l A_kl (-G J_l), one for each row k of A, for
+    dim x dim G and J_l; None when some G J_l is not antisymmetric.  All G J_l
+    are one product of G with the J_l side by side (a gather when G is
+    monomial), read as a stack for the skew test and the product with A."""
+    js = list(js)
+    if not (a.rows and js and dim):
+        return [RationalMatrix.zeros(dim, dim)] * a.rows
+    d, ns = _over_lcd([((1, 1), j) for j in js], max)
+    side = RationalMatrix._raw(np.concatenate(ns, axis=1), d)
+    gj = _product_numerators(g, side, False).reshape(dim, len(js), dim).swapaxes(0, 1)
+    if not (gj == -gj.swapaxes(1, 2)).all():
+        return None
+    return _stack_combs(a, RationalMatrix._raw(-gj.reshape(len(js), dim * dim), g._d * d), dim)
+
+
+def _stack_combs(a: RationalMatrix, stack: RationalMatrix, dim: int) -> list[RationalMatrix]:
+    """The dim x dim matrices whose entries are row k of A times the stacked
+    vec(M_l), one for each row k, in lowest terms."""
     prod, d = _product_numerators(a, stack, False), a._d * stack._d
     # every output's content in one pass over the product's rows
     contents = np.gcd.reduce(prod, axis=1).tolist()
@@ -1078,7 +1130,8 @@ def trace_pairing(xs, ys) -> RationalMatrix:
 
     tr(XY) = sum_ij X_ij Y_ji, so this is one product of the stacked
     row-major vec(X_a) with the stacked vec(Y_b^T) as columns."""
-    xs, ys = list(xs), list(ys)
+    same, xs = ys is xs, list(xs)
+    ys = xs if same else list(ys)
     if not (xs and ys):
         return RationalMatrix.zeros(len(xs), len(ys))
     r, c = xs[0].rows, xs[0].cols
@@ -1088,8 +1141,12 @@ def trace_pairing(xs, ys) -> RationalMatrix:
         raise DimensionMismatchError("trace pairing needs r x c against c x r matrices")
     if not c:
         return RationalMatrix.zeros(len(xs), len(ys))
-    # row (i, j) of the right factor holds (Y_b^T)_ij = (Y_b)_ji for every b
-    return _matmul(_vec_stack(xs), _vec_stack([y.transpose() for y in ys]).transpose())
+    sx = _vec_stack(xs)
+    sy = sx if same else _vec_stack(ys)  # each side stacked once
+    # row (i, j) of the right factor holds (Y_b)_ji for every b: Y_b's rows,
+    # read off the stack by a reshape
+    right = sy._n.reshape(len(ys), c, r).transpose(2, 1, 0).reshape(r * c, len(ys))
+    return _matmul(sx, sy._like(right))
 
 
 def trace_gram(s: MatrixSubspace) -> RationalMatrix:

@@ -46,6 +46,7 @@ from .exactlin import (
     rat,
     rational_roots,
     rref,
+    skew_combs,
 )
 
 
@@ -214,28 +215,21 @@ def algebra_from_J(j_list, form_V: SignatureForm, form_Z: SignatureForm) -> Metr
     form, is symmetric, and each G_V J_k must be antisymmetric (J_k skew)."""
     if not form_V.is_nondegenerate() or not form_Z.is_nondegenerate():
         raise DegenerateFormError("both forms must be non-degenerate")
-    j_list = tuple(j_list)
-    m = form_V.dim
-    n = form_Z.dim
+    j_list, m, n = tuple(j_list), form_V.dim, form_Z.dim
     if len(j_list) != n:
         raise DimensionMismatchError("need one J per center basis vector")
-    gv = form_V.matrix
+    if any(j.rows != m or j.cols != m for j in j_list):
+        raise DimensionMismatchError("J matrix size != m")
     # J_l^T G_V = sum_k (G_Z)_{kl} C^k  =>  C^k = sum_l (G_Z^{-1})_{kl} J_l^T G_V;
     # G_V is symmetric, so J^T G_V = (G_V J)^T: the skew law J^T G_V = -G_V J
     # says that G_V J is antisymmetric, and -G_V J is then J^T G_V
-    rhs = []
-    for j in j_list:
-        if j.rows != m or j.cols != m:
-            raise DimensionMismatchError("J matrix size != m")
-        gj = gv * j
-        if not gj.is_antisymmetric():
-            raise NotSkewError("J_k is not skew-symmetric for form_V")
-        rhs.append(-gj)
-    gz_inv = form_Z.inverse_matrix()
+    structure = skew_combs(form_Z.inverse_matrix(), form_V.matrix, j_list, m)
+    if structure is None:
+        raise NotSkewError("J_k is not skew-symmetric for form_V")
     algebra = NilpotentAlgebra2.tagged(
         m=m,
         n=n,
-        structure=tuple(lin_combs(gz_inv, rhs, m)),
+        structure=tuple(structure),
         form_V=form_V,
         form_Z=form_Z,
     )

@@ -35,6 +35,8 @@ from .exactlin import (
     block_diag,
     eta,
     eta_conjugate,
+    eta_pairings,
+    eta_sides,
     independent_subset,
     kernel_basis,
     lin_comb,
@@ -113,9 +115,7 @@ def eta_twist(c: MatrixSubspace, p: int, q: int, side: str = "right") -> MatrixS
         raise DimError(f"p+q = {p + q} != ambient {c.ambient_dim}")
     if side not in ("right", "left"):
         raise PreconditionError(f"unknown twist side {side!r}")
-    e = eta(p, q)
-    basis = [b * e for b in c.basis] if side == "right" else [e * b for b in c.basis]
-    return _so_image(basis, p, q, "eta twist")
+    return _so_image(eta_sides(c.basis, p, q, side == "left"), p, q, "eta twist")
 
 
 def find_realizations(a: NilpotentAlgebra2) -> list[dict]:
@@ -123,17 +123,16 @@ def find_realizations(a: NilpotentAlgebra2) -> list[dict]:
     non-degenerate trace Gram; ascending p.  May be empty.
 
     The Gram -tr(C^k eta C^l eta) of the twisted basis C^k eta is read as
-    tr(C^k (C^l)^eta), as C^l is antisymmetric; the adapted check has made
-    the C^k a basis, and each C^k eta lies in so(p, q)."""
+    tr(C^k (C^l)^eta), as C^l is antisymmetric, for every p at once; the
+    adapted check has made the C^k a basis, and each C^k eta lies in so(p, q)."""
     if a.tag != "adapted":
         raise NotAdaptedError("find_realizations requires an adapted algebra")
     out = []
-    for p in range(a.m + 1):
-        q = a.m - p
-        twisted = [eta_conjugate(c, p, q) for c in a.structure]
-        sp, sq, nullity = signature(trace_pairing(a.structure, twisted))
+    grams = eta_pairings(a.structure, range(a.m + 1))
+    for p, gram in enumerate(grams):
+        sp, sq, nullity = signature(gram)
         if nullity == 0:
-            out.append({"p": p, "q": q, "signature": (sp, sq)})
+            out.append({"p": p, "q": a.m - p, "signature": (sp, sq)})
     return out
 
 

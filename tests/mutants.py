@@ -161,6 +161,25 @@ MUTANTS = [
         "_of: the bound is taken before the content is divided out, so a result that fits"
         " int64 stays Python ints",
     ),
+    (
+        "exactlin.py",
+        "    if not (gj == -gj.swapaxes(1, 2)).all():\n        return None\n",
+        "    if False:\n        return None\n",
+        "skew_combs: the stacked skew test always passes, so algebra_from_J takes a J that is"
+        " not skew",
+    ),
+    (
+        "standardform.py",
+        "    grams = eta_pairings(a.structure, range(a.m + 1))\n",
+        "    grams = eta_pairings(a.structure, [(p + 1) % (a.m + 1) for p in range(a.m + 1)])\n",
+        "find_realizations: the Gram of p is built from the sign rows of p + 1",
+    ),
+    (
+        "exactlin.py",
+        "        n = np.zeros((len(rels), cols), dtype=object if bound >= _INT64_BOUND else np.int64)\n",
+        "        n = np.zeros((len(rels), cols), dtype=np.int64)\n",
+        "from_relations: int64 rows even past 2**62, where N must hold Python ints",
+    ),
 ]
 
 
