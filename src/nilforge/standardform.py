@@ -33,6 +33,7 @@ from .exactlin import (
     RationalMatrix,
     SignatureForm,
     block_diag,
+    diagonal_entries,
     eta,
     eta_conjugate,
     eta_pairings,
@@ -42,6 +43,7 @@ from .exactlin import (
     lin_comb,
     lin_combs,
     nu,
+    phi_matrices,
     rank,
     signature,
     trace_gram,
@@ -66,18 +68,9 @@ def _so_image(mats, p: int, q: int, what: str) -> MatrixSubspace:
 
 def so_basis(p: int, q: int, normalized: bool = True) -> MatrixSubspace:
     """Basis phi_ij = -1/2 (E_ij - E_ji) eta_{p,q}, pairs (i, j) with i < j
-    in lexicographic order.  ``normalized=False`` drops the 1/2 factor."""
-    m = p + q
-    half = Fraction(1, 2) if normalized else 1
-    basis = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            rows = [[0] * m for _ in range(m)]
-            # -1/2 (E_ij - E_ji) eta, column j scaled by the eta diagonal
-            rows[i][j] = -nu(p, q, j + 1) * half
-            rows[j][i] = nu(p, q, i + 1) * half
-            basis.append(RationalMatrix(rows))
-    return MatrixSubspace(m, basis)
+    in lexicographic order (``exactlin.phi_matrices``), certified independent
+    by ``MatrixSubspace``.  ``normalized=False`` drops the 1/2 factor."""
+    return MatrixSubspace(p + q, phi_matrices(p, q, normalized))
 
 
 def so_pair_signs(p: int, q: int) -> list[int]:
@@ -195,10 +188,8 @@ def free_isomorphism(p: int, q: int) -> dict:
     source = free_algebra(m, 0)
     target = free_algebra(p, q)
     certified = source.algebra.structure == target.algebra.structure
-    gram = target.gram_W
-    diag = [gram.entry(i, i) for i in range(gram.rows)]
+    diag, diagonal_ok = diagonal_entries(target.gram_W)
     signs = so_pair_signs(p, q)
-    diagonal_ok = gram == RationalMatrix.diag(diag)
     sign_ok = all((x > 0) == (s > 0) for x, s in zip(diag, signs))
     return {
         "p": p,

@@ -180,6 +180,24 @@ MUTANTS = [
         "        n = np.zeros((len(rels), cols), dtype=np.int64)\n",
         "from_relations: int64 rows even past 2**62, where N must hold Python ints",
     ),
+    (
+        "exactlin.py",
+        "        pos, neg = int(np.count_nonzero(diag > 0)), int(np.count_nonzero(diag < 0))\n",
+        "        pos, neg = int(np.count_nonzero(diag >= 0)), int(np.count_nonzero(diag < 0))\n",
+        "signature: the diagonal read counts a zero entry as positive",
+    ),
+    (
+        "exactlin.py",
+        "            [({i: d if x > 0 else -d}, abs(x)) for i, x in enumerate(vals)], n\n",
+        "            [({i: 1 if x > 0 else -1}, abs(x)) for i, x in enumerate(vals)], n\n",
+        "inverse: the diagonal read drops D, giving 1 / N_ii",
+    ),
+    (
+        "exactlin.py",
+        "    n[k, i, j], n[k, j, i] = -signs[j], signs[i]\n",
+        "    n[k, i, j], n[k, j, i] = -signs[i], signs[j]\n",
+        "phi_matrices: nu_i and nu_j are swapped in so(p,q)'s integer basis",
+    ),
 ]
 
 
