@@ -36,8 +36,8 @@ of its columns, inverse the combinations of the echelon rows of N's rows
 vector is reduced after the span is built), ``invariant_closure`` the span
 that a list of matrices generates from one vector (``closure_is_full`` proves
 it full mod a prime, by one batched Krylov rank test), and ``MatrixSubspace``
-keeps the span of its basis; ``signature`` clears the rows of N by the same
-step.  A diagonal matrix takes no elimination: ``signature`` counts the signs
+keeps the span of its basis, built when a query first needs it;
+``signature`` and ``nonsingular`` clear the rows of N by the same step.  A diagonal matrix takes no elimination: ``signature`` counts the signs
 of its diagonal and ``inverse`` writes row i as (D / N_ii) e_i.
 
 The module provides:
@@ -49,7 +49,9 @@ The module provides:
   signs of the diagonal of a diagonal matrix (``diagonal_entries``),
 - ``SignatureForm``: a symmetric matrix together with its inertia,
 - ``MatrixSubspace``: a subspace of m x m matrices given by an independent
-  basis, with exact membership and coordinate computations,
+  basis, with exact membership and coordinate computations; ``mapped``
+  hands a basis on through a one-to-one map with no elimination,
+- ``nonsingular``: whether each square matrix is invertible,
 - ``lin_combs`` / ``lin_comb`` / ``skew_combs``: linear combinations of matrices,
 - ``trace_pairing`` / ``trace_gram`` / ``eta_pairings``: all traces tr(X_a Y_b),
   the Gram matrix of the trace form <X, Y> = -tr(XY), and its eta twists,
@@ -788,6 +790,31 @@ def signature(m: RationalMatrix) -> tuple[int, int, int]:
     return pos, neg, m.rows - pos - neg
 
 
+def nonsingular(ms) -> list[bool]:
+    """Whether each square matrix is invertible: the rows of N, dicts of
+    Python ints, are taken in turn, each clearing its first nonzero column
+    from the rows left by ``_cancel``; a row that reaches zero lies in the
+    span of the rows taken before it, so N is singular."""
+    out = []
+    for m in ms:
+        if not m.is_square():
+            raise DimensionMismatchError("nonsingular needs square matrices")
+        rows = [{j: x for j, x in enumerate(r) if x} for r in m._n.tolist()]
+        full = True
+        while full and rows:
+            pnum = rows.pop()
+            full = bool(pnum)
+            if full:
+                col = min(pnum)
+                if pnum[col] < 0:
+                    pnum = {c: -x for c, x in pnum.items()}
+                for r in rows:
+                    if col in r:
+                        _cancel(r, {}, pnum, {}, col)
+        out.append(full)
+    return out
+
+
 class SignatureForm:
     """A symmetric non-degenerate-or-not bilinear form with cached inertia."""
 
@@ -1022,7 +1049,22 @@ def invariant_closure(maps, v) -> list[tuple[Fraction, ...]]:
 
 class MatrixSubspace:
     """A subspace of ambient_dim x ambient_dim matrices with an independent
-    basis, grown only by ``adjoin``; dependent generator lists are rejected."""
+    basis, grown only by ``adjoin``; dependent generator lists are rejected.
+
+    The basis is independent by construction: the constructor eliminates it,
+    and ``mapped`` hands it on through a map that is one-to-one on the
+    subspace.  The echelon of the basis that answers ``contains``,
+    ``relation``, ``coords`` and ``equals`` is built on their first call.
+    The callers of ``mapped`` and their one-to-one arguments:
+
+    - ``standardform.eta_twist``: X -> eta X and X -> X eta, eta invertible;
+    - ``standardform.gl_action``: Z -> A Z A^eta, A rank-checked invertible,
+      so is A^eta = eta A^T eta;
+    - ``nilpotent.algebra_from_J``: C_k = sum_l (G_Z^{-1})_kl (-G_V J_l), an
+      invertible recombination of the images of J -> -G_V J, both forms
+      checked non-degenerate;
+    - ``lattice.integer_rescale``: X -> d X with d >= 1.
+    """
 
     __slots__ = ("ambient_dim", "basis", "_span")
 
@@ -1032,6 +1074,25 @@ class MatrixSubspace:
         if not all(enlarged):
             raise DependentBasisError("generator list is linearly dependent")
 
+    def mapped(self, images) -> "MatrixSubspace":
+        """The span of ``images``, the images of the basis under a linear map
+        of the ambient space that is one-to-one on this subspace (or an
+        invertible recombination of such images): independent because the
+        basis is, so nothing is eliminated here."""
+        images = tuple(images)
+        if len(images) != self.dim:
+            raise DimensionMismatchError(f"{len(images)} images of a {self.dim}-dim basis")
+        if any(m.rows != self.ambient_dim or m.cols != self.ambient_dim for m in images):
+            raise DimensionMismatchError(f"an image is not {self.ambient_dim}x{self.ambient_dim}")
+        out = object.__new__(MatrixSubspace)
+        out.ambient_dim, out.basis, out._span = self.ambient_dim, images, None
+        return out
+
+    def _echelon(self) -> SpanBuilder:
+        if self._span is None:
+            self._span = SpanBuilder(self.basis)
+        return self._span
+
     def adjoin(self, m: RationalMatrix) -> bool:
         """Append m to the basis iff it lies outside the subspace; returns
         whether it did.  Only for building: never extend a held subspace."""
@@ -1039,7 +1100,7 @@ class MatrixSubspace:
             raise DimensionMismatchError(
                 f"basis matrix is {m.rows}x{m.cols}, ambient is {self.ambient_dim}"
             )
-        if not self._span.add(m):
+        if not self._echelon().add(m):
             return False
         self.basis += (m,)
         return True
@@ -1051,13 +1112,13 @@ class MatrixSubspace:
     def contains(self, m: RationalMatrix) -> bool:
         if m.rows != self.ambient_dim or m.cols != self.ambient_dim:
             return False
-        return self._span.contains(m)
+        return self._echelon().contains(m)
 
     def relation(self, m: RationalMatrix) -> tuple[dict, int] | None:
         """m = sum_l num[l] / den basis[l] as (num, den), or None if m is outside."""
         if m.rows != self.ambient_dim or m.cols != self.ambient_dim:
             return None
-        return self._span.relation(m)
+        return self._echelon().relation(m)
 
     def coords(self, m: RationalMatrix) -> tuple[Fraction, ...] | None:
         """Coefficients of m over the basis, or None if m is outside."""

@@ -15,7 +15,7 @@ orthogonality laws, for ``is_pseudo_H_type`` and for Clifford modules alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from fractions import Fraction
 from math import isqrt
 
@@ -55,7 +55,14 @@ class NilpotentAlgebra2:
     """2-step algebra in an adapted-or-raw basis.
 
     ``tag`` is "adapted" when the C^k are certified linearly independent;
-    their span, built by that check, is kept as ``structure_span``.
+    their span is kept as ``structure_span``.  The adapted check eliminates
+    the C^k, unless ``span`` hands on a ``MatrixSubspace`` whose basis is the
+    structure tuple itself: a subspace's basis is independent by
+    construction, so that span certifies the C^k as it stands.  A span with
+    any other basis is not trusted, and the C^k are eliminated.  The
+    constructors that hand one on are ``algebra_from_J`` given a subspace of
+    J's and ``lattice.integer_rescale``, each through
+    ``MatrixSubspace.mapped``; ``replace`` hands none on and re-certifies.
     ``symbolic`` marks imported constants defined only up to an unknown real
     scale (they then carry no lattice information).
     """
@@ -70,8 +77,9 @@ class NilpotentAlgebra2:
     structure_span: MatrixSubspace | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    span: InitVar[MatrixSubspace | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, span):
         if self.m < 0 or self.n < 0:
             raise BadInputError(f"dimensions must be non-negative, not m={self.m}, n={self.n}")
         if len(self.structure) != self.n:
@@ -92,11 +100,12 @@ class NilpotentAlgebra2:
         if self.tag == "adapted":
             if not self.n:
                 raise BadInputError("adapted tag requires a nonzero center")
-            span = independent_subset(self.m, self.structure)
-            if span.dim != self.n:
-                raise DependentBasisError(
-                    "adapted tag requires independent structure matrices"
-                )
+            if span is None or span.basis != self.structure:
+                span = independent_subset(self.m, self.structure)
+                if span.dim != self.n:
+                    raise DependentBasisError(
+                        "adapted tag requires independent structure matrices"
+                    )
             object.__setattr__(self, "structure_span", span)
 
     @property
@@ -119,7 +128,8 @@ class NilpotentAlgebra2:
     @classmethod
     def tagged(cls, **fields) -> "NilpotentAlgebra2":
         """The algebra tagged "adapted" when its C^k are independent (and
-        n > 0), "raw" otherwise; independence is checked once."""
+        n > 0), "raw" otherwise; independence is checked once, or not at
+        all when ``span`` hands on a subspace whose basis is the C^k."""
         try:
             return cls(tag="adapted" if fields["n"] else "raw", **fields)
         except DependentBasisError:
@@ -212,10 +222,17 @@ def j_map(ma: MetricAlgebra, z) -> RationalMatrix:
 def algebra_from_J(j_list, form_V: SignatureForm, form_Z: SignatureForm) -> MetricAlgebra:
     """Build the metric algebra whose J-map sends the k-th center basis
     vector to j_list[k]; inverse of ``j_map`` on basis vectors.  G_V, a
-    form, is symmetric, and each G_V J_k must be antisymmetric (J_k skew)."""
+    form, is symmetric, and each G_V J_k must be antisymmetric (J_k skew).
+
+    ``j_list`` may be a ``MatrixSubspace``, whose basis is then the J_k.  The
+    output is tagged adapted on ``W.mapped(C)`` with no elimination: C_k =
+    sum_l (G_Z^{-1})_kl (-G_V J_l) recombines, by the invertible G_Z^{-1},
+    the images of J -> -G_V J, which is one-to-one as G_V is non-degenerate;
+    so the C_k are independent because the J_k are."""
     if not form_V.is_nondegenerate() or not form_Z.is_nondegenerate():
         raise DegenerateFormError("both forms must be non-degenerate")
-    j_list, m, n = tuple(j_list), form_V.dim, form_Z.dim
+    w = j_list if isinstance(j_list, MatrixSubspace) else None
+    j_list, m, n = tuple(j_list if w is None else w.basis), form_V.dim, form_Z.dim
     if len(j_list) != n:
         raise DimensionMismatchError("need one J per center basis vector")
     if any(j.rows != m or j.cols != m for j in j_list):
@@ -226,12 +243,14 @@ def algebra_from_J(j_list, form_V: SignatureForm, form_Z: SignatureForm) -> Metr
     structure = skew_combs(form_Z.inverse_matrix(), form_V.matrix, j_list, m)
     if structure is None:
         raise NotSkewError("J_k is not skew-symmetric for form_V")
+    structure = tuple(structure)
     algebra = NilpotentAlgebra2.tagged(
         m=m,
         n=n,
-        structure=tuple(structure),
+        structure=structure,
         form_V=form_V,
         form_Z=form_Z,
+        span=None if w is None else w.mapped(structure),
     )
     return MetricAlgebra(algebra)
 

@@ -42,6 +42,7 @@ from .exactlin import (
     kernel_basis,
     lin_comb,
     lin_combs,
+    nonsingular,
     nu,
     phi_matrices,
     rank,
@@ -57,10 +58,14 @@ def in_so(m: RationalMatrix, p: int, q: int) -> bool:
     return m.is_square() and m.rows == p + q and eta_conjugate(m, p, q) == -m
 
 
-def _so_image(mats, p: int, q: int, what: str) -> MatrixSubspace:
-    """The span of the images ``mats``, certified to lie in so(p,q) on its
-    basis; ``what`` names the map in the HomomorphismError."""
-    out = MatrixSubspace(p + q, mats)
+def _so_image(source: MatrixSubspace, mats, p: int, q: int, what: str) -> MatrixSubspace:
+    """The span of ``mats``, the images of the basis of ``source`` under a
+    map that is one-to-one on it, certified to lie in so(p,q) on its basis;
+    ``what`` names the map in the HomomorphismError.  The images are
+    independent because the basis is (``MatrixSubspace.mapped``): the eta
+    twists X -> eta X and X -> X eta are one-to-one as eta is invertible, and
+    Z -> A Z A^eta is, as ``gl_action`` checks A invertible first."""
+    out = source.mapped(mats)
     if not all(in_so(b, p, q) for b in out.basis):
         raise HomomorphismError(f"{what} does not land in so({p},{q})")
     return out
@@ -95,7 +100,7 @@ class StandardPseudoMetricAlgebra:
 
 
 def structure_space(a: NilpotentAlgebra2) -> MatrixSubspace:
-    """span{C^1, ..., C^n} in so(m), as built by the algebra's adapted
+    """span{C^1, ..., C^n} in so(m), as certified by the algebra's adapted
     check; empty for raw-tagged algebras."""
     if a.tag != "adapted":
         return MatrixSubspace(a.m)
@@ -108,7 +113,7 @@ def eta_twist(c: MatrixSubspace, p: int, q: int, side: str = "right") -> MatrixS
         raise DimError(f"p+q = {p + q} != ambient {c.ambient_dim}")
     if side not in ("right", "left"):
         raise PreconditionError(f"unknown twist side {side!r}")
-    return _so_image(eta_sides(c.basis, p, q, side == "left"), p, q, "eta twist")
+    return _so_image(c, eta_sides(c.basis, p, q, side == "left"), p, q, "eta twist")
 
 
 def find_realizations(a: NilpotentAlgebra2) -> list[dict]:
@@ -118,22 +123,37 @@ def find_realizations(a: NilpotentAlgebra2) -> list[dict]:
     The Gram -tr(C^k eta C^l eta) of the twisted basis C^k eta is read as
     tr(C^k (C^l)^eta), as C^l is antisymmetric, for every p at once; the
     adapted check has made the C^k a basis, and each C^k eta lies in so(p, q)."""
-    if a.tag != "adapted":
-        raise NotAdaptedError("find_realizations requires an adapted algebra")
     out = []
-    grams = eta_pairings(a.structure, range(a.m + 1))
-    for p, gram in enumerate(grams):
+    for p, gram in enumerate(_twist_grams(a)):
         sp, sq, nullity = signature(gram)
         if nullity == 0:
             out.append({"p": p, "q": a.m - p, "signature": (sp, sq)})
     return out
 
 
+def nondegenerate_twists(a: NilpotentAlgebra2) -> list[int]:
+    """The p of ``find_realizations``, ascending, decided by whether each
+    trace Gram is invertible (``exactlin.nonsingular``) without its inertia,
+    which ``standard_algebra`` reads when it builds the form on W."""
+    return [p for p, ok in enumerate(nonsingular(_twist_grams(a))) if ok]
+
+
+def _twist_grams(a: NilpotentAlgebra2) -> list[RationalMatrix]:
+    """The trace Grams of the right twists of an adapted algebra, for p = 0
+    .. m: one product for all of them (``exactlin.eta_pairings``)."""
+    if a.tag != "adapted":
+        raise NotAdaptedError("find_realizations requires an adapted algebra")
+    grams = eta_pairings(a.structure, range(a.m + 1))
+    return grams
+
+
 def standard_algebra(p: int, q: int, w: MatrixSubspace) -> StandardPseudoMetricAlgebra:
     """The standard pseudo-metric algebra R^{p,q} (+) W: the metric algebra
     whose J-map sends the k-th basis vector of W to itself, for the form
     eta_{p,q} on V and the trace form on W.  ``algebra_from_J``'s skew check
-    for G_V = eta_{p,q} is the so(p,q) membership of W (NotSkewError)."""
+    for G_V = eta_{p,q} is the so(p,q) membership of W (NotSkewError).  W
+    itself is handed to ``algebra_from_J``, so the standard structure is
+    certified independent from W's basis, with no elimination."""
     m = p + q
     if w.ambient_dim != m:
         raise DimError(f"W ambient {w.ambient_dim} != p+q = {m}")
@@ -141,7 +161,7 @@ def standard_algebra(p: int, q: int, w: MatrixSubspace) -> StandardPseudoMetricA
     form_z = SignatureForm(gram)
     if not form_z.is_nondegenerate():
         raise DegenerateWError("trace form degenerates on W")
-    ma = algebra_from_J(w.basis, SignatureForm.standard(p, q), form_z)
+    ma = algebra_from_J(w, SignatureForm.standard(p, q), form_z)
     return StandardPseudoMetricAlgebra(p=p, q=q, W=w, gram_W=gram, algebra=ma.algebra)
 
 
@@ -211,7 +231,7 @@ def gl_action(a: RationalMatrix, s: MatrixSubspace, p: int, q: int) -> MatrixSub
     if rank(a) != m:
         raise SingularAError("A is not invertible")
     a_eta = eta_conjugate(a, p, q)
-    return _so_image([a * z * a_eta for z in s.basis], p, q, "GL(m) action")
+    return _so_image(s, [a * z * a_eta for z in s.basis], p, q, "GL(m) action")
 
 
 FreeElement = tuple[tuple, RationalMatrix]  # (V part, center part in so(p,q))

@@ -198,6 +198,22 @@ MUTANTS = [
         "    n[k, i, j], n[k, j, i] = -signs[i], signs[j]\n",
         "phi_matrices: nu_i and nu_j are swapped in so(p,q)'s integer basis",
     ),
+    (
+        "nilpotent.py",
+        "            if span is None or span.basis != self.structure:\n",
+        "            if span is None:\n",
+        "NilpotentAlgebra2: the adapted check trusts any handed-on span without comparing"
+        " its basis to the structure",
+    ),
+    (
+        "exactlin.py",
+        "        if len(images) != self.dim:\n"
+        '            raise DimensionMismatchError(f"{len(images)} images of a {self.dim}-dim basis")\n'
+        "        if any(m.rows != self.ambient_dim or m.cols != self.ambient_dim for m in images):\n"
+        '            raise DimensionMismatchError(f"an image is not {self.ambient_dim}x{self.ambient_dim}")\n',
+        "",
+        "MatrixSubspace.mapped: the count and shape of the images go unchecked",
+    ),
 ]
 
 
