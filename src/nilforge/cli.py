@@ -33,7 +33,6 @@ from .standardform import (
     find_realizations,
     free_algebra,
     free_isomorphism,
-    nondegenerate_twists,
     orbit_witness_check,
     reduction_isomorphism,
     structure_space,
@@ -182,17 +181,20 @@ def _cmd_build(args) -> int:
 
 def _cmd_reduce(args) -> int:
     a = load_algebra(args.input)
-    realizations, reductions = [], []
-    # each realization's signature is that of the standard algebra's form
-    # on W, the left twist, whose Gram is the right twist's that
-    # find_realizations reads, as tr(eta C eta C') = tr(C eta C' eta)
-    for p in nondegenerate_twists(a):
-        t, target = reduction_isomorphism(a, p, a.m - p)
-        form_z = target.algebra.form_Z
-        real = {"p": p, "q": a.m - p, "signature": (form_z.p, form_z.q)}
-        realizations.append(real)
+    realizations = find_realizations(a)
+    reductions = []
+    # tr(eta C eta C') = tr(C eta C' eta): the left twist that the reduction
+    # uses has the Gram, hence the signature, of the right twist found here
+    for real in realizations:
+        t, target = reduction_isomorphism(a, real["p"], real["q"])
         reductions.append(
-            {**real, "T": t, "standard_structure": list(target.algebra.structure)}
+            {
+                "p": real["p"],
+                "q": real["q"],
+                "signature": real["signature"],
+                "T": t,
+                "standard_structure": list(target.algebra.structure),
+            }
         )
     _emit({"realizations": realizations, "reductions": reductions}, args.output)
     return 0

@@ -37,8 +37,9 @@ vector is reduced after the span is built), ``invariant_closure`` the span
 that a list of matrices generates from one vector (``closure_is_full`` proves
 it full mod a prime, by one batched Krylov rank test), and ``MatrixSubspace``
 keeps the span of its basis, built when a query first needs it;
-``signature`` and ``nonsingular`` clear the rows of N by the same step.  A diagonal matrix takes no elimination: ``signature`` counts the signs
-of its diagonal and ``inverse`` writes row i as (D / N_ii) e_i.
+``signature`` clears the rows of N by the same step.  A diagonal matrix
+takes no elimination: ``signature`` counts the signs of its diagonal and
+``inverse`` writes row i as (D / N_ii) e_i.
 
 The module provides:
 
@@ -51,7 +52,6 @@ The module provides:
 - ``MatrixSubspace``: a subspace of m x m matrices given by an independent
   basis, with exact membership and coordinate computations; ``mapped``
   hands a basis on through a one-to-one map with no elimination,
-- ``nonsingular``: whether each square matrix is invertible,
 - ``lin_combs`` / ``lin_comb`` / ``skew_combs``: linear combinations of matrices,
 - ``trace_pairing`` / ``trace_gram`` / ``eta_pairings``: all traces tr(X_a Y_b),
   the Gram matrix of the trace form <X, Y> = -tr(XY), and its eta twists,
@@ -790,31 +790,6 @@ def signature(m: RationalMatrix) -> tuple[int, int, int]:
     return pos, neg, m.rows - pos - neg
 
 
-def nonsingular(ms) -> list[bool]:
-    """Whether each square matrix is invertible: the rows of N, dicts of
-    Python ints, are taken in turn, each clearing its first nonzero column
-    from the rows left by ``_cancel``; a row that reaches zero lies in the
-    span of the rows taken before it, so N is singular."""
-    out = []
-    for m in ms:
-        if not m.is_square():
-            raise DimensionMismatchError("nonsingular needs square matrices")
-        rows = [{j: x for j, x in enumerate(r) if x} for r in m._n.tolist()]
-        full = True
-        while full and rows:
-            pnum = rows.pop()
-            full = bool(pnum)
-            if full:
-                col = min(pnum)
-                if pnum[col] < 0:
-                    pnum = {c: -x for c, x in pnum.items()}
-                for r in rows:
-                    if col in r:
-                        _cancel(r, {}, pnum, {}, col)
-        out.append(full)
-    return out
-
-
 class SignatureForm:
     """A symmetric non-degenerate-or-not bilinear form with cached inertia."""
 
@@ -1055,15 +1030,19 @@ class MatrixSubspace:
     and ``mapped`` hands it on through a map that is one-to-one on the
     subspace.  The echelon of the basis that answers ``contains``,
     ``relation``, ``coords`` and ``equals`` is built on their first call.
-    The callers of ``mapped`` and their one-to-one arguments:
+    ``mapped`` does not check that the map is one-to-one: handed dependent
+    images, it returns a subspace with a dependent basis, and what that
+    subspace answers is undefined.  Its supported callers are these three,
+    each with its one-to-one argument:
 
     - ``standardform.eta_twist``: X -> eta X and X -> X eta, eta invertible;
     - ``standardform.gl_action``: Z -> A Z A^eta, A rank-checked invertible,
       so is A^eta = eta A^T eta;
     - ``nilpotent.algebra_from_J``: C_k = sum_l (G_Z^{-1})_kl (-G_V J_l), an
       invertible recombination of the images of J -> -G_V J, both forms
-      checked non-degenerate;
-    - ``lattice.integer_rescale``: X -> d X with d >= 1.
+      checked non-degenerate.
+
+    Any other caller makes a subspace with the constructor, which eliminates.
     """
 
     __slots__ = ("ambient_dim", "basis", "_span")
@@ -1078,7 +1057,9 @@ class MatrixSubspace:
         """The span of ``images``, the images of the basis under a linear map
         of the ambient space that is one-to-one on this subspace (or an
         invertible recombination of such images): independent because the
-        basis is, so nothing is eliminated here."""
+        basis is, so nothing is eliminated here.  Only the count and shape of
+        the images are checked; dependent images are undefined behaviour
+        (see the class docstring for the supported callers)."""
         images = tuple(images)
         if len(images) != self.dim:
             raise DimensionMismatchError(f"{len(images)} images of a {self.dim}-dim basis")

@@ -49,10 +49,7 @@ def integer_rescale(a: NilpotentAlgebra2) -> tuple[int, NilpotentAlgebra2]:
     is the exact, testable content.
     """
     d = _rescale_factor(a)
-    scaled = tuple(c.scale(d) for c in a.structure)
-    # X -> d X is one-to-one for d >= 1, so the span is handed on
-    span = None if a.structure_span is None else a.structure_span.mapped(scaled)
-    return d, replace(a, structure=scaled, span=span)
+    return d, replace(a, structure=tuple(c.scale(d) for c in a.structure))
 
 
 def _rescale_factor(a: NilpotentAlgebra2) -> int:

@@ -59,10 +59,10 @@ class NilpotentAlgebra2:
     the C^k, unless ``span`` hands on a ``MatrixSubspace`` whose basis is the
     structure tuple itself: a subspace's basis is independent by
     construction, so that span certifies the C^k as it stands.  A span with
-    any other basis is not trusted, and the C^k are eliminated.  The
-    constructors that hand one on are ``algebra_from_J`` given a subspace of
-    J's and ``lattice.integer_rescale``, each through
-    ``MatrixSubspace.mapped``; ``replace`` hands none on and re-certifies.
+    any other basis is not trusted, and the C^k are eliminated.  The one
+    constructor that hands one on is ``algebra_from_J`` given a subspace of
+    J's, through ``MatrixSubspace.mapped``; ``replace`` hands none on and
+    re-certifies.
     ``symbolic`` marks imported constants defined only up to an unknown real
     scale (they then carry no lattice information).
     """

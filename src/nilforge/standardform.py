@@ -42,7 +42,6 @@ from .exactlin import (
     kernel_basis,
     lin_comb,
     lin_combs,
-    nonsingular,
     nu,
     phi_matrices,
     rank,
@@ -123,28 +122,15 @@ def find_realizations(a: NilpotentAlgebra2) -> list[dict]:
     The Gram -tr(C^k eta C^l eta) of the twisted basis C^k eta is read as
     tr(C^k (C^l)^eta), as C^l is antisymmetric, for every p at once; the
     adapted check has made the C^k a basis, and each C^k eta lies in so(p, q)."""
+    if a.tag != "adapted":
+        raise NotAdaptedError("find_realizations requires an adapted algebra")
     out = []
-    for p, gram in enumerate(_twist_grams(a)):
+    grams = eta_pairings(a.structure, range(a.m + 1))
+    for p, gram in enumerate(grams):
         sp, sq, nullity = signature(gram)
         if nullity == 0:
             out.append({"p": p, "q": a.m - p, "signature": (sp, sq)})
     return out
-
-
-def nondegenerate_twists(a: NilpotentAlgebra2) -> list[int]:
-    """The p of ``find_realizations``, ascending, decided by whether each
-    trace Gram is invertible (``exactlin.nonsingular``) without its inertia,
-    which ``standard_algebra`` reads when it builds the form on W."""
-    return [p for p, ok in enumerate(nonsingular(_twist_grams(a))) if ok]
-
-
-def _twist_grams(a: NilpotentAlgebra2) -> list[RationalMatrix]:
-    """The trace Grams of the right twists of an adapted algebra, for p = 0
-    .. m: one product for all of them (``exactlin.eta_pairings``)."""
-    if a.tag != "adapted":
-        raise NotAdaptedError("find_realizations requires an adapted algebra")
-    grams = eta_pairings(a.structure, range(a.m + 1))
-    return grams
 
 
 def standard_algebra(p: int, q: int, w: MatrixSubspace) -> StandardPseudoMetricAlgebra:

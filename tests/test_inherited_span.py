@@ -2,8 +2,8 @@
 
 ``MatrixSubspace.mapped`` hands a basis on through a map that is one-to-one
 on the subspace, with no elimination; its echelon is built when a query
-first needs it.  The eta twists, the GL(m) action, the standard algebra's
-structure span and ``integer_rescale`` go through it.  Each such subspace
+first needs it.  The eta twists, the GL(m) action and the standard
+algebra's structure span go through it.  Each such subspace
 must answer every query as the eager ``MatrixSubspace`` on the same basis,
 and the eliminations that remain in the ``reduce``, ``free`` and
 ``lattice --pseudo-h`` verbs are counted here.
@@ -17,11 +17,11 @@ from fractions import Fraction
 
 import pytest
 
-from nilforge import cli, exactlin, lattice, standardform
+from nilforge import cli, lattice, standardform
 from nilforge.clifford import CliffordSignature, build_module
 from nilforge.errors import DependentBasisError, DimensionMismatchError
 from nilforge.exactlin import MatrixSubspace, RationalMatrix, SpanBuilder, rank
-from nilforge.lattice import integer_rescale, pseudo_H_algebra
+from nilforge.lattice import pseudo_H_algebra
 from nilforge.nilpotent import NilpotentAlgebra2
 from nilforge.standardform import (
     eta_twist,
@@ -202,17 +202,6 @@ def test_a_dependent_structure_still_raises_with_an_independent_span():
     raw = NilpotentAlgebra2.tagged(m=3, n=2, structure=(c, c.scale(2)), span=span)
     assert raw.tag == "raw" and raw.structure_span is None
     assert NilpotentAlgebra2(m=3, n=2, structure=(c, other), span=span).structure_span is None
-
-
-def test_integer_rescale_hands_its_span_on(monkeypatch):
-    c = RationalMatrix(((0, Fraction(1, 2)), (Fraction(-1, 2), 0)))
-    a = NilpotentAlgebra2(m=2, n=1, structure=(c,), tag="adapted")
-    adds = _count_adds(monkeypatch)
-    d, rescaled = integer_rescale(a)
-    assert d == 2 and adds == []
-    assert rescaled.structure_span.basis == rescaled.structure == (c.scale(2),)
-    raw = NilpotentAlgebra2(m=2, n=1, structure=(c,))
-    assert integer_rescale(raw)[1].structure_span is None
 
 
 def _random_algebra_json(rng, m, n):
