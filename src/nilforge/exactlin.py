@@ -1038,9 +1038,9 @@ class MatrixSubspace:
     - ``standardform.eta_twist``: X -> eta X and X -> X eta, eta invertible;
     - ``standardform.gl_action``: Z -> A Z A^eta, A rank-checked invertible,
       so is A^eta = eta A^T eta;
-    - ``nilpotent.algebra_from_J``: C_k = sum_l (G_Z^{-1})_kl (-G_V J_l), an
-      invertible recombination of the images of J -> -G_V J, both forms
-      checked non-degenerate.
+    - ``nilpotent.algebra_from_J``: C_k = sum_l (G_Z^{-1})_kl (-G_V J_l) on
+      W = span{J_l}, handed in or a J list's one elimination: an invertible
+      recombination of the images of J -> -G_V J, both forms non-degenerate.
 
     Any other caller makes a subspace with the constructor, which eliminates.
     """

@@ -93,11 +93,11 @@ def pseudo_H_algebra(module: CliffordModule) -> MetricAlgebra:
 def pseudo_H_pipeline_report(r: int, s: int) -> dict:
     """Full lattice pipeline for n_{r,s}, with every link certified.
 
-    Steps: build the integer module; build n_{r,s} (constants land in
-    {-1,0,1}); form W = span{J_i} inside so(p,q) for the module form's
-    signature and build the standard algebra G = R^{p,q} (+) W; verify the
-    trace identity -tr(J_{Z_i}^2) = 2l * nu_i and the Gram rescaling
-    <J_Z, J_Z'> = 2l <Z, Z'>; certify that T = diag(I, I/(2l)) is a Lie
+    Steps: build the integer module; eliminate W = span{J_i} once (inside
+    so(p,q) for the module form's signature) and build on it both n_{r,s}
+    (constants in {-1,0,1}) and the standard algebra G = R^{p,q} (+) W;
+    verify the trace identity -tr(J_{Z_i}^2) = 2l * nu_i and the Gram
+    rescaling <J_Z, J_Z'> = 2l <Z, Z'>; certify that T = diag(I, I/(2l)) is a Lie
     algebra isomorphism n_{r,s} -> G by comparing structure tensors.
 
     The trace identity is the diagonal of the Gram comparison, so it holds
@@ -107,13 +107,13 @@ def pseudo_H_pipeline_report(r: int, s: int) -> dict:
     """
     sig = CliffordSignature(r, s)
     module = build_module(sig)
-    n_alg = pseudo_H_algebra(module)
     n = sig.n
     big_n = module.module_dim
     two_l = big_n
     p, q = module.module_form.p, module.module_form.q
-    constants_unit = all(c.is_ternary() for c in n_alg.structure)
     w = MatrixSubspace(big_n, module.generators)
+    n_alg = algebra_from_J(w, module.module_form, SignatureForm.standard(r, s))
+    constants_unit = all(c.is_ternary() for c in n_alg.structure)
     std = standard_algebra(p, q, w)
     # -tr(J_i^2) = -tr(-nu_i I_N) = 2l * nu_i, read off the diagonal of the
     # trace Gram that standard_algebra built on W = span{J_i}

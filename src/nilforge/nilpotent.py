@@ -59,10 +59,9 @@ class NilpotentAlgebra2:
     the C^k, unless ``span`` hands on a ``MatrixSubspace`` whose basis is the
     structure tuple itself: a subspace's basis is independent by
     construction, so that span certifies the C^k as it stands.  A span with
-    any other basis is not trusted, and the C^k are eliminated.  The one
-    constructor that hands one on is ``algebra_from_J`` given a subspace of
-    J's, through ``MatrixSubspace.mapped``; ``replace`` hands none on and
-    re-certifies.
+    any other basis is not trusted, and the C^k are eliminated.  ``tagged``,
+    ``algebra_from_J`` and ``rescale_and_compare``'s ``replace`` (forms
+    only) hand one on; a ``replace`` without one re-certifies.
     ``symbolic`` marks imported constants defined only up to an unknown real
     scale (they then carry no lattice information).
     """
@@ -126,14 +125,13 @@ class NilpotentAlgebra2:
         return obj
 
     @classmethod
-    def tagged(cls, **fields) -> "NilpotentAlgebra2":
-        """The algebra tagged "adapted" when its C^k are independent (and
-        n > 0), "raw" otherwise; independence is checked once, or not at
-        all when ``span`` hands on a subspace whose basis is the C^k."""
-        try:
-            return cls(tag="adapted" if fields["n"] else "raw", **fields)
-        except DependentBasisError:
-            return cls(tag="raw", **fields)
+    def tagged(cls, span=None, **fields) -> "NilpotentAlgebra2":
+        """Tagged "adapted" when n > 0 and the C^k are independent, else "raw",
+        as a handed-on ``span`` whose basis is the C^k or one elimination decides."""
+        if span is None or span.basis != fields["structure"]:
+            span = independent_subset(fields["m"], fields["structure"])
+        adapted = fields["n"] > 0 and span.dim == fields["n"]
+        return cls(tag="adapted" if adapted else "raw", span=span, **fields)
 
     @classmethod
     def from_json(cls, obj: dict) -> "NilpotentAlgebra2":
@@ -224,11 +222,11 @@ def algebra_from_J(j_list, form_V: SignatureForm, form_Z: SignatureForm) -> Metr
     vector to j_list[k]; inverse of ``j_map`` on basis vectors.  G_V, a
     form, is symmetric, and each G_V J_k must be antisymmetric (J_k skew).
 
-    ``j_list`` may be a ``MatrixSubspace``, whose basis is then the J_k.  The
-    output is tagged adapted on ``W.mapped(C)`` with no elimination: C_k =
-    sum_l (G_Z^{-1})_kl (-G_V J_l) recombines, by the invertible G_Z^{-1},
-    the images of J -> -G_V J, which is one-to-one as G_V is non-degenerate;
-    so the C_k are independent because the J_k are."""
+    A ``MatrixSubspace`` W of J's is used as it is; a list of J's is
+    eliminated into W (``independent_subset``), the one elimination here.
+    The output is adapted on ``W.mapped(C)`` when dim W = n > 0, raw
+    otherwise: C_k = sum_l (G_Z^{-1})_kl (-G_V J_l) recombines invertibly the
+    images of the one-to-one J -> -G_V J, so the C_k are independent iff the J_k are."""
     if not form_V.is_nondegenerate() or not form_Z.is_nondegenerate():
         raise DegenerateFormError("both forms must be non-degenerate")
     w = j_list if isinstance(j_list, MatrixSubspace) else None
@@ -243,14 +241,17 @@ def algebra_from_J(j_list, form_V: SignatureForm, form_Z: SignatureForm) -> Metr
     structure = skew_combs(form_Z.inverse_matrix(), form_V.matrix, j_list, m)
     if structure is None:
         raise NotSkewError("J_k is not skew-symmetric for form_V")
-    structure = tuple(structure)
-    algebra = NilpotentAlgebra2.tagged(
+    if w is None:
+        w = independent_subset(m, j_list)
+    structure, adapted = tuple(structure), n > 0 and w.dim == n
+    algebra = NilpotentAlgebra2(
         m=m,
         n=n,
         structure=structure,
         form_V=form_V,
         form_Z=form_Z,
-        span=None if w is None else w.mapped(structure),
+        tag="adapted" if adapted else "raw",
+        span=w.mapped(structure) if adapted else None,
     )
     return MetricAlgebra(algebra)
 
@@ -347,10 +348,9 @@ def rescale_and_compare(ma: MetricAlgebra, c) -> bool:
     c = rat(c)
     if c == 0:
         raise PreconditionError("scale factor must be nonzero")
-    form_v = ma.form_V.scaled(c)
-    form_z = ma.form_Z.scaled(c)
-    scaled = MetricAlgebra(replace(ma.algebra, form_V=form_v, form_Z=form_z))
-    rebuilt = algebra_from_J(_j_basis(scaled), form_v, form_z)
+    form_v, form_z = ma.form_V.scaled(c), ma.form_Z.scaled(c)
+    a = replace(ma.algebra, form_V=form_v, form_Z=form_z, span=ma.algebra.structure_span)
+    rebuilt = algebra_from_J(_j_basis(MetricAlgebra(a)), form_v, form_z)
     return rebuilt.structure == ma.structure
 
 

@@ -212,8 +212,8 @@ def free_isomorphism(p: int, q: int) -> dict:
 def gl_action(a: RationalMatrix, s: MatrixSubspace, p: int, q: int) -> MatrixSubspace:
     """The left action rho(A) Z = A Z A^eta on so(p,q) subspaces."""
     m = p + q
-    if a.rows != m or a.cols != m:
-        raise DimensionMismatchError("A size != p+q")
+    if a.rows != m or a.cols != m or s.ambient_dim != m:
+        raise DimensionMismatchError("A size or W ambient != p+q")
     if rank(a) != m:
         raise SingularAError("A is not invertible")
     a_eta = eta_conjugate(a, p, q)
@@ -328,4 +328,6 @@ def orbit_witness_check(
     a: RationalMatrix, w1: MatrixSubspace, w2: MatrixSubspace, p: int, q: int
 ) -> bool:
     """Verify the orbit witness A W1 A^eta = W2 by mutual containment."""
+    if w2.ambient_dim != p + q:
+        raise DimensionMismatchError(f"W2 ambient {w2.ambient_dim} != p+q = {p + q}")
     return gl_action(a, w1, p, q).equals(w2)

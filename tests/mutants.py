@@ -214,6 +214,19 @@ MUTANTS = [
         "",
         "MatrixSubspace.mapped: the count and shape of the images go unchecked",
     ),
+    (
+        "nilpotent.py",
+        "    structure, adapted = tuple(structure), n > 0 and w.dim == n\n",
+        "    structure, adapted = tuple(structure), n > 0 and True\n",
+        "algebra_from_J: the output is tagged adapted without comparing dim W with n",
+    ),
+    (
+        "nilpotent.py",
+        '        adapted = fields["n"] > 0 and span.dim == fields["n"]\n',
+        '        adapted = fields["n"] > 0 and True\n',
+        "NilpotentAlgebra2.tagged: adapted is chosen without comparing the span's dimension"
+        " with n",
+    ),
 ]
 
 
