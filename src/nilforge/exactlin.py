@@ -1232,9 +1232,10 @@ def trace_pairing(xs, ys) -> RationalMatrix:
         return RationalMatrix.zeros(len(xs), len(ys))
     sx = _vec_stack(xs)
     sy = sx if same else _vec_stack(ys)  # each side stacked once
-    # row (i, j) of the right factor holds (Y_b)_ji for every b: Y_b's rows,
-    # read off the stack by a reshape
-    right = sy._n.reshape(len(ys), c, r).transpose(2, 1, 0).reshape(r * c, len(ys))
+    # row (i, j) of the right factor holds (Y_b)_ji for every b: the transposed
+    # view of a C-contiguous stack of the vec(Y_b^T), as numpy's int64 matmul
+    # (no BLAS) runs 3-4x slower on a C-contiguous right factor
+    right = sy._n.reshape(len(ys), c, r).swapaxes(1, 2).reshape(len(ys), r * c).T
     return _matmul(sx, sy._like(right))
 
 

@@ -327,7 +327,11 @@ def quotient_by_center_subspace(
 def orbit_witness_check(
     a: RationalMatrix, w1: MatrixSubspace, w2: MatrixSubspace, p: int, q: int
 ) -> bool:
-    """Verify the orbit witness A W1 A^eta = W2 by mutual containment."""
-    if w2.ambient_dim != p + q:
-        raise DimensionMismatchError(f"W2 ambient {w2.ambient_dim} != p+q = {p + q}")
+    """Verify the orbit witness A W1 A^eta = W2 by mutual containment.  A W1
+    outside so(p,q) is an input error, told apart from ``gl_action``'s
+    certificate failing."""
+    if w1.ambient_dim != p + q or w2.ambient_dim != p + q:
+        raise DimensionMismatchError(f"W1, W2 ambients {w1.ambient_dim}, {w2.ambient_dim} != p+q")
+    if not all(in_so(b, p, q) for b in w1.basis):
+        raise PreconditionError(f"W1 does not lie in so({p},{q})")
     return gl_action(a, w1, p, q).equals(w2)

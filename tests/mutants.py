@@ -227,6 +227,20 @@ MUTANTS = [
         "NilpotentAlgebra2.tagged: adapted is chosen without comparing the span's dimension"
         " with n",
     ),
+    (
+        "standardform.py",
+        "    if not all(in_so(b, p, q) for b in w1.basis):\n",
+        "    if False:\n",
+        "orbit_witness_check: a W1 outside so(p,q) reaches gl_action, whose certificate"
+        " then blames the program",
+    ),
+    (
+        "nilpotent.py",
+        "    if not independent_subset(m, _j_basis(a1)).equals(independent_subset(m, _j_basis(a2))):\n",
+        "    if False:\n",
+        "scaling_isomorphism: two algebras are compared without checking that they share"
+        " a J-image",
+    ),
 ]
 
 
