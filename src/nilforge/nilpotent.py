@@ -355,8 +355,6 @@ def rescale_and_compare(ma: MetricAlgebra, c) -> bool:
 
 
 def _rational_sqrt(x: Fraction) -> Fraction | None:
-    if x < 0:
-        return None
     num, den = x.numerator, x.denominator
     rn, rd = isqrt(num), isqrt(den)
     if rn * rn == num and rd * rd == den:
@@ -383,7 +381,11 @@ def scaling_isomorphism(a1: MetricAlgebra, a2: MetricAlgebra) -> ScalingOutcome:
     operator S defined by <v, w>_2 = <S v, w>_1.
 
     Preconditions (checked): equal dimensions, equal J-image span, and
-    matching causal type on the rational eigenvectors of S.
+    matching causal type, that is no negative rational root lambda of S (none
+    is 0, S being invertible).  An eigenvector x has <x, y>_2 = <S x, y>_1 =
+    lambda <x, y>_1 for all y; if lambda < 0, a non-null x has <x, x>_1 and
+    <x, x>_2 of opposite signs, and for a null x some y has <x, y>_1 != 0 (G1
+    is non-degenerate), so u = x + t y, small t != 0, has them of opposite signs.
 
     S = G1^{-1} G2 is then symmetric for both forms and commutes with every
     J, so neither needs a check.  For symmetric G1, G2: S^T G1 = G2 = G1 S
@@ -399,17 +401,14 @@ def scaling_isomorphism(a1: MetricAlgebra, a2: MetricAlgebra) -> ScalingOutcome:
     s = a1.form_V.inverse_matrix() * a2.form_V.matrix
     cp = char_poly(s)
     roots, remainder = rational_roots(cp)
+    if any(lam < 0 for lam in roots):
+        raise PreconditionError("metrics disagree in causal type: S has a negative root")
     eigvecs = []  # m of them exactly when S is diagonalizable over Q
     if remainder == 0:
         for lam in sorted(roots):
             ker = kernel_basis(s - RationalMatrix.identity(m).scale(lam))
             eigvecs.extend((lam, v) for v in ker)
-    for _, v in eigvecs:
-        s1 = a1.form_V.pair(v, v)
-        s2 = a2.form_V.pair(v, v)
-        if (s1 > 0) != (s2 > 0) or (s1 < 0) != (s2 < 0):
-            raise PreconditionError("metrics disagree in causal type on a witness")
-    sqrts = {lam: _rational_sqrt(lam) for lam in roots}
+    sqrts = {lam: _rational_sqrt(lam) for lam in roots}  # each lam > 0 now
     if len(eigvecs) < m or any(r is None for r in sqrts.values()):
         return ScalingOutcome("irrational-scaling", s, tuple(cp))
     # phi_V acts as sqrt(lambda) on each eigenspace

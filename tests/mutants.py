@@ -241,6 +241,37 @@ MUTANTS = [
         "scaling_isomorphism: two algebras are compared without checking that they share"
         " a J-image",
     ),
+    (
+        "nilpotent.py",
+        "    if any(lam < 0 for lam in roots):\n",
+        "    if False:\n",
+        "scaling_isomorphism: a negative root of S, a causal flip, is not rejected",
+    ),
+    (
+        "triple.py",
+        '    if None in rels:\n        raise HomomorphismError("h_pm lies outside L")\n',
+        '    if False:\n        raise HomomorphismError("h_pm lies outside L")\n',
+        "_ideal_split: h_pm is not checked to lie in L",
+    ),
+    (
+        "triple.py",
+        "    if l.dim != 6 or rank(*parts) != 6:\n",
+        "    if False:\n",
+        "_ideal_split: h_+ and h_- are not checked to make a basis of L",
+    ),
+    (
+        "triple.py",
+        "    if not _brackets_inside(ads, h_plus, h_minus, RationalMatrix.zeros(0, 0)):\n",
+        "    if False:\n",
+        "_ideal_split: h_+ and h_- are not checked to commute",
+    ),
+    (
+        "triple.py",
+        "    if not all(_brackets_inside(ads, RationalMatrix.identity(6), part, part)"
+        " for part in parts):\n",
+        "    if False:\n",
+        "_ideal_split: the summands are not checked to be ideals of L",
+    ),
 ]
 
 
