@@ -25,7 +25,14 @@ from json.encoder import encode_basestring_ascii as _quote
 from .catalog import BY_NAME
 from .clifford import CliffordSignature, build_module, verify_module
 from .errors import BadInputError, NilforgeError
-from .exactlin import MatrixSubspace, RationalMatrix, rat_to_str, signature, trace_gram
+from .exactlin import (
+    EntriesText,
+    MatrixSubspace,
+    RationalMatrix,
+    rat_to_str,
+    signature,
+    trace_gram,
+)
 from .lattice import lattice_verdict, pseudo_H_algebra, pseudo_H_pipeline_report
 from .nilpotent import NilpotentAlgebra2, is_pseudo_H_type
 from .standardform import (
@@ -60,16 +67,57 @@ def jsonify(obj):
 
 
 def canonical_json(obj) -> str:
-    """``json.dumps(jsonify(obj), indent=2, sort_keys=True) + "\\n"``, byte for byte."""
-    out: list[str] = []
-    _write_json(jsonify(obj), "\n", out)
+    """``json.dumps(jsonify(obj), indent=2, sort_keys=True) + "\\n"``, byte for byte,
+    in one walk of the report: a matrix's entries are printed from (N, D) by
+    ``EntriesText``, sharing one row memo for the call, and no JSON is built."""
+    out = _Text()
+    _write_json(obj, "\n", out)
     out.append("\n")
     return "".join(out)
 
 
-def _write_json(x, nl: str, out: list[str]) -> None:
-    """Append x's JSON text, lines broken by ``nl``, to out, for one join (json's indent
-    encoder is pure Python).  A float, a non-str key or any other type is a TypeError."""
+class _Text(list):
+    """The pieces of one canonical text, and the row memo of its matrices."""
+
+    __slots__ = ("memo",)
+
+    def __init__(self):
+        self.memo = {}
+
+
+def _write_json(x, nl: str, out: _Text) -> None:
+    """Append the text of x as ``jsonify`` converts it, lines broken by ``nl``.  An
+    object with ``_json_parts`` (a matrix, form, subspace, module or algebra) gives
+    its ``to_json`` object with matrices left as they are; any other ``to_json``
+    result is final, and is written as it is."""
+    t = type(x)
+    if t is dict:
+        if not all(type(k) is str for k in x):
+            x = {str(k): v for k, v in x.items()}
+    elif t not in (type(None), list, tuple, EntriesText) and not isinstance(x, (int, str)):
+        parts = getattr(t, "_json_parts", None)
+        if parts is not None:
+            x = parts(x)
+        elif isinstance(x, Fraction):
+            x = rat_to_str(x)
+        elif getattr(x, "to_json", None) is not None:
+            return _write_final(x.to_json(), nl, out)
+        elif dataclasses.is_dataclass(x) and not isinstance(x, type):
+            x = {f.name: getattr(x, f.name) for f in dataclasses.fields(x)}
+        elif isinstance(x, dict):
+            x = {str(k): v for k, v in x.items()}
+    _write_value(x, nl, out, _write_json)
+
+
+def _write_final(x, nl: str, out: _Text) -> None:
+    """Append the text of x, which holds only JSON values."""
+    _write_value(x, nl, out, _write_final)
+
+
+def _write_value(x, nl: str, out: _Text, write_item) -> None:
+    """Append x's JSON text, its items written by ``write_item``, for one join
+    (json's indent encoder is pure Python).  A float, a non-str key or any other
+    type is a TypeError."""
     inner = nl + "  "  # the line break of x's items
     if isinstance(x, str):
         out.append(_quote(x))
@@ -77,32 +125,20 @@ def _write_json(x, nl: str, out: list[str]) -> None:
         out.append("null" if x is None else "true" if x else "false")
     elif isinstance(x, int):
         out.append(int.__repr__(x))
+    elif type(x) is EntriesText:
+        out += x.pieces(nl, out.memo)
     elif isinstance(x, dict) and x:
         for i, k in enumerate(sorted(x)):  # _quote rejects a non-str key
             out.append(("," if i else "{") + inner + _quote(k) + ": ")
-            _write_json(x[k], inner, out)
+            write_item(x[k], inner, out)
         out.append(nl + "}")
     elif isinstance(x, (list, tuple)) and x:
-        # strings are one join, non-empty lists of strings (matrix rows) one each:
-        # a 5x5 matrix object takes 12 us, against 15 us with a call per row, on
-        # a 2-CPU x86-64 VM.  When quoting all the rows' text at once adds just
-        # two quotes, no entry needs an escape: the quotes go into the joins (the
-        # seed-7 `modules` reports: 15 against 21 ms, `to_json` included)
-        try:
-            if isinstance(x[0], (list, tuple)) and all(
-                isinstance(r, (list, tuple)) and r for r in x
-            ):
-                text = "".join(map("".join, x))
-                q = '"' if len(_quote(text)) == len(text) + 2 else ""
-                row, head = q + "," + inner + "  " + q, "[" + inner + "  " + q
-                items = [head + row.join(r if q else map(_quote, r)) + q + inner + "]" for r in x]
-            else:
-                items = map(_quote, x)
-            out.append("[" + inner + ("," + inner).join(items) + nl + "]")
+        try:  # a list of strings is one join
+            out.append("[" + inner + ("," + inner).join(map(_quote, x)) + nl + "]")
         except TypeError:  # not all strings: item by item
             for i, v in enumerate(x):
                 out.append(("," if i else "[") + inner)
-                _write_json(v, inner, out)
+                write_item(v, inner, out)
             out.append(nl + "]")
     elif isinstance(x, (list, tuple, dict)):
         out.append("{}" if isinstance(x, dict) else "[]")
@@ -115,7 +151,7 @@ def load_algebra(path: str) -> NilpotentAlgebra2:
 
 
 def save_algebra(a: NilpotentAlgebra2, path: str) -> None:
-    _write_file(path, canonical_json(a.to_json()))
+    _write_file(path, canonical_json(a))
 
 
 def _write_file(path: str, text: str) -> None:

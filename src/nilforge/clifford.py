@@ -71,6 +71,10 @@ class CliffordModule:
     construction_path: tuple[str, ...] = ()
 
     def to_json(self) -> dict:
+        return {**self._json_parts(), "generators": [g.to_json() for g in self.generators]}
+
+    def _json_parts(self) -> dict:
+        """``to_json`` with the generators left as matrices, for the canonical writer."""
         n, d = _int_form(self.module_form.matrix)
         return {
             "r": self.signature.r,
@@ -78,7 +82,7 @@ class CliffordModule:
             "N": self.module_dim,
             # each diagonal entry x / d as an int, rounded toward zero
             "eta": [x // d if x >= 0 else -(-x // d) for x in n.diagonal().tolist()],
-            "generators": [g.to_json() for g in self.generators],
+            "generators": self.generators,
         }
 
     @classmethod
@@ -136,10 +140,10 @@ _BASE = {
 
 
 def _pick_base(r: int, s: int) -> tuple[int, int]:
+    """The first base case under (r, s); (1, 0) or (0, 1) fits any r + s >= 1."""
     for br, bs in ((2, 0), (1, 1), (0, 2), (1, 0), (0, 1)):
         if br <= r and bs <= s:
             return br, bs
-    raise UnsupportedSignatureError(f"no base case under ({r},{s})")
 
 
 def _add_generator(r_gens, s_gens, form_diag, kind: str):

@@ -11,7 +11,12 @@ floating point anywhere.  A computed matrix reaches lowest terms only in
 Fraction is built as Fraction(x, D) only for what a public function returns,
 and an entry's text is printed straight from (N, D), or, for a large int64 N
 whose values span fewer integers than it has entries, gathered in one step
-from a table of the texts of the values it spans.
+from a table of the texts of the values it spans (``_entry_texts``, the one
+source of entry text).  The canonical writer prints a matrix's entries list
+through ``EntriesText``, with no JSON object built: a zero row is one
+template per width and indent, a row with one nonzero is kept by (column,
+text) for the rest of the output, a row with a few is the template with
+their texts spliced in at fixed offsets, and a dense row is one join.
 
 One kernel makes every product.  A square operand of size at least 16 is
 checked once, the first time it is multiplied, for being monomial (one
@@ -157,8 +162,33 @@ _INT64_BOUND = 2**62
 # against one gather from a table of its values' strings, on a 2-CPU x86-64
 # VM: 5.0 against 6.8 us (D = 1) and 11 against 16 us (D = 6) at N = 5, 14
 # against 9 and 23 against 10 us at N = 8, 563 against 50 and 1374 against
-# 76 us at N = 64; smaller matrices are printed entry by entry
+# 76 us at N = 64; smaller matrices are printed entry by entry.  The writer
+# joins each row of a matrix of fewer entries than this too: a 5 x 5 identity
+# took 6.7 us joined against 19 us through a new row memo, and a signed
+# permutation 15 against 16 us at N = 8 and 18 against 18 us at N = 16
 _TABLE_MIN = 64
+
+# a row of c > 1 nonzeros in a matrix's text, on a 2-CPU x86-64 VM: splicing
+# their texts into the zero row took 0.86, 1.26 and 2.06 us at c = 2, 4 and 8
+# against 1.43, 1.28 and 1.38 us for one join of all 64 entries, and 0.83
+# against 0.69 us at c = 2 of 16 entries; a row is spliced when it has at most
+# one nonzero per _SPLICE_COLS columns, and joined otherwise
+_SPLICE_COLS = 16
+
+
+def _entry_texts(n, d: int) -> list[str]:
+    """The canonical text of each entry of the integer array n over d, row-major:
+    the one source of an entry's text.  An int64 n of at least _TABLE_MIN entries
+    whose values span fewer integers than it has entries takes its text from a
+    table of ``_ratio_str(v, d)`` for every v from min n to max n, in one gather;
+    any other n is printed entry by entry."""
+    if n.dtype == np.int64 and n.size >= _TABLE_MIN:
+        lo, hi = int(n.min()), int(n.max())
+        if hi - lo + 1 < n.size:
+            table = np.array([_ratio_str(v, d) for v in range(lo, hi + 1)], dtype=object)
+            return table[n.ravel() - lo].tolist()
+    flat = n.ravel().tolist()
+    return list(map(str, flat)) if d == 1 else [_ratio_str(x, d) for x in flat]
 
 
 def _bound(n) -> int:
@@ -385,24 +415,14 @@ class RationalMatrix:
     # -- serialization
 
     def to_json(self) -> dict:
-        """Each entry as canonical text.  An int64 N of at least _TABLE_MIN
-        entries whose values span fewer integers than it has entries takes
-        its text from a table of ``_ratio_str(v, D)`` for every v from
-        min N to max N, in one gather; any other N is printed entry by
-        entry, straight from (N, D)."""
-        n, d = self._n, self._d
-        if n.dtype == np.int64 and n.size >= _TABLE_MIN:
-            lo, hi = int(n.min()), int(n.max())
-            if hi - lo + 1 < n.size:
-                table = np.array([_ratio_str(v, d) for v in range(lo, hi + 1)], dtype=object)
-                entries = table[n - lo].tolist()
-                return {"rows": self.rows, "cols": self.cols, "entries": entries}
-        rows = n.tolist()
-        if d == 1:
-            entries = [list(map(str, r)) for r in rows]
-        else:
-            entries = [[_ratio_str(x, d) for x in r] for r in rows]
+        """Each entry as canonical text, from ``_entry_texts``."""
+        texts, c = _entry_texts(self._n, self._d), self.cols
+        entries = [texts[i * c : i * c + c] for i in range(self.rows)]
         return {"rows": self.rows, "cols": self.cols, "entries": entries}
+
+    def _json_parts(self) -> dict:
+        """``to_json`` for the canonical writer, entries as ``EntriesText``."""
+        return {"rows": self.rows, "cols": self.cols, "entries": EntriesText(self)}
 
     @classmethod
     def from_json(cls, obj: dict) -> "RationalMatrix":
@@ -414,6 +434,98 @@ class RationalMatrix:
         if shape != (m.rows, m.cols) or any(type(x) is not int for x in shape):
             raise BadInputError(f"matrix shape fields {shape} disagree with entries")
         return m
+
+
+class EntriesText:
+    """A matrix's ``entries`` list as the canonical writer prints it (the
+    ``json.dumps(indent=2)`` layout), read straight from (N, D).  A matrix
+    of fewer than _TABLE_MIN entries, or more than half of whose entries are
+    nonzero, is one join of its entry texts per row.  In any other, a row
+    with at most one nonzero, a zero row or a row of a signed permutation,
+    comes from ``_RowText`` by (column, text); a row with at most one nonzero
+    per _SPLICE_COLS columns is the zero row with their texts spliced in, and
+    a denser row is one join."""
+
+    __slots__ = ("matrix",)
+
+    def __init__(self, matrix: RationalMatrix):
+        self.matrix = matrix
+
+    def pieces(self, nl: str, memo: dict) -> list[str]:
+        """The list's text at line break nl (its closing bracket's line), in
+        pieces for the output's one join; memo maps (cols, nl) to a ``_RowText``
+        and should live for one output."""
+        m = self.matrix
+        inner = nl + "  "
+        if not m.rows:
+            return ["[]"]
+        out = ["," + inner] * (2 * m.rows + 1)
+        out[0], out[1::2], out[-1] = "[" + inner, self._rows(inner, memo), nl + "]"
+        return out
+
+    def _rows(self, inner: str, memo: dict) -> list[str]:
+        m = self.matrix
+        n, d, cols = m._n, m._d, m.cols
+        if not cols:
+            return ["[]"] * m.rows
+        rows = memo.get((cols, inner))
+        if rows is None:
+            rows = memo[cols, inner] = _RowText(cols, inner)
+        if n.size >= _TABLE_MIN:
+            nz = n != 0
+            nnz = np.count_nonzero(nz)
+        if n.size < _TABLE_MIN or 2 * nnz > n.size:
+            texts = _entry_texts(n, d)
+            return [rows.join(texts[i * cols : i * cols + cols]) for i in range(m.rows)]
+        js = nz.argmax(axis=1)  # each row's first nonzero column, 0 in a zero row
+        lead = n[np.arange(m.rows), js]
+        if np.count_nonzero(lead) == nnz:  # no row has a second nonzero
+            return [rows[key] for key in zip(js.tolist(), _entry_texts(lead, d))]
+        at = np.flatnonzero(nz)
+        texts, js, out, k = _entry_texts(n.ravel()[at], d), (at % cols).tolist(), [], 0
+        for i, c in enumerate(np.count_nonzero(nz, axis=1).tolist()):
+            if c == 1:
+                out.append(rows[js[k], texts[k]])
+            elif c * _SPLICE_COLS <= cols:
+                out.append(rows.splice(js[k : k + c], texts[k : k + c]))
+            else:
+                out.append(rows.join(_entry_texts(n[i], d)))
+            k += c
+        return out
+
+
+class _RowText(dict):
+    """The text of each row of ``cols`` entries with at most one nonzero,
+    keyed by (column, text), the zero row as (0, "0"): spliced into the zero
+    row on first use.  Every "0" has the same width, so column j of the zero
+    row sits at a fixed offset."""
+
+    __slots__ = ("head", "sep", "tail", "zero", "at")
+
+    def __init__(self, cols: int, inner: str):
+        cell = inner + "  "
+        self.head, self.sep, self.tail = "[" + cell + '"', '",' + cell + '"', '"' + inner + "]"
+        self.zero = self.join("0" * cols)
+        self.at = range(len(self.head), len(self.zero), len(self.sep) + 1)  # column j's "0"
+
+    def join(self, texts) -> str:
+        return self.head + self.sep.join(texts) + self.tail
+
+    def splice(self, js, texts) -> str:
+        """The zero row with the "0" of column js[i] replaced by texts[i], js increasing."""
+        parts, q = [], 0
+        for j, t in zip(js, texts):
+            p = self.at[j]
+            parts += self.zero[q:p], t
+            q = p + 1
+        parts.append(self.zero[q:])
+        return "".join(parts)
+
+    def __missing__(self, key) -> str:
+        j, t = key
+        p = self.at[j]
+        row = self[key] = self.zero[:p] + t + self.zero[p + 1 :]
+        return row
 
 
 def _int_form(m: RationalMatrix) -> tuple:
@@ -830,6 +942,9 @@ class SignatureForm:
     def to_json(self) -> dict:
         return self.matrix.to_json()
 
+    def _json_parts(self) -> dict:
+        return self.matrix._json_parts()
+
     @classmethod
     def from_json(cls, obj: dict) -> "SignatureForm":
         return cls(RationalMatrix.from_json(obj))
@@ -1125,6 +1240,9 @@ class MatrixSubspace:
             "ambient": self.ambient_dim,
             "basis": [b.to_json() for b in self.basis],
         }
+
+    def _json_parts(self) -> dict:
+        return {"ambient": self.ambient_dim, "basis": self.basis}
 
     @classmethod
     def from_json(cls, obj: dict) -> "MatrixSubspace":

@@ -32,6 +32,7 @@ from .errors import (
 )
 from .exactlin import (
     ZERO,
+    EntriesText,
     MatrixSubspace,
     RationalMatrix,
     SignatureForm,
@@ -112,12 +113,20 @@ class NilpotentAlgebra2:
         return self.m + self.n
 
     def to_json(self) -> dict:
+        obj = self._json_parts()
+        obj["C"] = [c.to_json()["entries"] for c in self.structure]
+        obj["form_V"] = self.form_V.to_json() if self.form_V else None
+        obj["form_Z"] = self.form_Z.to_json() if self.form_Z else None
+        return obj
+
+    def _json_parts(self) -> dict:
+        """``to_json`` with the matrices left as they are, for the canonical writer."""
         obj = {
             "m": self.m,
             "n": self.n,
-            "C": [c.to_json()["entries"] for c in self.structure],
-            "form_V": self.form_V.to_json() if self.form_V else None,
-            "form_Z": self.form_Z.to_json() if self.form_Z else None,
+            "C": [EntriesText(c) for c in self.structure],
+            "form_V": self.form_V,
+            "form_Z": self.form_Z,
             "tag": self.tag,
         }
         if self.symbolic:

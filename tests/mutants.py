@@ -272,6 +272,18 @@ MUTANTS = [
         "    if False:\n",
         "_ideal_split: the summands are not checked to be ideals of L",
     ),
+    (
+        "exactlin.py",
+        "            p = self.at[j]\n",
+        "            p = self.at[j + 1]\n",
+        "_RowText.splice: each nonzero's text goes in one column right of its own",
+    ),
+    (
+        "exactlin.py",
+        "        row = self[key] = self.zero[:p] + t + self.zero[p + 1 :]\n",
+        "        row = self[key] = self.setdefault(j, self.zero[:p] + t + self.zero[p + 1 :])\n",
+        "_RowText: the one-nonzero row memo is keyed by column alone, dropping the entry text",
+    ),
 ]
 
 
