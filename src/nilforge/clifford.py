@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import BadInputError, HomomorphismError, UnsupportedSignatureError
-from .exactlin import RationalMatrix, SignatureForm, _int_form, lin_comb, nu
+from .exactlin import RationalMatrix, SignatureForm, _int_form, _plain_json, lin_comb, nu
 from .nilpotent import h_type_laws
 
 #: largest r+s accepted by build_module
@@ -71,10 +71,10 @@ class CliffordModule:
     construction_path: tuple[str, ...] = ()
 
     def to_json(self) -> dict:
-        return {**self._json_parts(), "generators": [g.to_json() for g in self.generators]}
+        return _plain_json(self._json_parts())
 
     def _json_parts(self) -> dict:
-        """``to_json`` with the generators left as matrices, for the canonical writer."""
+        """The fields of ``to_json``, with the generators left as matrices."""
         n, d = _int_form(self.module_form.matrix)
         return {
             "r": self.signature.r,

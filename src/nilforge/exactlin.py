@@ -14,9 +14,9 @@ whose values span fewer integers than it has entries, gathered in one step
 from a table of the texts of the values it spans (``_entry_texts``, the one
 source of entry text).  The canonical writer prints a matrix's entries list
 through ``EntriesText``, with no JSON object built: a zero row is one
-template per width and indent, a row with one nonzero is kept by (column,
-text) for the rest of the output, a row with a few is the template with
-their texts spliced in at fixed offsets, and a dense row is one join.
+template per width and indent, a row with one nonzero is that template with
+its text put in at a fixed offset, kept by (column, text) for the rest of
+the output, and any other row is one join.
 
 One kernel makes every product.  A square operand of size at least 16 is
 checked once, the first time it is multiplied, for being monomial (one
@@ -167,13 +167,6 @@ _INT64_BOUND = 2**62
 # took 6.7 us joined against 19 us through a new row memo, and a signed
 # permutation 15 against 16 us at N = 8 and 18 against 18 us at N = 16
 _TABLE_MIN = 64
-
-# a row of c > 1 nonzeros in a matrix's text, on a 2-CPU x86-64 VM: splicing
-# their texts into the zero row took 0.86, 1.26 and 2.06 us at c = 2, 4 and 8
-# against 1.43, 1.28 and 1.38 us for one join of all 64 entries, and 0.83
-# against 0.69 us at c = 2 of 16 entries; a row is spliced when it has at most
-# one nonzero per _SPLICE_COLS columns, and joined otherwise
-_SPLICE_COLS = 16
 
 
 def _entry_texts(n, d: int) -> list[str]:
@@ -416,12 +409,10 @@ class RationalMatrix:
 
     def to_json(self) -> dict:
         """Each entry as canonical text, from ``_entry_texts``."""
-        texts, c = _entry_texts(self._n, self._d), self.cols
-        entries = [texts[i * c : i * c + c] for i in range(self.rows)]
-        return {"rows": self.rows, "cols": self.cols, "entries": entries}
+        return _plain_json(self._json_parts())
 
     def _json_parts(self) -> dict:
-        """``to_json`` for the canonical writer, entries as ``EntriesText``."""
+        """The fields of ``to_json``, entries as ``EntriesText``."""
         return {"rows": self.rows, "cols": self.cols, "entries": EntriesText(self)}
 
     @classmethod
@@ -442,14 +433,18 @@ class EntriesText:
     of fewer than _TABLE_MIN entries, or more than half of whose entries are
     nonzero, is one join of its entry texts per row.  In any other, a row
     with at most one nonzero, a zero row or a row of a signed permutation,
-    comes from ``_RowText`` by (column, text); a row with at most one nonzero
-    per _SPLICE_COLS columns is the zero row with their texts spliced in, and
-    a denser row is one join."""
+    comes from ``_RowText`` by (column, text), and any other row is one join."""
 
     __slots__ = ("matrix",)
 
     def __init__(self, matrix: RationalMatrix):
         self.matrix = matrix
+
+    def lists(self) -> list[list[str]]:
+        """The entries as rows of texts, the plain JSON of ``to_json``."""
+        m = self.matrix
+        texts, c = _entry_texts(m._n, m._d), m.cols
+        return [texts[i * c : i * c + c] for i in range(m.rows)]
 
     def pieces(self, nl: str, memo: dict) -> list[str]:
         """The list's text at line break nl (its closing bracket's line), in
@@ -479,26 +474,21 @@ class EntriesText:
             return [rows.join(texts[i * cols : i * cols + cols]) for i in range(m.rows)]
         js = nz.argmax(axis=1)  # each row's first nonzero column, 0 in a zero row
         lead = n[np.arange(m.rows), js]
+        keys = zip(js.tolist(), _entry_texts(lead, d))
         if np.count_nonzero(lead) == nnz:  # no row has a second nonzero
-            return [rows[key] for key in zip(js.tolist(), _entry_texts(lead, d))]
-        at = np.flatnonzero(nz)
-        texts, js, out, k = _entry_texts(n.ravel()[at], d), (at % cols).tolist(), [], 0
-        for i, c in enumerate(np.count_nonzero(nz, axis=1).tolist()):
-            if c == 1:
-                out.append(rows[js[k], texts[k]])
-            elif c * _SPLICE_COLS <= cols:
-                out.append(rows.splice(js[k : k + c], texts[k : k + c]))
-            else:
-                out.append(rows.join(_entry_texts(n[i], d)))
-            k += c
-        return out
+            return [rows[key] for key in keys]
+        many = (np.count_nonzero(nz, axis=1) > 1).tolist()
+        return [
+            rows.join(_entry_texts(n[i], d)) if many[i] else rows[key]
+            for i, key in enumerate(keys)
+        ]
 
 
 class _RowText(dict):
     """The text of each row of ``cols`` entries with at most one nonzero,
-    keyed by (column, text), the zero row as (0, "0"): spliced into the zero
-    row on first use.  Every "0" has the same width, so column j of the zero
-    row sits at a fixed offset."""
+    keyed by (column, text), the zero row as (0, "0"): the text put in place
+    of column j's "0" in the zero row on first use.  Every "0" has the same
+    width, so column j sits at a fixed offset."""
 
     __slots__ = ("head", "sep", "tail", "zero", "at")
 
@@ -511,21 +501,27 @@ class _RowText(dict):
     def join(self, texts) -> str:
         return self.head + self.sep.join(texts) + self.tail
 
-    def splice(self, js, texts) -> str:
-        """The zero row with the "0" of column js[i] replaced by texts[i], js increasing."""
-        parts, q = [], 0
-        for j, t in zip(js, texts):
-            p = self.at[j]
-            parts += self.zero[q:p], t
-            q = p + 1
-        parts.append(self.zero[q:])
-        return "".join(parts)
-
     def __missing__(self, key) -> str:
         j, t = key
         p = self.at[j]
         row = self[key] = self.zero[:p] + t + self.zero[p + 1 :]
         return row
+
+
+def _plain_json(x):
+    """x with every ``EntriesText`` and every object with ``_json_parts`` (a
+    matrix, form, subspace, module or algebra) in it turned into plain JSON
+    values: the one conversion behind each of their ``to_json``."""
+    if type(x) is EntriesText:
+        return x.lists()
+    parts = getattr(type(x), "_json_parts", None)
+    if parts is not None:
+        return _plain_json(parts(x))
+    if isinstance(x, dict):
+        return {k: _plain_json(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_plain_json(v) for v in x]
+    return x
 
 
 def _int_form(m: RationalMatrix) -> tuple:
@@ -940,7 +936,7 @@ class SignatureForm:
         return hash(("SignatureForm", self.matrix))
 
     def to_json(self) -> dict:
-        return self.matrix.to_json()
+        return _plain_json(self._json_parts())
 
     def _json_parts(self) -> dict:
         return self.matrix._json_parts()
@@ -1236,10 +1232,7 @@ class MatrixSubspace:
         )
 
     def to_json(self) -> dict:
-        return {
-            "ambient": self.ambient_dim,
-            "basis": [b.to_json() for b in self.basis],
-        }
+        return _plain_json(self._json_parts())
 
     def _json_parts(self) -> dict:
         return {"ambient": self.ambient_dim, "basis": self.basis}

@@ -37,6 +37,7 @@ from .exactlin import (
     RationalMatrix,
     SignatureForm,
     _int_form,
+    _plain_json,
     char_poly,
     independent_subset,
     kernel_basis,
@@ -113,14 +114,10 @@ class NilpotentAlgebra2:
         return self.m + self.n
 
     def to_json(self) -> dict:
-        obj = self._json_parts()
-        obj["C"] = [c.to_json()["entries"] for c in self.structure]
-        obj["form_V"] = self.form_V.to_json() if self.form_V else None
-        obj["form_Z"] = self.form_Z.to_json() if self.form_Z else None
-        return obj
+        return _plain_json(self._json_parts())
 
     def _json_parts(self) -> dict:
-        """``to_json`` with the matrices left as they are, for the canonical writer."""
+        """The fields of ``to_json``, with the matrices left as they are."""
         obj = {
             "m": self.m,
             "n": self.n,

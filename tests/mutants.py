@@ -274,9 +274,9 @@ MUTANTS = [
     ),
     (
         "exactlin.py",
-        "            p = self.at[j]\n",
-        "            p = self.at[j + 1]\n",
-        "_RowText.splice: each nonzero's text goes in one column right of its own",
+        "        p = self.at[j]\n",
+        "        p = self.at[j + 1]\n",
+        "_RowText: a row's one nonzero text goes in one column right of its own",
     ),
     (
         "exactlin.py",

@@ -1,8 +1,8 @@
 """Matrices reached through reports, printed by the canonical writer straight
 from (N, D), against ``json.dumps(jsonify(x), indent=2, sort_keys=True)``:
 every kind of row ``EntriesText`` tells apart (zero, one nonzero from the
-row memo, a few spliced into the zero row, dense), bare and nested in the
-objects that hand their matrices to the writer."""
+row memo, more than one joined), bare and nested in the objects that hand
+their matrices to the writer."""
 
 import json
 from fractions import Fraction
@@ -49,7 +49,7 @@ def monomials(draw):
 
 @st.composite
 def sparse(draw):
-    # 0 to 3 nonzeros a row, now and then a dense one: wide rows are spliced
+    # 0 to 3 nonzeros a row, now and then a dense one
     rows, cols = draw(st.integers(1, 6)), draw(st.sampled_from([3, 8, 16, 32, 48, 64]))
     d, out = draw(denominators), []
     for _ in range(rows):
@@ -153,8 +153,8 @@ def test_matrices_sharing_the_row_memo_match_json_dumps(ms):
 def test_every_kind_of_row_in_one_matrix():
     rows = [[0] * 64 for _ in range(6)]
     rows[1][5] = -1  # one nonzero
-    rows[2][0], rows[2][63] = 2, Fraction(-1, 3)  # two, spliced at both ends
-    rows[3][10:13] = [1, 2, 3]  # three, spliced
+    rows[2][0], rows[2][63] = 2, Fraction(-1, 3)  # two, at both ends
+    rows[3][10:13] = [1, 2, 3]  # three
     rows[4] = list(range(64))  # dense
     rows[5][63] = 7
     m = RationalMatrix(rows)
