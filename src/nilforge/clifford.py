@@ -18,13 +18,17 @@ generator while keeping the form diagonal:
 - add_r: J -> J (x) E, new generator I (x) Q, form d -> d (x) I,
 - add_s: J -> J (x) E, new generator I (x) P, form d -> d (x) (1, -1),
 
-with E = diag(1,-1), Q = [[0,-1],[1,0]], P = [[0,1],[1,0]].  The steps and
-the final sort of the basis (form +1 before -1) are Kronecker products and
-a basis permutation P^T M P on the generators' integer arrays, so every
-generator, and every product of generators, is a signed permutation
-matrix, which the product kernel multiplies as a gather.  Every
-constructed module is re-verified by ``verify_module``; nothing about the
-recursion is trusted.
+with E = diag(1,-1), Q = [[0,-1],[1,0]], P = [[0,1],[1,0]].  Every matrix
+of the recursion is a signed permutation, held as index arrays (cols, vals)
+of Python ints, row i holding vals[i] at column cols[i]: a Kronecker step
+multiplies indices and values (``_kron``), and the final sort of the basis
+(form +1 before -1) relabels rows and columns.  Each generator becomes a
+matrix once, through ``RationalMatrix.signed_permutation``, which proves its
+monomial form there, so no N x N array is multiplied out, permuted or
+scanned to build it.  Every product of generators is a signed permutation
+too, which the product kernel multiplies as a gather.  Every constructed
+module is re-verified by ``verify_module``; nothing about the recursion is
+trusted.
 """
 
 from __future__ import annotations
@@ -39,9 +43,10 @@ from .nilpotent import h_type_laws
 #: largest r+s accepted by build_module
 SIGNATURE_CAP = 8
 
-_E = RationalMatrix(((1, 0), (0, -1)))
-_P = RationalMatrix(((0, 1), (1, 0)))
-_Q = RationalMatrix(((0, -1), (1, 0)))
+# signed permutations as (cols, vals): row i holds vals[i] at column cols[i]
+_E = ((0, 1), (1, -1))
+_P = ((1, 0), (1, 1))
+_Q = ((1, 0), (-1, 1))
 
 
 @dataclass(frozen=True)
@@ -50,6 +55,8 @@ class CliffordSignature:
     s: int
 
     def __post_init__(self):
+        if type(self.r) is not int or type(self.s) is not int:
+            raise UnsupportedSignatureError(f"signature ({self.r!r},{self.s!r}) is not two ints")
         if self.r < 0 or self.s < 0 or self.r + self.s < 1:
             raise UnsupportedSignatureError(f"bad signature ({self.r},{self.s})")
 
@@ -115,27 +122,9 @@ def clifford_dim(sig: CliffordSignature) -> int:
 _BASE = {
     (1, 0): ([_Q], (1, 1)),
     (0, 1): ([_P], (1, -1)),
-    (2, 0): (
-        [
-            RationalMatrix(((0, 0, -1, 0), (0, 0, 0, -1), (1, 0, 0, 0), (0, 1, 0, 0))),
-            RationalMatrix(((0, 0, 0, -1), (0, 0, 1, 0), (0, -1, 0, 0), (1, 0, 0, 0))),
-        ],
-        (1, 1, 1, 1),
-    ),
-    (1, 1): (
-        [
-            RationalMatrix(((0, -1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, -1, 0))),
-            RationalMatrix(((0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0))),
-        ],
-        (1, 1, -1, -1),
-    ),
-    (0, 2): (
-        [
-            RationalMatrix(((0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0))),
-            RationalMatrix(((0, 0, 0, 1), (0, 0, -1, 0), (0, -1, 0, 0), (1, 0, 0, 0))),
-        ],
-        (1, 1, -1, -1),
-    ),
+    (2, 0): ([((2, 3, 0, 1), (-1, -1, 1, 1)), ((3, 2, 1, 0), (-1, 1, -1, 1))], (1, 1, 1, 1)),
+    (1, 1): ([((1, 0, 3, 2), (-1, 1, 1, -1)), ((2, 3, 0, 1), (1, 1, 1, 1))], (1, 1, -1, -1)),
+    (0, 2): ([((2, 3, 0, 1), (1, 1, 1, 1)), ((3, 2, 1, 0), (1, -1, -1, 1))], (1, 1, -1, -1)),
 }
 
 
@@ -146,31 +135,50 @@ def _pick_base(r: int, s: int) -> tuple[int, int]:
             return br, bs
 
 
+def _kron(a, b):
+    """A (x) B for signed permutations (cols, vals): row i nb + k, nb the size
+    of B, holds a_vals[i] b_vals[k] at column a_cols[i] nb + b_cols[k]."""
+    (a_cols, a_vals), (b_cols, b_vals) = a, b
+    nb = len(b_cols)
+    return (
+        [i * nb + k for i in a_cols for k in b_cols],
+        [x * y for x in a_vals for y in b_vals],
+    )
+
+
 def _add_generator(r_gens, s_gens, form_diag, kind: str):
     """One doubling step: tensor old generators with E, append I (x) Q
     (kind 'r') or I (x) P (kind 's'); extend the form diagonal."""
-    ident = RationalMatrix.identity(len(form_diag))
-    r_gens = [g.kron(_E) for g in r_gens]
-    s_gens = [g.kron(_E) for g in s_gens]
+    ident = (range(len(form_diag)), [1] * len(form_diag))
+    r_gens = [_kron(g, _E) for g in r_gens]
+    s_gens = [_kron(g, _E) for g in s_gens]
     if kind == "r":
-        r_gens.append(ident.kron(_Q))
+        r_gens.append(_kron(ident, _Q))
         form_diag = tuple(x for d in form_diag for x in (d, d))
     else:
-        s_gens.append(ident.kron(_P))
+        s_gens.append(_kron(ident, _P))
         form_diag = tuple(x for d in form_diag for x in (d, -d))
     return r_gens, s_gens, form_diag
 
 
 def _sort_form(r_gens, s_gens, form_diag):
-    """Permute the basis so the form diagonal is all +1 then all -1."""
+    """Permute the basis so the form diagonal is all +1 then all -1: row i of
+    P^T M P is row order[i] of M, with its column j renamed new[j], the
+    position of j in order."""
     order = [i for i, d in enumerate(form_diag) if d > 0] + [
         i for i, d in enumerate(form_diag) if d < 0
     ]
     if order == list(range(len(form_diag))):
         return r_gens, s_gens, form_diag
+    new = {j: i for i, j in enumerate(order)}
+
+    def moved(g):
+        cols, vals = g
+        return [new[cols[i]] for i in order], [vals[i] for i in order]
+
     return (
-        [g.permute(order) for g in r_gens],
-        [g.permute(order) for g in s_gens],
+        [moved(g) for g in r_gens],
+        [moved(g) for g in s_gens],
         tuple(form_diag[i] for i in order),
     )
 
@@ -201,7 +209,7 @@ def build_module(sig: CliffordSignature) -> CliffordModule:
         module_dim=len(form_diag),
         # sorted, the diagonal is +1 before -1
         module_form=SignatureForm.standard(form_diag.count(1), form_diag.count(-1)),
-        generators=tuple(r_gens + s_gens),
+        generators=tuple(RationalMatrix.signed_permutation(*g) for g in r_gens + s_gens),
         construction_path=tuple(path),
     )
     report = verify_module(module)

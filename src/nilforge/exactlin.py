@@ -22,12 +22,15 @@ One kernel makes every product.  A square operand of size at least 16 is
 checked once, the first time it is multiplied, for being monomial (one
 nonzero in every row and every column, as a signed permutation is); a
 product with a monomial operand is then a gather of the other operand's
-rows or columns, scaled, instead of a dense integer matrix product.  With
-the entries vec(M_l) of matrices stacked as rows, the linear combinations
-sum_l A_kl M_l for all rows k of A are one product (``lin_combs``, and
-``skew_combs`` for M_l = -G J_l, made by one product of G with the J_l side
-by side), and so are all traces tr(X_a Y_b) = vec(X_a) . vec(Y_b^T)
-(``trace_pairing``) and the trace Grams of every eta twist (``eta_pairings``).
+rows or columns, scaled, instead of a dense integer matrix product.  A
+signed permutation built from its index arrays
+(``RationalMatrix.signed_permutation``) carries that form from the start,
+with no scan.  With the entries vec(M_l) of matrices stacked as rows, the
+linear combinations sum_l A_kl M_l for all rows k of A are one product
+(``lin_combs``, and ``skew_combs`` for M_l = -G J_l, made by one product of
+G with the J_l side by side), and so are all traces tr(X_a Y_b) =
+vec(X_a) . vec(Y_b^T) (``trace_pairing``) and the trace Grams of every eta
+twist (``eta_pairings``).
 
 One fraction-free step, ``_cancel``, clears a pivot column from a row of
 Python ints by gcd steps, and every elimination is made of it.
@@ -286,6 +289,28 @@ class RationalMatrix:
         nums = [num for num, _ in rels]
         n[[i for i, num in enumerate(nums) for _ in num], [j for num in nums for j in num]] = vals
         return cls._of(n, d)
+
+    @classmethod
+    def signed_permutation(cls, cols, vals) -> "RationalMatrix":
+        """The N x N integer matrix with vals[i] at (i, cols[i]) and 0
+        elsewhere, for cols a permutation of range(N) and nonzero int vals.
+        Both are checked here, so the matrix carries its monomial form from
+        the start (size at least _GATHER_MIN, as ``_monomial`` decides) and
+        its bound from vals: no product or bound scans its N x N array."""
+        n = len(cols)
+        if len(vals) != n or sorted(cols) != list(range(n)):
+            raise DimensionMismatchError(f"{cols!r} is not a permutation of {len(vals)} columns")
+        if {*map(type, vals)} - {int} or 0 in vals:
+            raise BadInputError(f"signed-permutation values {vals!r} are not nonzero ints")
+        bound = max(map(abs, vals), default=0)
+        vals = np.array(vals, dtype=object if bound >= _INT64_BOUND else np.int64)
+        cols = np.array(cols, dtype=np.intp)
+        entries = np.zeros((n, n), dtype=vals.dtype)
+        entries[np.arange(n), cols] = vals
+        m = cls._raw(entries, 1, bound)
+        if n >= _GATHER_MIN:
+            m._mono = cols, vals
+        return m
 
     def kron(self, other: "RationalMatrix") -> "RationalMatrix":
         """The Kronecker product self (x) other."""
@@ -571,7 +596,9 @@ _GATHER_MIN = 16
 def _monomial(m: RationalMatrix):
     """(cols, vals) when N has exactly one nonzero in every row and every
     column, N[i, cols[i]] = vals[i]; None otherwise.  Decided once per
-    matrix, and only for square matrices of size at least _GATHER_MIN."""
+    matrix, and only for square matrices of size at least _GATHER_MIN:
+    either scanned here, the first time it is asked for, or proved at
+    construction (``RationalMatrix.signed_permutation``) and never scanned."""
     if m._mono is None:
         m._mono = False
         if m.rows == m.cols >= _GATHER_MIN:

@@ -284,6 +284,24 @@ MUTANTS = [
         "        row = self[key] = self.setdefault(j, self.zero[:p] + t + self.zero[p + 1 :])\n",
         "_RowText: the one-nonzero row memo is keyed by column alone, dropping the entry text",
     ),
+    (
+        "clifford.py",
+        "    nb = len(b_cols)\n",
+        "    nb = len(a_cols)\n",
+        "_kron: the index Kronecker product strides rows and columns by the left factor's size",
+    ),
+    (
+        "clifford.py",
+        "        return [new[cols[i]] for i in order], [vals[i] for i in order]\n",
+        "        return [order[cols[i]] for i in order], [vals[i] for i in order]\n",
+        "_sort_form: columns are renamed by the sort order itself, not by its inverse",
+    ),
+    (
+        "exactlin.py",
+        "        if len(vals) != n or sorted(cols) != list(range(n)):\n",
+        "        if len(vals) != n:\n",
+        "signed_permutation: a repeated column is not rejected, so a non-monomial form is attached",
+    ),
 ]
 
 
