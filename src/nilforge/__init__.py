@@ -8,7 +8,6 @@ from .clifford import (
     CliffordModule,
     CliffordSignature,
     build_module,
-    extend_J,
     verify_module,
 )
 from .errors import NilforgeError
@@ -35,10 +34,8 @@ from .exactlin import (
 from .lattice import (
     LatticeVerdict,
     integer_rescale,
-    is_rational_basis,
     lattice_verdict,
     pseudo_H_algebra,
-    pseudo_H_lattice_witness,
     pseudo_H_pipeline_report,
 )
 from .nilpotent import (
@@ -51,7 +48,6 @@ from .nilpotent import (
     derived_ideal,
     is_pseudo_H_type,
     j_map,
-    rescale_and_compare,
     scaling_isomorphism,
 )
 from .standardform import (
@@ -81,10 +77,7 @@ from .triple import (
     generated_algebra,
     generated_ideal,
     ideal_probe,
-    is_lie_triple,
-    is_semisimple,
     killing_form,
-    special_ideal_split,
     theta_closure,
     triple_center,
 )

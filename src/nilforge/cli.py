@@ -47,27 +47,8 @@ from .standardform import (
 from .triple import clifford_ideal_probe, clifford_triple_report
 
 
-def jsonify(obj):
-    """Recursively convert a report to plain JSON values.  An object with
-    ``to_json`` writes its own JSON, which is final and not walked again."""
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, Fraction):
-        return rat_to_str(obj)
-    to_json = getattr(obj, "to_json", None)
-    if to_json is not None:
-        return to_json()
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: jsonify(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, dict):
-        return {str(k): jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonify(x) for x in obj]
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
 def canonical_json(obj) -> str:
-    """``json.dumps(jsonify(obj), indent=2, sort_keys=True) + "\\n"``, byte for byte,
+    """``json.dumps(exactlin.jsonify(obj), indent=2, sort_keys=True) + "\\n"``, byte for byte,
     in one walk of the report: a matrix's entries are printed from (N, D) by
     ``EntriesText``, sharing one row memo for the call, and no JSON is built."""
     out = _Text()
@@ -86,7 +67,7 @@ class _Text(list):
 
 
 def _write_json(x, nl: str, out: _Text) -> None:
-    """Append the text of x as ``jsonify`` converts it, lines broken by ``nl``.  An
+    """Append the text of x as ``exactlin.jsonify`` converts it, lines broken by ``nl``.  An
     object with ``_json_parts`` (a matrix, form, subspace, module or algebra) gives
     its ``to_json`` object with matrices left as they are; any other ``to_json``
     result is final, and is written as it is."""

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import BadInputError, HomomorphismError, UnsupportedSignatureError
-from .exactlin import RationalMatrix, SignatureForm, _int_form, _plain_json, lin_comb, nu
+from .exactlin import RationalMatrix, SignatureForm, _int_form, jsonify, nu
 from .nilpotent import h_type_laws
 
 #: largest r+s accepted by build_module
@@ -77,18 +77,23 @@ class CliffordModule:
     generators: tuple[RationalMatrix, ...]
     construction_path: tuple[str, ...] = ()
 
+    def __post_init__(self):
+        # the form is diag(eta) of size N, each eta_i 1 or -1, read in integers
+        form = self.module_form.matrix
+        eta = _int_form(form)[0].diagonal().tolist()
+        if len(eta) != self.module_dim or {*eta} - {1, -1} or form != RationalMatrix.diag(eta):
+            raise BadInputError(f"module form is not diag(+-1) of size N = {self.module_dim}")
+
     def to_json(self) -> dict:
-        return _plain_json(self._json_parts())
+        return jsonify(self)
 
     def _json_parts(self) -> dict:
         """The fields of ``to_json``, with the generators left as matrices."""
-        n, d = _int_form(self.module_form.matrix)
         return {
             "r": self.signature.r,
             "s": self.signature.s,
             "N": self.module_dim,
-            # each diagonal entry x / d as an int, rounded toward zero
-            "eta": [x // d if x >= 0 else -(-x // d) for x in n.diagonal().tolist()],
+            "eta": _int_form(self.module_form.matrix)[0].diagonal().tolist(),
             "generators": self.generators,
         }
 
@@ -110,11 +115,6 @@ class CliffordModule:
         if form.dim != n or any(g.rows != n or g.cols != n for g in gens):
             raise BadInputError(f"N = {n} disagrees with the size of eta or of a generator")
         return cls(sig, n, form, gens)
-
-
-def clifford_dim(sig: CliffordSignature) -> int:
-    """Dimension 2^(r+s) of the Clifford algebra Cl_{r,s}."""
-    return 2 ** (sig.r + sig.s)
 
 
 # base cases: (r, s) -> (list of generators, form diagonal)
@@ -256,8 +256,3 @@ def verify_module(module: CliffordModule) -> dict:
         "checks": checks,
         "passed": all(checks.values()),
     }
-
-
-def extend_J(module: CliffordModule, z) -> RationalMatrix:
-    """Linear extension z -> sum z_i J_i of the generators, one z_i for each."""
-    return lin_comb(z, module.generators, module.module_dim)

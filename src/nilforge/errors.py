@@ -92,12 +92,6 @@ class UnsupportedSignatureError(NilforgeError):
     code = "ERR_UNSUPPORTED_SIGNATURE"
 
 
-class SignatureError(NilforgeError):
-    """Operation defined only for specific (r, s) signatures."""
-
-    code = "ERR_SIGNATURE"
-
-
 class BadInputError(NilforgeError):
     """Malformed serialized input."""
 

@@ -21,8 +21,8 @@ the output, and any other row is one join.
 One kernel makes every product.  A square operand of size at least 16 is
 checked once, the first time it is multiplied, for being monomial (one
 nonzero in every row and every column, as a signed permutation is); a
-product with a monomial operand is then a gather of the other operand's
-rows or columns, scaled, instead of a dense integer matrix product.  A
+product with a monomial left operand is then a gather of the other
+operand's rows, scaled, instead of a dense integer matrix product.  A
 signed permutation built from its index arrays
 (``RationalMatrix.signed_permutation``) carries that form from the start,
 with no scan.  With the entries vec(M_l) of matrices stacked as rows, the
@@ -41,9 +41,9 @@ integer relation (num, den), from which rref builds its matrix.  rref and
 rank read the span of the rows of N, kernel_basis and solve the coordinates
 of its columns, inverse the combinations of the echelon rows of N's rows
 (each num[p] e_p = sum_l comb[l] N_l once every column is a pivot, so no
-vector is reduced after the span is built), ``invariant_closure`` the span
-that a list of matrices generates from one vector (``closure_is_full`` proves
-it full mod a prime, by one batched Krylov rank test), and ``MatrixSubspace``
+vector is reduced after the span is built), ``_closure`` the span that a
+list of matrices generates from one vector (``closure_is_full`` proves it
+full mod a prime, by one batched Krylov rank test), and ``MatrixSubspace``
 keeps the span of its basis, built when a query first needs it;
 ``signature`` clears the rows of N by the same step.  A diagonal matrix
 takes no elimination: ``signature`` counts the signs of its diagonal and
@@ -65,11 +65,13 @@ The module provides:
   the Gram matrix of the trace form <X, Y> = -tr(XY), and its eta twists,
 - ``polarized_match``: X_k Y_l + X_l Y_k == c_kl T for every pair at once,
 - ``phi_matrices``: the basis phi_ij of so(p,q), from one integer array,
-- canonical string/JSON serialization with bit-exact round-trip.
+- canonical string/JSON serialization with bit-exact round-trip, and
+  ``jsonify``, the one conversion of a report to plain JSON values.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -434,7 +436,7 @@ class RationalMatrix:
 
     def to_json(self) -> dict:
         """Each entry as canonical text, from ``_entry_texts``."""
-        return _plain_json(self._json_parts())
+        return jsonify(self)
 
     def _json_parts(self) -> dict:
         """The fields of ``to_json``, entries as ``EntriesText``."""
@@ -533,20 +535,31 @@ class _RowText(dict):
         return row
 
 
-def _plain_json(x):
-    """x with every ``EntriesText`` and every object with ``_json_parts`` (a
-    matrix, form, subspace, module or algebra) in it turned into plain JSON
-    values: the one conversion behind each of their ``to_json``."""
+def jsonify(x):
+    """x as plain JSON values: the one conversion behind every ``to_json``.  An
+    object with ``_json_parts`` (a matrix, form, subspace, module or algebra)
+    gives its ``to_json`` fields with matrices left as they are, converted in
+    turn; any other ``to_json`` result is final and not walked again.  A float
+    or any other type is a TypeError."""
+    if x is None or isinstance(x, (bool, int, str)):
+        return x
     if type(x) is EntriesText:
         return x.lists()
     parts = getattr(type(x), "_json_parts", None)
     if parts is not None:
-        return _plain_json(parts(x))
+        return jsonify(parts(x))
+    if isinstance(x, Fraction):
+        return rat_to_str(x)
+    to_json = getattr(x, "to_json", None)
+    if to_json is not None:
+        return to_json()
+    if dataclasses.is_dataclass(x) and not isinstance(x, type):
+        return {f.name: jsonify(getattr(x, f.name)) for f in dataclasses.fields(x)}
     if isinstance(x, dict):
-        return {k: _plain_json(v) for k, v in x.items()}
+        return {str(k): jsonify(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
-        return [_plain_json(v) for v in x]
-    return x
+        return [jsonify(v) for v in x]
+    raise TypeError(f"cannot serialize {type(x).__name__}")
 
 
 def _int_form(m: RationalMatrix) -> tuple:
@@ -610,17 +623,12 @@ def _monomial(m: RationalMatrix):
 
 
 def _times(na, ma, nb, mb):
-    """na @ nb, where ma and mb are the operands' monomial forms or None: a
-    row gather diag(vals) nb[cols] when A is monomial, else a column gather
-    when B is, else the dense product."""
+    """na @ nb, where ma and mb are the operands' monomial forms or None: the
+    row gather diag(vals) nb[cols] when A is monomial, else the dense product
+    (mb is not read; no product the verbs make has only B monomial)."""
     if ma is not None:
         cols, vals = ma
         return vals[:, None] * nb[cols]
-    if mb is not None:
-        cols, vals = mb
-        inv = np.empty_like(cols)
-        inv[cols] = np.arange(cols.size)  # column j of AB is b_k A[:, k], cols[k] = j
-        return na[:, inv] * vals[inv]
     return na @ nb
 
 
@@ -963,7 +971,7 @@ class SignatureForm:
         return hash(("SignatureForm", self.matrix))
 
     def to_json(self) -> dict:
-        return _plain_json(self._json_parts())
+        return jsonify(self)
 
     def _json_parts(self) -> dict:
         return self.matrix._json_parts()
@@ -1102,7 +1110,9 @@ class SpanBuilder:
 
 
 def _closure(maps, u: RationalMatrix) -> RationalMatrix:
-    """The matrix whose rows are invariant_closure's basis, for the column u."""
+    """The matrix whose rows are a basis of the smallest subspace containing
+    the column u that each matrix in maps sends into itself: u, then each A v
+    (v kept, breadth first; A in order) that enlarges the span, until it is full."""
     span = SpanBuilder()
     kept = [u] if span.add(u) else []
     for u in kept:  # kept grows while it is read
@@ -1146,14 +1156,6 @@ def closure_is_full(maps, us: RationalMatrix) -> list[bool]:
         rest = krylov[:, c + 1 :, c:]
         rest[...] = (row[:, c, None, None] * rest - rest[:, :, :1] * row[:, None, c:]) % p
     return full.tolist()
-
-
-def invariant_closure(maps, v) -> list[tuple[Fraction, ...]]:
-    """Basis of the smallest subspace containing the coordinate vector v that
-    each matrix in maps sends into itself: v, then each A u (u kept, breadth
-    first; A in order) that enlarges the span, until the span is full."""
-    basis = _closure(maps, RationalMatrix([(x,) for x in v]))
-    return [basis.row(i) for i in range(basis.rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -1259,7 +1261,7 @@ class MatrixSubspace:
         )
 
     def to_json(self) -> dict:
-        return _plain_json(self._json_parts())
+        return jsonify(self)
 
     def _json_parts(self) -> dict:
         return {"ambient": self.ambient_dim, "basis": self.basis}

@@ -4,7 +4,7 @@ A simply connected 2-step nilpotent group admits a co-compact lattice
 exactly when its algebra has a basis with rational structure constants.
 Everything in this package is exact-rational, so verdicts are constructive:
 ``lattice_verdict`` emits an identity witness basis together with the
-minimal integer rescale factor, and ``pseudo_H_lattice_witness`` runs the
+minimal integer rescale factor, and ``pseudo_H_pipeline_report`` runs the
 whole pipeline for the pseudo H-type algebra n_{r,s} — integer Clifford
 module, n_{r,s} itself, and the standard algebra over W = span{J_i} —
 certifying the isomorphism chain and the trace identity along the way.
@@ -35,12 +35,6 @@ class LatticeVerdict:
     detail: str = ""
 
 
-def is_rational_basis(a: NilpotentAlgebra2) -> bool:
-    """All structure constants are known rationals.  True for everything
-    this package constructs; false only for symbolic imports."""
-    return not a.symbolic
-
-
 def integer_rescale(a: NilpotentAlgebra2) -> tuple[int, NilpotentAlgebra2]:
     """Minimal positive d with d*C^k integer, plus the rescaled algebra.
 
@@ -66,8 +60,9 @@ def _brackets_integer(a: NilpotentAlgebra2, d: int) -> bool:
 
 def lattice_verdict(a: NilpotentAlgebra2) -> LatticeVerdict:
     """Mal'cev verdict: rational constants admit a lattice; symbolic
-    imports are Unknown."""
-    if not is_rational_basis(a):
+    imports are Unknown.  Every constant this package constructs is a known
+    rational, so only a symbolic import lacks a rational basis."""
+    if a.symbolic:
         return LatticeVerdict(
             status="Unknown",
             detail="structure constants are defined only up to an unknown scale",
@@ -146,10 +141,3 @@ def pseudo_H_pipeline_report(r: int, s: int) -> dict:
         "algebra": n_alg.algebra,
         "standard_algebra": std,
     }
-
-
-def pseudo_H_lattice_witness(r: int, s: int) -> tuple[NilpotentAlgebra2, LatticeVerdict]:
-    """The pseudo H-type algebra n_{r,s} with its lattice verdict; raises
-    if any certification in the pipeline fails."""
-    report = pseudo_H_pipeline_report(r, s)
-    return report["algebra"], report["verdict"]

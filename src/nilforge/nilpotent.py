@@ -37,11 +37,11 @@ from .exactlin import (
     RationalMatrix,
     SignatureForm,
     _int_form,
-    _plain_json,
     char_poly,
     independent_subset,
     kernel_basis,
     inverse,
+    jsonify,
     lin_comb,
     lin_combs,
     polarized_match,
@@ -61,9 +61,8 @@ class NilpotentAlgebra2:
     the C^k, unless ``span`` hands on a ``MatrixSubspace`` whose basis is the
     structure tuple itself: a subspace's basis is independent by
     construction, so that span certifies the C^k as it stands.  A span with
-    any other basis is not trusted, and the C^k are eliminated.  ``tagged``,
-    ``algebra_from_J`` and ``rescale_and_compare``'s ``replace`` (forms
-    only) hand one on; a ``replace`` without one re-certifies.
+    any other basis is not trusted, and the C^k are eliminated.  ``tagged``
+    and ``algebra_from_J`` hand one on; a ``replace`` without one re-certifies.
     ``symbolic`` marks imported constants defined only up to an unknown real
     scale (they then carry no lattice information).
     """
@@ -114,7 +113,7 @@ class NilpotentAlgebra2:
         return self.m + self.n
 
     def to_json(self) -> dict:
-        return _plain_json(self._json_parts())
+        return jsonify(self)
 
     def _json_parts(self) -> dict:
         """The fields of ``to_json``, with the matrices left as they are."""
@@ -346,18 +345,6 @@ def is_pseudo_H_type(ma: MetricAlgebra) -> dict:
         "two_of_three": [skew, square, orth].count(True) != 2,
     }
     return {"checks": checks, "verdict": skew and square and orth}
-
-
-def rescale_and_compare(ma: MetricAlgebra, c) -> bool:
-    """Scale both forms by c, rebuild the bracket through the J-map duality
-    and report whether the structure tensor is unchanged (always true)."""
-    c = rat(c)
-    if c == 0:
-        raise PreconditionError("scale factor must be nonzero")
-    form_v, form_z = ma.form_V.scaled(c), ma.form_Z.scaled(c)
-    a = replace(ma.algebra, form_V=form_v, form_Z=form_z, span=ma.algebra.structure_span)
-    rebuilt = algebra_from_J(_j_basis(MetricAlgebra(a)), form_v, form_z)
-    return rebuilt.structure == ma.structure
 
 
 def _rational_sqrt(x: Fraction) -> Fraction | None:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 from .clifford import CliffordModule
-from .errors import HomomorphismError, NotClosedError, SignatureError
+from .errors import HomomorphismError, NotClosedError
 from .exactlin import (
     MatrixSubspace,
     RationalMatrix,
@@ -80,11 +80,6 @@ def _center(w: MatrixSubspace, l: MatrixSubspace, rels) -> MatrixSubspace:
     return MatrixSubspace(w.ambient_dim, lin_combs(kernel, w.basis, w.ambient_dim))
 
 
-def is_lie_triple(w: MatrixSubspace) -> bool:
-    """[w_a, [w_b, w_c]] in span(W) for all basis triples."""
-    return generated_algebra(w).is_triple
-
-
 def triple_center(w: MatrixSubspace) -> MatrixSubspace:
     """{a in W : [a, b] = 0 for all b in W}, computed as a kernel."""
     return _center(w, *_pair_table(w))
@@ -143,11 +138,6 @@ def killing_form(l: MatrixSubspace) -> RationalMatrix:
     return trace_pairing(ads, ads)
 
 
-def is_semisimple(l: MatrixSubspace) -> bool:
-    """Cartan criterion: Killing form non-degenerate."""
-    return signature(killing_form(l))[2] == 0
-
-
 def clifford_triple_system(module: CliffordModule) -> MatrixSubspace:
     """W = J(R^{r,s}) = span of the module generators."""
     return MatrixSubspace(module.module_dim, module.generators)
@@ -180,25 +170,6 @@ def clifford_ideal_probe(module: CliffordModule, seed: int) -> dict | None:
     system."""
     report, ads = _clifford_generated(module)
     return _probe(ads, seed) if report.is_triple else None
-
-
-def special_ideal_split(
-    r: int, s: int, module: CliffordModule
-) -> tuple[MatrixSubspace, MatrixSubspace]:
-    """The two commuting 3-dim ideals of L for (r,s) in {(3,0), (1,2)}.
-
-    h_pm = J_1 pm J_2 J_3 together with its brackets against J_2 and J_3.
-    Certifies: both spans are 3-dimensional, L = h_+ (+) h_-, the summands
-    commute, and each is an ideal of L.  Read from ``clifford_triple_report``.
-    """
-    if (r, s) not in ((3, 0), (1, 2)):
-        raise SignatureError(f"ideal split exists only for (3,0) and (1,2), not ({r},{s})")
-    if (module.signature.r, module.signature.s) != (r, s):
-        raise SignatureError("module signature does not match (r, s)")
-    split = clifford_triple_report(module).special_split
-    if split is None:
-        raise NotClosedError("the module's W is not a Lie triple system")
-    return split
 
 
 def _ideal_split(

@@ -302,6 +302,13 @@ MUTANTS = [
         "        if len(vals) != n:\n",
         "signed_permutation: a repeated column is not rejected, so a non-monomial form is attached",
     ),
+    (
+        "clifford.py",
+        "        if len(eta) != self.module_dim or {*eta} - {1, -1}"
+        " or form != RationalMatrix.diag(eta):\n",
+        "        if False:\n",
+        "CliffordModule: a module form that is not diag(+-1) of size N is not rejected",
+    ),
 ]
 
 

@@ -21,7 +21,7 @@ from nilforge.exactlin import (
     signature,
     trace_gram,
 )
-from nilforge.lattice import pseudo_H_algebra, pseudo_H_lattice_witness, pseudo_H_pipeline_report
+from nilforge.lattice import pseudo_H_algebra, pseudo_H_pipeline_report
 from nilforge.nilpotent import algebra_from_J, bracket, j_map
 from nilforge.standardform import (
     eta_conjugate,
@@ -32,7 +32,7 @@ from nilforge.standardform import (
     structure_space,
     reduction_isomorphism,
 )
-from nilforge.triple import clifford_ideal_probe, clifford_triple_report, special_ideal_split
+from nilforge.triple import clifford_ideal_probe, clifford_triple_report
 
 
 def _unit(n, k):
@@ -150,13 +150,13 @@ def test_criterion_5_lie_triple_systems():
                     derived.add(matrix_to_sparse(commutator(l.basis[a], l.basis[b])))
             assert derived.dim == l.dim  # L = [L, L]
             if (r, s) in ((3, 0), (1, 2)):
-                h_plus, h_minus = special_ideal_split(r, s, module)
+                h_plus, h_minus = clifford_triple_report(module).special_split
                 assert h_plus.dim == h_minus.dim == 3
     print("PASS criterion 5: Lie triple systems, Killing forms and ideal splits exact")
 
 
 def test_criterion_6_lattice_pipeline():
-    """pseudo_H_lattice_witness returns AdmitsLattice with verified integer
+    """pseudo_H_pipeline_report returns AdmitsLattice with verified integer
     structure constants for all r+s <= 4, including the internal trace
     identity.
 
@@ -170,7 +170,8 @@ def test_criterion_6_lattice_pipeline():
     for total in range(1, 5):
         for r in range(total + 1):
             s = total - r
-            algebra, verdict = pseudo_H_lattice_witness(r, s)
+            rep = pseudo_H_pipeline_report(r, s)
+            algebra, verdict = rep["algebra"], rep["verdict"]
             assert verdict.status == "AdmitsLattice"
             assert verdict.rescaled_constants_integer
             assert all(
@@ -178,7 +179,6 @@ def test_criterion_6_lattice_pipeline():
                 for c in algebra.structure
                 for x in c.entries()
             )
-            rep = pseudo_H_pipeline_report(r, s)
             two_l = rep["two_l"]
             sig = CliffordSignature(r, s)
             assert rep["traces"] == [

@@ -13,7 +13,7 @@ from nilforge.cli import canonical_json, load_algebra, main, save_algebra
 from nilforge.catalog import n20
 from nilforge.clifford import CliffordSignature, build_module
 from nilforge.errors import BadInputError
-from nilforge.exactlin import RationalMatrix
+from nilforge.exactlin import RationalMatrix, jsonify
 from nilforge.standardform import so_basis
 
 
@@ -390,7 +390,7 @@ def test_parser_built_once_per_process(tmp_path, capsys):
 def test_jsonify_rejects_floats_and_unknown_objects():
     for bad in (0.5, {"x": [1, 0.5]}, object(), {"module": [object()]}):
         with pytest.raises(TypeError):
-            cli.jsonify(bad)
+            jsonify(bad)
 
 
 def test_float_in_a_report_is_an_internal_fault(capsys, monkeypatch):
@@ -405,7 +405,7 @@ def test_objects_in_a_report_write_their_own_json():
     module = build_module(CliffordSignature(2, 1))
     algebra = n20().algebra
     report = {"module": module, "nested": [{"algebra": algebra}], "half": Fraction(1, 2)}
-    assert cli.jsonify(report) == {
+    assert jsonify(report) == {
         "module": module.to_json(),
         "nested": [{"algebra": algebra.to_json()}],
         "half": "1/2",
@@ -416,7 +416,7 @@ def test_objects_in_a_report_write_their_own_json():
             return {"kept": (Fraction(1, 3),)}
 
     # a to_json result is final: jsonify does not walk it again
-    assert cli.jsonify({"own": Own()}) == {"own": {"kept": (Fraction(1, 3),)}}
+    assert jsonify({"own": Own()}) == {"own": {"kept": (Fraction(1, 3),)}}
 
 
 @pytest.mark.parametrize("field", [{"symbolic": "false"}, {"form_V": 0}], ids=["symbolic", "form"])

@@ -15,12 +15,12 @@ from nilforge.clifford import (
     CliffordModule,
     CliffordSignature,
     build_module,
-    clifford_dim,
-    extend_J,
     verify_module,
 )
 from nilforge.errors import BadInputError, DimensionMismatchError, UnsupportedSignatureError
 from nilforge.exactlin import RationalMatrix, eta
+from nilforge.lattice import pseudo_H_algebra
+from nilforge.nilpotent import j_map
 
 
 def _laws(j_mats, form, nus):
@@ -110,10 +110,6 @@ def test_signature_cap():
         CliffordSignature(-1, 2)
 
 
-def test_clifford_dim():
-    assert clifford_dim(CliffordSignature(2, 3)) == 32
-
-
 def test_two_of_three_never_holds_for_tampered_generators():
     """Any two of {skew, orthogonality, square law} imply the third, so no
     tampering can make exactly two pass."""
@@ -173,9 +169,9 @@ def test_verify_module_flags_broken_module():
 def test_extend_J_linear():
     module = build_module(CliffordSignature(2, 1))
     j1, j2, j3 = module.generators
-    assert extend_J(module, [1, -2, 3]) == j1 - j2.scale(2) + j3.scale(3)
+    assert j_map(pseudo_H_algebra(module), [1, -2, 3]) == j1 - j2.scale(2) + j3.scale(3)
     with pytest.raises(DimensionMismatchError):
-        extend_J(module, [1, 2])
+        j_map(pseudo_H_algebra(module), [1, 2])
 
 
 def test_module_json_round_trip():

@@ -13,7 +13,6 @@ from fractions import Fraction
 import pytest
 
 from nilforge import cli, lattice
-from nilforge.clifford import CliffordModule, CliffordSignature
 from nilforge.errors import (
     BadInputError,
     DegenerateFormError,
@@ -21,7 +20,6 @@ from nilforge.errors import (
     DimError,
     DimensionMismatchError,
     NotAdaptedError,
-    NotClosedError,
     PreconditionError,
 )
 from nilforge.exactlin import (
@@ -51,7 +49,6 @@ from nilforge.standardform import (
     so_basis,
     standard_algebra,
 )
-from nilforge.triple import special_ideal_split
 
 I2, I3 = RationalMatrix.identity(2), RationalMatrix.identity(3)
 ROT = RationalMatrix([[0, 1], [-1, 0]])  # E12 - E21, antisymmetric
@@ -196,29 +193,6 @@ STANDARDFORM = {
 @pytest.mark.parametrize("case", sorted(STANDARDFORM))
 def test_standardform_rejects(case):
     _check(*STANDARDFORM[case])
-
-
-def _e(i, j):
-    return RationalMatrix([[int((a, b) == (i, j)) for b in range(2)] for a in range(2)])
-
-
-def _non_triple_split():
-    # W = span{E12, E21, E11}: [[E11, E12], E21] = E11 - E22 lies outside W
-    module = CliffordModule(
-        signature=CliffordSignature(3, 0),
-        module_dim=2,
-        module_form=_form(1, 1),
-        generators=(_e(0, 1), _e(1, 0), _e(0, 0)),
-    )
-    special_ideal_split(3, 0, module)
-
-
-TRIPLE = {"ideal-split-of-a-non-triple": (_non_triple_split, NotClosedError)}
-
-
-@pytest.mark.parametrize("case", sorted(TRIPLE))
-def test_triple_rejects(case):
-    _check(*TRIPLE[case])
 
 
 def test_zero_roots_are_stripped_first():

@@ -13,7 +13,7 @@ import pytest
 from nilforge import cli
 from nilforge.catalog import random_adapted_algebra
 from nilforge.clifford import CliffordModule, CliffordSignature, build_module, verify_module
-from nilforge.errors import NotSkewError
+from nilforge.errors import BadInputError, NotSkewError
 from nilforge.exactlin import (
     RationalMatrix,
     SignatureForm,
@@ -131,10 +131,10 @@ def test_module_eta_is_read_in_integers(fractions):
     fractions.clear()
     assert module.to_json()["eta"] == wanted
     assert fractions["Fraction"] == 0
-    # a form that is no module form still prints int() of its entries
+    # a form that is no module form is rejected when the module is built
     form = SignatureForm(RationalMatrix.diag(["-3/2", "1/2", 2]))
-    odd = CliffordModule(module.signature, 3, form, ())
-    assert odd.to_json()["eta"] == [-1, 0, 2]
+    with pytest.raises(BadInputError):
+        CliffordModule(module.signature, 3, form, ())
 
 
 @pytest.mark.parametrize("argv", [["clifford", "3", "1"], ["triple", "2", "1"]])

@@ -5,15 +5,12 @@ from fractions import Fraction
 import pytest
 
 from nilforge.catalog import heisenberg, n11, n20
-from nilforge.cli import jsonify
 from nilforge.errors import UnsupportedSignatureError
-from nilforge.exactlin import MatrixSubspace, RationalMatrix, SignatureForm, eta
+from nilforge.exactlin import MatrixSubspace, RationalMatrix, SignatureForm, eta, jsonify
 from nilforge.lattice import (
     _brackets_integer,
     integer_rescale,
-    is_rational_basis,
     lattice_verdict,
-    pseudo_H_lattice_witness,
     pseudo_H_pipeline_report,
 )
 from nilforge.nilpotent import NilpotentAlgebra2
@@ -26,15 +23,15 @@ def _frac_algebra():
 
 
 def test_is_rational_basis():
-    assert is_rational_basis(n11().algebra)
-    assert is_rational_basis(heisenberg().algebra)
+    assert not n11().algebra.symbolic
+    assert not heisenberg().algebra.symbolic
     symbolic = NilpotentAlgebra2(
         m=2,
         n=1,
         structure=(RationalMatrix(((0, 1), (-1, 0))),),
         symbolic=True,
     )
-    assert not is_rational_basis(symbolic)
+    assert symbolic.symbolic
 
 
 def test_integer_rescale_lcm_arithmetic():
@@ -137,7 +134,8 @@ def test_verdict_json_is_the_dataclass_walk():
 def test_pseudo_H_lattice_witness_all_up_to_4():
     for total in range(1, 5):
         for r in range(total + 1):
-            algebra, verdict = pseudo_H_lattice_witness(r, total - r)
+            report = pseudo_H_pipeline_report(r, total - r)
+            algebra, verdict = report["algebra"], report["verdict"]
             assert verdict.status == "AdmitsLattice"
             assert verdict.rescale_factor == 1
             assert verdict.rescaled_constants_integer
@@ -178,7 +176,7 @@ def test_pipeline_standard_coincides_for_0_2():
 
 def test_pipeline_respects_signature_cap():
     with pytest.raises(UnsupportedSignatureError):
-        pseudo_H_lattice_witness(6, 3)
+        pseudo_H_pipeline_report(6, 3)
 
 
 def test_brackets_integer_needs_a_factor_clearing_every_constant():

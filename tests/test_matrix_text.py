@@ -10,9 +10,9 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilforge.cli import canonical_json, jsonify
+from nilforge.cli import canonical_json
 from nilforge.clifford import CliffordModule, CliffordSignature
-from nilforge.exactlin import MatrixSubspace, RationalMatrix, SignatureForm
+from nilforge.exactlin import MatrixSubspace, RationalMatrix, SignatureForm, jsonify
 from nilforge.nilpotent import NilpotentAlgebra2
 
 PROPS = settings(max_examples=200, deadline=None, derandomize=True)

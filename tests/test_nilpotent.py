@@ -27,7 +27,6 @@ from nilforge.nilpotent import (
     derived_ideal,
     is_pseudo_H_type,
     j_map,
-    rescale_and_compare,
     scaling_isomorphism,
 )
 from nilforge.standardform import free_algebra
@@ -296,13 +295,6 @@ def test_pseudo_H_fails_for_generic_algebra():
 
 # ---------------------------------------------------------------------------
 # rescaling and the scaling isomorphism
-
-
-def test_rescale_and_compare_invariance():
-    for c in (2, rat("1/3"), -5):
-        assert rescale_and_compare(n11(), c)
-    with pytest.raises(PreconditionError):
-        rescale_and_compare(n11(), 0)
 
 
 def _scaled_variant(ma, factor):

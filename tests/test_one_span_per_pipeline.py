@@ -14,10 +14,9 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from nilforge import cli, lattice, nilpotent
-from nilforge.clifford import CliffordSignature, build_module
+from nilforge import cli, lattice
 from nilforge.exactlin import RationalMatrix, SignatureForm, SpanBuilder
-from nilforge.nilpotent import NilpotentAlgebra2, algebra_from_J, rescale_and_compare
+from nilforge.nilpotent import NilpotentAlgebra2, algebra_from_J
 
 SIGNATURES = [(r, t - r) for t in range(1, 5) for r in range(t + 1)] + [(3, 3)]
 
@@ -121,14 +120,3 @@ def test_independent_J_list_is_adapted_on_its_own_elimination(monkeypatch):
     assert ma.algebra.tag == "adapted"
     assert ma.algebra.structure_span.basis == ma.algebra.structure
     assert [vec for _, vec in adds] == [j] and raised == []
-
-
-@pytest.mark.parametrize("c", [3, -1])
-def test_rescale_and_compare_hands_the_span_on(c, monkeypatch):
-    ma = lattice.pseudo_H_algebra(build_module(CliffordSignature(2, 1)))
-    adds = _count_adds(monkeypatch)
-    in_replace = _during(monkeypatch, nilpotent, "replace", adds)
-    assert rescale_and_compare(ma, c)
-    assert in_replace == [0]
-    # the one elimination left is the rebuilt algebra's list of J's
-    assert len(adds) == ma.n

@@ -9,6 +9,7 @@ with a verbatim copy of the version that still checked them.
 
 from dataclasses import fields
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -30,13 +31,23 @@ from nilforge.nilpotent import (
     MetricAlgebra,
     ScalingOutcome,
     _j_basis,
-    _rational_sqrt,
     algebra_from_J,
     scaling_isomorphism,
 )
 from test_input_rejections import ROT, ROT3, _form, _metric
 
 PROPS = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+def _rational_sqrt(x: Fraction) -> Fraction | None:
+    """The square-root helper of the version below, negative branch included."""
+    if x < 0:
+        return None
+    num, den = x.numerator, x.denominator
+    rn, rd = isqrt(num), isqrt(den)
+    if rn * rn == num and rd * rd == den:
+        return Fraction(rn, rd)
+    return None
 
 
 def _parent_scaling_isomorphism(

@@ -11,7 +11,7 @@ import random
 import pytest
 
 from nilforge.clifford import CliffordSignature, build_module
-from nilforge.errors import HomomorphismError, NotClosedError, SignatureError
+from nilforge.errors import HomomorphismError, NotClosedError
 from nilforge.exactlin import (
     MatrixSubspace,
     RationalMatrix,
@@ -29,10 +29,7 @@ from nilforge.triple import (
     generated_algebra,
     generated_ideal,
     ideal_probe,
-    is_lie_triple,
-    is_semisimple,
     killing_form,
-    special_ideal_split,
     theta_closure,
     triple_center,
 )
@@ -62,7 +59,7 @@ def test_killing_form_matches_so3_oracle():
     w = MatrixSubspace(3, list(_so3_cross_basis()))
     expected = RationalMatrix.identity(3).scale(-2)
     assert killing_form(w) == expected
-    assert is_semisimple(w)
+    assert signature(killing_form(w))[2] == 0
     report = generated_algebra(w)
     assert report.is_triple
     assert report.L_dim == 3  # so(3) is already closed
@@ -84,7 +81,7 @@ def test_killing_form_rejects_non_closed_span():
 def test_two_dim_span_in_so3_is_triple():
     l1, l2, _ = _so3_cross_basis()
     w = MatrixSubspace(3, [l1, l2])
-    assert is_lie_triple(w)
+    assert generated_algebra(w).is_triple
     report = generated_algebra(w)
     assert report.L_dim == 3
     assert report.cartan_certified
@@ -95,7 +92,7 @@ def test_non_triple_subspace_detected():
     a = RationalMatrix(((0, 1, 0), (0, 0, 0), (0, 0, 0)))
     b = RationalMatrix(((0, 0, 1), (1, 0, 0), (0, 0, 0)))
     w = MatrixSubspace(3, [a, b])
-    assert not is_lie_triple(w)
+    assert not generated_algebra(w).is_triple
     report = generated_algebra(w)
     assert not report.is_triple
     assert report.killing is None
@@ -136,7 +133,7 @@ def test_clifford_triple_reports_2_to_6():
 def test_special_ideal_split_structure():
     for r, s in ((3, 0), (1, 2)):
         module = build_module(CliffordSignature(r, s))
-        h_plus, h_minus = special_ideal_split(r, s, module)
+        h_plus, h_minus = clifford_triple_report(module).special_split
         assert h_plus.dim == 3 and h_minus.dim == 3
         zero = RationalMatrix.zeros(module.module_dim, module.module_dim)
         for x in h_plus.basis:
@@ -147,16 +144,8 @@ def test_special_ideal_split_structure():
             assert span.add(matrix_to_sparse(b))
         assert span.dim == 6
         # each summand is itself a 3-dim simple algebra: nondegenerate Killing
-        assert is_semisimple(h_plus)
-        assert is_semisimple(h_minus)
-
-
-def test_special_ideal_split_rejects_other_signatures():
-    module = build_module(CliffordSignature(2, 1))
-    with pytest.raises(SignatureError):
-        special_ideal_split(2, 1, module)
-    with pytest.raises(SignatureError):
-        special_ideal_split(3, 0, module)
+        assert signature(killing_form(h_plus))[2] == 0
+        assert signature(killing_form(h_minus))[2] == 0
 
 
 def test_decomposition_checks_clifford():
@@ -205,7 +194,7 @@ def test_theta_swaps_left_and_right_twists():
 
 def test_generated_ideal_inside_split_sum():
     module = build_module(CliffordSignature(3, 0))
-    h_plus, h_minus = special_ideal_split(3, 0, module)
+    h_plus, h_minus = clifford_triple_report(module).special_split
     report = generated_algebra(clifford_triple_system(module))
     l = report.L_basis
     ideal = generated_ideal(l, h_plus.basis[0])
