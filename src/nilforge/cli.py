@@ -29,6 +29,7 @@ from .exactlin import (
     EntriesText,
     MatrixSubspace,
     RationalMatrix,
+    StackText,
     rat_to_str,
     signature,
     trace_gram,
@@ -50,7 +51,8 @@ from .triple import clifford_ideal_probe, clifford_triple_report
 def canonical_json(obj) -> str:
     """``json.dumps(exactlin.jsonify(obj), indent=2, sort_keys=True) + "\\n"``, byte for byte,
     in one walk of the report: a matrix's entries are printed from (N, D) by
-    ``EntriesText``, sharing one row memo for the call, and no JSON is built."""
+    ``EntriesText``, and a list of same-shape matrices by ``StackText``, sharing
+    one row memo for the call, and no JSON is built."""
     out = _Text()
     _write_json(obj, "\n", out)
     out.append("\n")
@@ -66,6 +68,10 @@ class _Text(list):
         self.memo = {}
 
 
+# the types that _write_json hands to _write_value unconverted, besides int and str
+_AS_THEY_ARE = (type(None), list, tuple, EntriesText, StackText)
+
+
 def _write_json(x, nl: str, out: _Text) -> None:
     """Append the text of x as ``exactlin.jsonify`` converts it, lines broken by ``nl``.  An
     object with ``_json_parts`` (a matrix, form, subspace, module or algebra) gives
@@ -75,7 +81,7 @@ def _write_json(x, nl: str, out: _Text) -> None:
     if t is dict:
         if not all(type(k) is str for k in x):
             x = {str(k): v for k, v in x.items()}
-    elif t not in (type(None), list, tuple, EntriesText) and not isinstance(x, (int, str)):
+    elif t not in _AS_THEY_ARE and not isinstance(x, (int, str)):
         parts = getattr(t, "_json_parts", None)
         if parts is not None:
             x = parts(x)
@@ -97,8 +103,9 @@ def _write_final(x, nl: str, out: _Text) -> None:
 
 def _write_value(x, nl: str, out: _Text, write_item) -> None:
     """Append x's JSON text, its items written by ``write_item``, for one join
-    (json's indent encoder is pure Python).  A float, a non-str key or any other
-    type is a TypeError."""
+    (json's indent encoder is pure Python).  A list of strings, of ints or of
+    Fractions is one join, and an ``EntriesText`` or ``StackText`` gives its own
+    pieces.  A float, a non-str key or any other type is a TypeError."""
     inner = nl + "  "  # the line break of x's items
     if isinstance(x, str):
         out.append(_quote(x))
@@ -106,7 +113,7 @@ def _write_value(x, nl: str, out: _Text, write_item) -> None:
         out.append("null" if x is None else "true" if x else "false")
     elif isinstance(x, int):
         out.append(int.__repr__(x))
-    elif type(x) is EntriesText:
+    elif type(x) is EntriesText or type(x) is StackText:
         out += x.pieces(nl, out.memo)
     elif isinstance(x, dict) and x:
         for i, k in enumerate(sorted(x)):  # _quote rejects a non-str key
@@ -114,9 +121,20 @@ def _write_value(x, nl: str, out: _Text, write_item) -> None:
             write_item(x[k], inner, out)
         out.append(nl + "}")
     elif isinstance(x, (list, tuple)) and x:
-        try:  # a list of strings is one join
-            out.append("[" + inner + ("," + inner).join(map(_quote, x)) + nl + "]")
-        except TypeError:  # not all strings: item by item
+        t = type(x[0])
+        if t is str:
+            texts = map(_quote, x)  # an item that is no string raises TypeError
+        # every item of type t, so a bool takes no int join; a Fraction in a
+        # to_json result is no JSON value, so that list is written item by item
+        elif (t is int or t is Fraction and write_item is not _write_final) and all(
+            type(v) is t for v in x
+        ):
+            texts = map(int.__repr__, x) if t is int else ['"' + rat_to_str(v) + '"' for v in x]
+        else:
+            texts = None  # join(None) raises TypeError
+        try:  # a list of strings, of ints or of Fractions is one join
+            out.append("[" + inner + ("," + inner).join(texts) + nl + "]")
+        except TypeError:  # any other list: item by item
             for i, v in enumerate(x):
                 out.append(("," if i else "[") + inner)
                 write_item(v, inner, out)
@@ -210,7 +228,7 @@ def _cmd_reduce(args) -> int:
                 "q": real["q"],
                 "signature": real["signature"],
                 "T": t,
-                "standard_structure": list(target.algebra.structure),
+                "standard_structure": StackText(target.algebra.structure, objects=True),
             }
         )
     _emit({"realizations": realizations, "reductions": reductions}, args.output)
@@ -244,7 +262,8 @@ def _cmd_lattice(args) -> int:
         report = pseudo_H_pipeline_report(r, s)
         verdict = report["verdict"]
         out = {k: v for k, v in report.items() if k != "standard_algebra"}
-        out["standard_structure"] = list(report["standard_algebra"].algebra.structure)
+        structure = report["standard_algebra"].algebra.structure
+        out["standard_structure"] = StackText(structure, objects=True)
         _emit(out, args.output)
         return 0 if verdict.rescaled_constants_integer else 1
     if args.input is None:
@@ -278,13 +297,13 @@ def _example_pseudo_h(name: str) -> dict:
             {
                 "p": p,
                 "q": q,
-                "D": list(d.basis),
+                "D": StackText(d.basis, objects=True),
                 "gram": gram,
                 "signature": [sp, sq, nullity],
             }
         )
     return {
-        "structure": list(ma.structure),
+        "structure": StackText(ma.structure, objects=True),
         "form_V": ma.form_V,
         "form_Z": ma.form_Z,
         "twists": twists,

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import BadInputError, HomomorphismError, UnsupportedSignatureError
-from .exactlin import RationalMatrix, SignatureForm, _int_form, jsonify, nu
+from .exactlin import RationalMatrix, SignatureForm, StackText, _int_form, jsonify, nu
 from .nilpotent import h_type_laws
 
 #: largest r+s accepted by build_module
@@ -94,7 +94,7 @@ class CliffordModule:
             "s": self.signature.s,
             "N": self.module_dim,
             "eta": _int_form(self.module_form.matrix)[0].diagonal().tolist(),
-            "generators": self.generators,
+            "generators": StackText(self.generators, objects=True),
         }
 
     @classmethod

@@ -32,10 +32,10 @@ from .errors import (
 )
 from .exactlin import (
     ZERO,
-    EntriesText,
     MatrixSubspace,
     RationalMatrix,
     SignatureForm,
+    StackText,
     _int_form,
     char_poly,
     independent_subset,
@@ -120,7 +120,7 @@ class NilpotentAlgebra2:
         obj = {
             "m": self.m,
             "n": self.n,
-            "C": [EntriesText(c) for c in self.structure],
+            "C": StackText(self.structure, objects=False),
             "form_V": self.form_V,
             "form_Z": self.form_Z,
             "tag": self.tag,

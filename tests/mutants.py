@@ -309,6 +309,18 @@ MUTANTS = [
         "        if False:\n",
         "CliffordModule: a module form that is not diag(+-1) of size N is not rejected",
     ),
+    (
+        "exactlin.py",
+        "                    rows[i * r : i * r + r] = texts[k * r : k * r + r]\n",
+        "                    rows[i * r : i * r + r] = texts[k * r + 1 : k * r + r + 1]\n",
+        "StackText: a matrix of a denominator group takes its rows one row late in the stack",
+    ),
+    (
+        "cli.py",
+        "            type(v) is t for v in x\n",
+        "            isinstance(v, t) for v in x\n",
+        "_write_value: a list of ints with a bool in it is one join, the bool printed as 1 or 0",
+    ),
 ]
 
 
