@@ -703,10 +703,10 @@ def _monomial(m: RationalMatrix):
     return m._mono or None
 
 
-def _times(na, ma, nb, mb):
-    """na @ nb, where ma and mb are the operands' monomial forms or None: the
-    row gather diag(vals) nb[cols] when A is monomial, else the dense product
-    (mb is not read; no product the verbs make has only B monomial)."""
+def _times(na, ma, nb):
+    """na @ nb, where ma is A's monomial form or None: the row gather
+    diag(vals) nb[cols] when A is monomial, else the dense product (no
+    product the verbs make has only B monomial)."""
     if ma is not None:
         cols, vals = ma
         return vals[:, None] * nb[cols]
@@ -724,9 +724,9 @@ def _product_numerators(a: RationalMatrix, b: RationalMatrix, commute: bool):
     na, nb = a._n, b._n
     if bound >= _INT64_BOUND:
         na, nb = na.astype(object), nb.astype(object)
-    prod = _times(na, ma, nb, mb)
+    prod = _times(na, ma, nb)
     if commute:
-        prod = prod - _times(nb, mb, na, ma)
+        prod = prod - _times(nb, mb, na)
     return prod
 
 

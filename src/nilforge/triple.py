@@ -2,14 +2,13 @@
 
 A subspace W of matrices is a Lie triple system when [W, [W, W]] lies back
 in W; it generates L = W + [W, W] with the Cartan pair (p, t) = (W, [W, W]).
-Every certificate reads one of two tables, each computed once: W's pair
-brackets [w_a, w_b], a < b (the centre of W, t and L's basis), and L's
-structure constants as ad matrices in L's own coordinates (the triple test
-as an exact rank test, the Killing form, the centre of L and [L, L],
-generated ideals, the seeded probe for proper ideals, certified mod p where
-it can be, and the two-ideal split of the Clifford signatures (3,0) and
-(1,2)).  W is a triple system exactly when L is closed under the bracket and
-[t, p] lies in p, and the other Cartan inclusions follow from that one.
+Every certificate reads one table, L's brackets [l_x, l_y] over L's basis,
+each formed once: its W x W block gives L's basis, t and the centre of W, and
+its ad matrices give the triple test as an exact rank test, the Killing form,
+the centre of L and [L, L], generated ideals, the seeded probe for proper
+ideals, certified mod p where it can be, and the two-ideal split of the
+Clifford signatures (3,0) and (1,2).  W is a triple system exactly when L is
+closed and [t, p] lies in p, and the other Cartan inclusions follow from it.
 """
 
 from __future__ import annotations
@@ -17,6 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from itertools import combinations
 
 from .clifford import CliffordModule
 from .errors import HomomorphismError, NotClosedError
@@ -53,29 +53,26 @@ class TripleSystemReport:
         object.__setattr__(self, "cartan_certified", self.is_triple)
 
 
-def _pair_brackets(w: MatrixSubspace) -> dict[tuple[int, int], RationalMatrix]:
-    """W's bracket table {(a, b): [w_a, w_b]} for a < b."""
-    return {
-        (a, b): commutator(w.basis[a], w.basis[b])
-        for a in range(w.dim)
-        for b in range(a + 1, w.dim)
-    }
-
-
-def _pair_table(w: MatrixSubspace) -> tuple[MatrixSubspace, dict]:
-    """L = W + [W, W], opened by W's basis, and each [w_a, w_b], a < b, over L's basis."""
-    pairs = _pair_brackets(w)
-    l = independent_subset(w.ambient_dim, w.basis + tuple(pairs.values()))
-    return l, {ab: l.relation(c) for ab, c in pairs.items()}
-
-
-def _center(w: MatrixSubspace, l: MatrixSubspace, rels) -> MatrixSubspace:
-    """Kernel of x -> sum_a x_a vec(B_a), where row b of B_a is the table's
-    relation of [w_a, w_b] = -[w_b, w_a] over L's basis ([w_a, w_a] = 0)."""
-    rows = [[({}, 1)] * w.dim for _ in range(w.dim)]  # rows[a][b] = [w_a, w_b]
+def _pair_table(w: MatrixSubspace) -> tuple[MatrixSubspace, list]:
+    """L = W + [W, W], opened by W's basis and grown by each [w_a, w_b], a < b,
+    in turn, with L's bracket table, table[x][y] = [l_x, l_y] as an integer
+    relation over L's basis: filled on the W x W block, zero on the diagonal,
+    None elsewhere.  Only a bracket that L already holds is reduced twice."""
+    l, rels = independent_subset(w.ambient_dim, w.basis), {}
+    for a, b in combinations(range(w.dim), 2):
+        c = commutator(w.basis[a], w.basis[b])
+        # adjoin runs first: an enlarging c is then L's last basis element
+        rels[a, b] = ({l.dim - 1: 1}, 1) if l.adjoin(c) else l.relation(c)
+    table = [[({}, 1) if x == y else None for y in range(l.dim)] for x in range(l.dim)]
     for (a, b), (num, den) in rels.items():
-        rows[a][b], rows[b][a] = (num, den), ({k: -x for k, x in num.items()}, den)
-    blocks = [RationalMatrix.from_relations(r, l.dim) for r in rows]
+        table[a][b], table[b][a] = (num, den), ({k: -x for k, x in num.items()}, den)
+    return l, table
+
+
+def _center(w: MatrixSubspace, l: MatrixSubspace, table) -> MatrixSubspace:
+    """Kernel of x -> sum_a x_a vec(B_a), where row b of B_a is [w_a, w_b] over
+    L's basis, read from the W x W block of L's bracket table."""
+    blocks = [RationalMatrix.from_relations(row[: w.dim], l.dim) for row in table[: w.dim]]
     kernel = RationalMatrix(kernel_basis(_vec_stack(blocks).transpose()))
     return MatrixSubspace(w.ambient_dim, lin_combs(kernel, w.basis, w.ambient_dim))
 
@@ -95,16 +92,17 @@ def _generated(w: MatrixSubspace) -> tuple[TripleSystemReport, list[RationalMatr
     triple system).  The triple test certifies the Cartan pair: t is spanned
     by [p, p], and once [t, p] lies in p, Jacobi puts [[a,b],[c,d]] =
     [[[a,b],c],d] + [c,[[a,b],d]] in [p, p], so [t, t] lies in t."""
-    l, rels = _pair_table(w)
-    center_dim = _center(w, l, rels).dim
+    l, table = _pair_table(w)
+    center_dim = _center(w, l, table).dim
     not_triple = TripleSystemReport(False, center_dim, L_basis=w, L_dim=w.dim), []
     try:
-        ads = _ad_matrices(l)
+        ads = _ad_matrices(l, table)
     except NotClosedError:  # a triple system's L = W + [W, W] is closed
         return not_triple
-    # in L-coordinates W's basis opens L's basis, and t is spanned by the table
+    # in L-coordinates W's basis opens L's basis, and t is spanned by the W x W block
     p = RationalMatrix.from_relations([({a: 1}, 1) for a in range(w.dim)], l.dim)
-    t = RationalMatrix.from_relations(list(rels.values()), l.dim)
+    pairs = [table[a][b] for a, b in combinations(range(w.dim), 2)]
+    t = RationalMatrix.from_relations(pairs, l.dim)
     # W is a triple system exactly when [t, p] lies in p
     if not _brackets_inside(ads, t, p, p):
         return not_triple
@@ -119,17 +117,18 @@ def _brackets_inside(ads, xs, ys, target) -> bool:
     return rank(target, *images) == rank(target)
 
 
-def _ad_matrices(l: MatrixSubspace) -> list[RationalMatrix]:
-    """ad_x in L's own basis coordinates for each basis x, from one bracket
-    per basis pair x < y as an integer relation; raises if L is not closed."""
-    cols = [[({}, 1)] * l.dim for _ in range(l.dim)]  # cols[x][y] = [l_x, l_y]
-    for x in range(l.dim):
-        for y in range(x + 1, l.dim):
+def _ad_matrices(l: MatrixSubspace, table=None) -> list[RationalMatrix]:
+    """ad_x in L's own basis coordinates for each basis x, read from L's bracket
+    table (_pair_table's, or a new one): each pair x < y it lacks is formed,
+    reduced once to an integer relation and filled in; raises if L is not closed."""
+    table = table or [[({}, 1) if x == y else None for y in range(l.dim)] for x in range(l.dim)]
+    for x, y in combinations(range(l.dim), 2):
+        if table[x][y] is None:
             rel = l.relation(commutator(l.basis[x], l.basis[y]))
             if rel is None:
                 raise NotClosedError("subspace is not closed under the bracket")
-            cols[x][y], cols[y][x] = rel, ({k: -c for k, c in rel[0].items()}, rel[1])
-    return [RationalMatrix.from_relations(c, l.dim).transpose() for c in cols]
+            table[x][y], table[y][x] = rel, ({k: -c for k, c in rel[0].items()}, rel[1])
+    return [RationalMatrix.from_relations(c, l.dim).transpose() for c in table]
 
 
 def killing_form(l: MatrixSubspace) -> RationalMatrix:

@@ -11,12 +11,17 @@ check that no test can fail.
 
 Each mutant runs ``pytest -x -q`` on a temporary copy of src/ and tests/,
 without the test that checks the old texts; the working tree is never
-edited.  Exit status 1 if any mutant survives.
+edited.  Its likely killers run first: the test files that name the function
+whose body holds the mutated text (found with ``ast``).  The whole suite
+runs only if they all pass, so the verdict is still the whole suite's.  Exit
+status 1 if any mutant survives.
 """
 
 from __future__ import annotations
 
+import ast
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -321,11 +326,33 @@ MUTANTS = [
         "            isinstance(v, t) for v in x\n",
         "_write_value: a list of ints with a bool in it is one join, the bool printed as 1 or 0",
     ),
+    (
+        "triple.py",
+        "        table[a][b], table[b][a] = (num, den), ({k: -x for k, x in num.items()}, den)\n",
+        "        table[a][b], table[b][a] = (num, den), (num, den)\n",
+        "_pair_table: the W x W block holds [w_a, w_b] for [w_b, w_a], not its negative",
+    ),
 ]
 
 
-def _run(index: int, entry) -> bool:
-    """Apply one mutant to a temporary copy and run the suite; True if killed."""
+def _enclosing_names(text: str, line: int) -> list[str]:
+    """The names of the functions whose lines hold ``line``, outermost first,
+    special methods (``__init__``) left out; the classes' names if that
+    leaves none."""
+    nodes = [
+        node
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.lineno <= line <= node.end_lineno
+    ]
+    classes = [node.name for node in nodes if isinstance(node, ast.ClassDef)]
+    functions = [node.name for node in nodes if not isinstance(node, ast.ClassDef)]
+    return [f for f in functions if not f.startswith("__")] or classes
+
+
+def _run(index: int, entry) -> tuple[bool, str]:
+    """Apply one mutant to a temporary copy and run the suite: (killed, by
+    "first" for the likely killers, "suite" for the whole suite)."""
     name, old, new, _ = entry
     with tempfile.TemporaryDirectory(prefix="nilforge-mutant-") as tmp:
         tmp = Path(tmp)
@@ -336,17 +363,31 @@ def _run(index: int, entry) -> bool:
         text = target.read_text(encoding="utf-8")
         if text.count(old) != 1:
             raise SystemExit(f"mutant {index}: old text is not unique in {name}")
-        target.write_text(text.replace(old, new), encoding="utf-8")
-        env = dict(os.environ, PYTHONPATH=str(tmp / "src"), PYTHONDONTWRITEBYTECODE="1")
-        done = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
-            + ["--deselect", TEXT_CHECK],
-            cwd=tmp,
-            env=env,
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
+        mutated = text.replace(old, new)
+        target.write_text(mutated, encoding="utf-8")
+        names = _enclosing_names(mutated, mutated.count("\n", 0, text.index(old)) + 1)
+        word = re.compile(r"\b(%s)\b" % "|".join(map(re.escape, names))) if names else None
+        first = sorted(
+            str(path.relative_to(tmp))
+            for path in (tmp / "tests").glob("test_*.py")
+            if word and word.search(path.read_text(encoding="utf-8"))
         )
-    return done.returncode != 0
+        env = dict(os.environ, PYTHONPATH=str(tmp / "src"), PYTHONDONTWRITEBYTECODE="1")
+
+        def pytest(*files: str) -> int:
+            return subprocess.run(
+                [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
+                + ["--deselect", TEXT_CHECK, *files],
+                cwd=tmp,
+                env=env,
+                stdout=subprocess.DEVNULL,
+                stderr=subprocess.DEVNULL,
+            ).returncode
+
+        # 1: a test failed, 2: collection failed; the whole suite fails then too
+        if first and pytest(*first) in (1, 2):
+            return True, "first"
+        return pytest() != 0, "suite"
 
 
 def main(argv: list[str]) -> int:
@@ -355,10 +396,11 @@ def main(argv: list[str]) -> int:
     for index in chosen:
         entry = MUTANTS[index]
         start = time.perf_counter()
-        killed = _run(index, entry)
+        killed, by = _run(index, entry)
         survived += not killed
         verdict = "killed" if killed else "SURVIVED"
-        print(f"{index} {verdict:8} {time.perf_counter() - start:5.1f}s  {entry[0]}: {entry[3]}")
+        took = time.perf_counter() - start
+        print(f"{index} {verdict:8} {took:5.1f}s {by:5}  {entry[0]}: {entry[3]}")
     print(f"{len(chosen) - survived} killed, {survived} survived")
     return 1 if survived else 0
 

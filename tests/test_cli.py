@@ -149,7 +149,9 @@ def test_triple_verb_builds_the_ad_table_once(capsys, monkeypatch):
     # the probe reads the ad table that the report was built from
     tables = []
     ad_matrices = triple._ad_matrices
-    monkeypatch.setattr(triple, "_ad_matrices", lambda l: tables.append(l) or ad_matrices(l))
+    monkeypatch.setattr(
+        triple, "_ad_matrices", lambda l, *args: tables.append(l) or ad_matrices(l, *args)
+    )
     triple.clifford_triple_report.cache_clear()
     code, d = _run_json(capsys, "triple", "2", "1")
     assert code == 0 and d["report"]["L_dim"] == 6
