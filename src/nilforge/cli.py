@@ -1,26 +1,25 @@
-"""Command-line front end.
-
-Verbs: clifford, build, reduce, free, triple, lattice, orbit-check,
-examples.  All output is canonical JSON (sorted keys, 2-space indent,
-"a/b" rationals) on stdout.  Exit codes: 0 success, 1 a verification check
-ran and failed, 2 usage or input error (the package's own error codes), 3
-an internal fault (ERR_INTERNAL: any other exception, with its traceback on
-stderr).  The environment variable NILFORGE_SEED seeds the randomized ideal
+"""Command-line front end: ``nilforge VERB ARGUMENTS``, each verb's arguments one row of
+``_VERBS``, all printed by ``-h`` or ``--help`` (stdout, exit 0).  Options may come anywhere
+after the verb, ``--`` ends them, ``--output=FILE`` joins a value, and a negative integer is a
+value.  A usage error, argparse's ``--out`` and ``-oFILE`` forms among them, writes its text
+to stderr, nothing to stdout, and exits 2.  Reading argv imports and builds nothing; the
+README's CLI section gives its cost.  Output is canonical JSON (sorted keys, 2-space indent,
+"a/b" rationals) on stdout.  Exit codes: 0 success, 1 a verification check ran and failed, 2
+usage or input error (the package's own error codes), 3 an internal fault (ERR_INTERNAL: any
+other exception, with its traceback on stderr).  NILFORGE_SEED seeds the randomized ideal
 probe of the triple verb.
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import json
 import os
-import re
 import sys
 import traceback
 from fractions import Fraction
-from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
+from types import SimpleNamespace
 
 from .catalog import BY_NAME
 from .clifford import CliffordSignature, build_module, verify_module
@@ -244,7 +243,8 @@ def _cmd_free(args) -> int:
 
 def _cmd_triple(args) -> int:
     text = os.environ.get("NILFORGE_SEED", "0")
-    if not re.fullmatch(r"[+-]?[0-9]{1,4000}", text):  # int() takes " 7 " and "1_0" too
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit() and len(digits) <= 4000):  # int() takes " 7 " too
         raise BadInputError(f"NILFORGE_SEED must be ASCII [+-]digits, at most 4000, not {text!r}")
     seed = int(text)
     module = build_module(CliffordSignature(args.r, args.s))
@@ -315,15 +315,8 @@ def _example_free() -> list[dict]:
     for m in (2, 3, 4):
         for p in range(m + 1):
             iso = free_isomorphism(p, m - p)
-            out.append(
-                {
-                    "p": p,
-                    "q": m - p,
-                    "gram_diagonal": iso["gram_diagonal"],
-                    "nu_signs": iso["nu_signs"],
-                    "certified": iso["certified"],
-                }
-            )
+            kept = {k: iso[k] for k in ("gram_diagonal", "nu_signs", "certified")}
+            out.append({"p": p, "q": m - p, **kept})
     return out
 
 
@@ -335,10 +328,7 @@ def _cmd_examples(args) -> int:
             report[name] = _example_pseudo_h(name)
         elif name == "heisenberg":
             ma = BY_NAME["heisenberg"]()
-            report[name] = {
-                "algebra": ma.algebra,
-                "realizations": find_realizations(ma.algebra),
-            }
+            report[name] = {"algebra": ma.algebra, "realizations": find_realizations(ma.algebra)}
         elif name == "free":
             report[name] = _example_free()
         else:
@@ -347,84 +337,93 @@ def _cmd_examples(args) -> int:
     return 0
 
 
-@lru_cache(maxsize=None)
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and kept for the process."""
-    parser = argparse.ArgumentParser(
-        prog="nilforge",
-        description="Exact-rational toolkit for 2-step nilpotent Lie algebras "
-        "with indefinite scalar products.",
-    )
-    sub = parser.add_subparsers(dest="verb", required=True)
+# verb: (handler, positionals, options), each positional (attribute, type, METAVAR) and
+# each option flag: (attribute, type, FLAG METAVARS), with a default if it may be left out
+_OUTPUT = dict.fromkeys(("-o", "--output"), ("output", str, "-o FILE", None))
+_RS = [("r", int, "R"), ("s", int, "S")]
+_VERBS = {
+    "clifford": (_cmd_clifford, _RS, _OUTPUT),
+    "build": (_cmd_build, _RS, _OUTPUT),
+    "reduce": (_cmd_reduce, [("input", str, "FILE")], _OUTPUT),
+    "free": (_cmd_free, [("p", int, "P"), ("q", int, "Q")], _OUTPUT),
+    "triple": (_cmd_triple, _RS, _OUTPUT),
+    "lattice": (
+        _cmd_lattice,
+        [("input", str, "FILE", None)],
+        {**_OUTPUT, "--pseudo-h": ("pseudo_h", int, "--pseudo-h R S", None)},
+    ),
+    "orbit-check": (
+        _cmd_orbit_check,
+        [("matrix", str, "A"), ("source", str, "W1"), ("target", str, "W2")],
+        {**_OUTPUT, "--p": ("p", int, "--p P"), "--q": ("q", int, "--q Q")},
+    ),
+    "examples": (_cmd_examples, [("name", str, "NAME", "all")], _OUTPUT),
+}
+_USAGE = "usage (-h or --help prints this):\n" + "".join(
+    f"  nilforge {verb} "
+    + " ".join(x[2] if len(x) == 3 else f"[{x[2]}]" for x in dict.fromkeys([*pos, *opts.values()]))
+    + "\n"
+    for verb, (_, pos, opts) in _VERBS.items()
+)
 
-    def out_flag(p, text="also write the JSON report here"):
-        p.add_argument("-o", "--output", default=None, help=text)
 
-    p = sub.add_parser("clifford", help="build and verify an integer Clifford module")
-    p.add_argument("r", type=int)
-    p.add_argument("s", type=int)
-    out_flag(p)
-    p.set_defaults(func=_cmd_clifford)
+def _is_value(t: str, options: dict) -> bool:
+    """Whether argparse read t as a value, not as an option, of a verb with these options."""
+    if t[:1] != "-" or t == "-":
+        return True
+    body = t[1:-1] if t[-1] == "\n" else t[1:]
+    if body.replace(".", "", 1).isdecimal() and body[-1:] != ".":  # ^-\d+$|^-\d*\.\d+$
+        return True
+    # a text with a space, unless argparse read it as an option: FLAG=... or -o..., -h...
+    return " " in t and t[:2] not in ("-o", "-h") and t.partition("=")[0] not in options
 
-    p = sub.add_parser("build", help="build the pseudo H-type algebra n_{r,s}")
-    p.add_argument("r", type=int)
-    p.add_argument("s", type=int)
-    out_flag(p, "write the algebra JSON, the input of reduce FILE and lattice FILE, here")
-    p.set_defaults(func=_cmd_build)
 
-    p = sub.add_parser("reduce", help="realizations and certified standard reductions")
-    p.add_argument("input", help="algebra JSON file")
-    out_flag(p)
-    p.set_defaults(func=_cmd_reduce)
-
-    p = sub.add_parser("free", help="free metric 2-step algebra F_2(p,q)")
-    p.add_argument("p", type=int)
-    p.add_argument("q", type=int)
-    out_flag(p)
-    p.set_defaults(func=_cmd_free)
-
-    p = sub.add_parser("triple", help="Lie triple system generated by the module")
-    p.add_argument("r", type=int)
-    p.add_argument("s", type=int)
-    out_flag(p)
-    p.set_defaults(func=_cmd_triple)
-
-    p = sub.add_parser("lattice", help="Mal'cev lattice verdict")
-    p.add_argument("input", nargs="?", default=None, help="algebra JSON file")
-    p.add_argument(
-        "--pseudo-h",
-        nargs=2,
-        type=int,
-        metavar=("R", "S"),
-        default=None,
-        help="run the full pseudo H-type witness pipeline",
-    )
-    out_flag(p)
-    p.set_defaults(func=_cmd_lattice)
-
-    p = sub.add_parser("orbit-check", help="verify A W1 A^eta = W2")
-    p.add_argument("matrix", help="matrix JSON file for A")
-    p.add_argument("source", help="subspace JSON file for W1")
-    p.add_argument("target", help="subspace JSON file for W2")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    out_flag(p)
-    p.set_defaults(func=_cmd_orbit_check)
-
-    p = sub.add_parser("examples", help="golden worked-example suite")
-    p.add_argument("name", nargs="?", default="all")
-    out_flag(p)
-    p.set_defaults(func=_cmd_examples)
-
-    return parser
+def _parse(argv) -> SimpleNamespace | None:
+    """The fields argparse gave the verb's handler, read from argv by the verb's row of
+    ``_VERBS``, or None for -h or --help; a usage error raises ValueError."""
+    head = argv[: argv.index("--")] if "--" in argv else argv
+    if "-h" in head or "--help" in head:  # wherever it is, as argparse read it
+        return None
+    verb = argv[0] if argv else None
+    if verb not in _VERBS:
+        raise ValueError(f"unknown verb {verb!r}" if argv else "no verb given")
+    func, positionals, options = _VERBS[verb]
+    fields = {"verb": verb, "func": func}
+    fields.update((name, d[0]) for name, _, _, *d in (*positionals, *options.values()) if d)
+    free, rest = [], iter(argv[1:])  # the positionals' texts; the arguments not yet read
+    for t in rest:
+        if _is_value(t, options):
+            free.append(t)
+        elif t == "--":  # all the rest are values
+            free += rest
+        elif t.partition("=")[0] not in options:
+            raise ValueError(f"unknown option {t!r} for {verb}")
+        else:  # FLAG VALUE..., or FLAG=VALUE for one value
+            flag, eq, text = t.partition("=")
+            name, kind, metavars = options[flag][:3]
+            n = len(metavars.split()) - 1
+            values = [text] if eq else [next(rest, "--") for _ in range(n)]
+            if len(values) < n or not eq and not all(_is_value(v, options) for v in values):
+                raise ValueError(f"{verb} takes {metavars}")
+            fields[name] = kind(values[0]) if n == 1 else [kind(v) for v in values]
+    if len(free) > len(positionals):
+        raise ValueError(f"unexpected argument {free[len(positionals)]!r} for {verb}")
+    fields.update((name, kind(text)) for (name, kind, *_), text in zip(positionals, free))
+    missing = [x[2] for x in (*positionals, *options.values()) if x[0] not in fields]
+    if missing:
+        raise ValueError(f"{verb} needs {', '.join(missing)}")
+    return SimpleNamespace(**fields)
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+        args = _parse(sys.argv[1:] if argv is None else argv)
+    except ValueError as exc:  # a usage error: its text on stderr, nothing on stdout
+        sys.stderr.write(f"nilforge: error: {exc}\n{_USAGE}")
+        return 2
+    if args is None:
+        sys.stdout.write(_USAGE)
+        return 0
     out = sys.stdout
     try:
         return args.func(args)

@@ -332,6 +332,12 @@ MUTANTS = [
         "        table[a][b], table[b][a] = (num, den), (num, den)\n",
         "_pair_table: the W x W block holds [w_a, w_b] for [w_b, w_a], not its negative",
     ),
+    (
+        "cli.py",
+        '    "free": (_cmd_free, [("p", int, "P"), ("q", int, "Q")], _OUTPUT),\n',
+        '    "free": (_cmd_free, [("p", int, "P"), ("q", str, "Q")], _OUTPUT),\n',
+        "_VERBS: free reads its Q as text, not as an integer",
+    ),
 ]
 
 

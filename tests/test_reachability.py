@@ -148,7 +148,6 @@ def _entered(calls) -> set[str]:
         exactlin.eta,
         exactlin._eta_signs,
         exactlin._rat_pair,
-        cli._build_parser,
     ):
         memoized.cache_clear()
     codes = set()
