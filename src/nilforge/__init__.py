@@ -23,7 +23,6 @@ from .exactlin import (
     nu,
     rank,
     rat,
-    rat_from_str,
     rat_to_str,
     rational_roots,
     rref,

@@ -1,14 +1,11 @@
 """Named example algebras: the three 4+2-dimensional pseudo H-type
-algebras n_{2,0}, n_{1,1}, n_{0,2}, the 3-dimensional Heisenberg algebra,
-and a seeded generator of random adapted algebras for property suites.
+algebras n_{2,0}, n_{1,1}, n_{0,2} and the 3-dimensional Heisenberg algebra.
 """
 
 from __future__ import annotations
 
-import random
-
 from .clifford import CliffordSignature, build_module
-from .exactlin import MatrixSubspace, RationalMatrix, SignatureForm
+from .exactlin import RationalMatrix, SignatureForm
 from .lattice import pseudo_H_algebra
 from .nilpotent import MetricAlgebra, NilpotentAlgebra2
 
@@ -48,35 +45,3 @@ BY_NAME = {
     "n02": n02,
     "heisenberg": heisenberg,
 }
-
-
-def random_adapted_algebra(rng: random.Random, max_m: int = 4) -> MetricAlgebra:
-    """Seeded random adapted metric algebra with m <= max_m.
-
-    Structure matrices are random integer antisymmetric matrices kept only
-    when linearly independent; forms are standard diagonal signatures with
-    a random index split.
-    """
-    m = rng.randint(2, max_m)
-    max_n = m * (m - 1) // 2
-    n = rng.randint(1, min(3, max_n))
-    space = MatrixSubspace(m)
-    while space.dim < n:
-        rows = [[0] * m for _ in range(m)]
-        for i in range(m):
-            for j in range(i + 1, m):
-                v = rng.randint(-2, 2)
-                rows[i][j] = v
-                rows[j][i] = -v
-        space.adjoin(RationalMatrix(rows))
-    p = rng.randint(0, m)
-    pz = rng.randint(0, n)
-    algebra = NilpotentAlgebra2(
-        m=m,
-        n=n,
-        structure=space.basis,
-        form_V=SignatureForm.standard(p, m - p),
-        form_Z=SignatureForm.standard(pz, n - pz),
-        tag="adapted",
-    )
-    return MetricAlgebra(algebra)

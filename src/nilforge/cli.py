@@ -242,11 +242,10 @@ def _cmd_free(args) -> int:
 
 
 def _cmd_triple(args) -> int:
-    text = os.environ.get("NILFORGE_SEED", "0")
-    digits = text[1:] if text[:1] in ("+", "-") else text
-    if not (digits.isascii() and digits.isdigit() and len(digits) <= 4000):  # int() takes " 7 " too
-        raise BadInputError(f"NILFORGE_SEED must be ASCII [+-]digits, at most 4000, not {text!r}")
-    seed = int(text)
+    try:
+        seed = _integer(os.environ.get("NILFORGE_SEED", "0"))
+    except ValueError as exc:
+        raise BadInputError(f"NILFORGE_SEED {exc}") from None
     module = build_module(CliffordSignature(args.r, args.s))
     report = clifford_triple_report(module)
     probe = clifford_ideal_probe(module, seed)
@@ -337,9 +336,18 @@ def _cmd_examples(args) -> int:
     return 0
 
 
+def _integer(text: str) -> int:
+    """An optional ASCII sign and 1 to 4000 ASCII digits as an int, else a ValueError."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit() and len(digits) <= 4000):  # int() takes " 7" too
+        raise ValueError(f"must be ASCII [+-]digits, at most 4000, not {text!r}")
+    return int(text)
+
+
 # verb: (handler, positionals, options), each positional (attribute, type, METAVAR) and
 # each option flag: (attribute, type, FLAG METAVARS), with a default if it may be left out
 _OUTPUT = dict.fromkeys(("-o", "--output"), ("output", str, "-o FILE", None))
+_READ = {int: _integer, str: str}  # a field's value from its text, by its type in _VERBS
 _RS = [("r", int, "R"), ("s", int, "S")]
 _VERBS = {
     "clifford": (_cmd_clifford, _RS, _OUTPUT),
@@ -405,10 +413,10 @@ def _parse(argv) -> SimpleNamespace | None:
             values = [text] if eq else [next(rest, "--") for _ in range(n)]
             if len(values) < n or not eq and not all(_is_value(v, options) for v in values):
                 raise ValueError(f"{verb} takes {metavars}")
-            fields[name] = kind(values[0]) if n == 1 else [kind(v) for v in values]
+            fields[name] = _READ[kind](values[0]) if n == 1 else [*map(_READ[kind], values)]
     if len(free) > len(positionals):
         raise ValueError(f"unexpected argument {free[len(positionals)]!r} for {verb}")
-    fields.update((name, kind(text)) for (name, kind, *_), text in zip(positionals, free))
+    fields.update((name, _READ[kind](text)) for (name, kind, *_), text in zip(positionals, free))
     missing = [x[2] for x in (*positionals, *options.values()) if x[0] not in fields]
     if missing:
         raise ValueError(f"{verb} needs {', '.join(missing)}")

@@ -3,11 +3,11 @@
 Each matrix is stored as M = N / D alone: N the numerators, numpy int64
 when every |entry| is below 2**62 and exact Python ints otherwise, D the
 least positive common denominator, so (shape, D, N) is canonical.  Sums,
-products, commutators, Kronecker products, basis permutations, comparisons
-and hashes are array operations on the N's, where a bound on each result
-only picks the dtype (each matrix computes its max |N| once); there is no
-floating point anywhere.  A computed matrix reaches lowest terms only in
-``RationalMatrix._of``.  Entries enter as reduced (n, d) pairs, each
+products, commutators, comparisons and hashes are array operations on the
+N's, where a bound on each result only picks the dtype (each matrix
+computes its max |N| once); there is no floating point anywhere.  A
+computed matrix reaches lowest terms only in ``RationalMatrix._of``.
+Entries enter as reduced (n, d) pairs, each
 Fraction is built as Fraction(x, D) only for what a public function returns,
 and an entry's text is printed straight from (N, D), or, for a large int64 N
 whose values span fewer integers than it has entries, gathered in one step
@@ -23,12 +23,14 @@ N's over each denominator are stacked, and every row comes from one such
 pass over the stack, so the stack's entry count, not each matrix's, picks
 between the per-entry join, the value table and the row templates.
 
-One kernel makes every product.  A square operand of size at least 16 is
-checked once, the first time it is multiplied, for being monomial (one
-nonzero in every row and every column, as a signed permutation is); a
-product with a monomial left operand is then a gather of the other
-operand's rows, scaled, instead of a dense integer matrix product.  A
-signed permutation built from its index arrays
+One kernel, ``_product_numerators``, makes every product but
+``eta_pairings``' stacked product, ``polarized_match``'s batched matmul and
+``closure_is_full``'s products mod a prime.  A square operand of size at
+least 16 is checked once, the first time it is multiplied, for being
+monomial (one nonzero in every row and every column, as a signed
+permutation is); a product with a monomial left operand is then a gather
+of the other operand's rows, scaled, instead of a dense integer matrix
+product.  A signed permutation built from its index arrays
 (``RationalMatrix.signed_permutation``) carries that form from the start,
 with no scan.  With the entries vec(M_l) of matrices stacked as rows, the
 linear combinations sum_l A_kl M_l for all rows k of A are one product
@@ -153,11 +155,6 @@ def _rat_pair(s: str) -> tuple[int, int]:
         raise BadInputError(f"bad rational literal {s!r}")
     g = gcd(n, d)
     return n // g, d // g
-
-
-def rat_from_str(s: str) -> Fraction:
-    """The Fraction of a rational literal, as ``_rat_pair`` reads it."""
-    return Fraction(*_rat_pair(s))
 
 
 # ---------------------------------------------------------------------------
@@ -326,20 +323,6 @@ class RationalMatrix:
         if n >= _GATHER_MIN:
             m._mono = cols, vals
         return m
-
-    def kron(self, other: "RationalMatrix") -> "RationalMatrix":
-        """The Kronecker product self (x) other."""
-        na, nb = self._n, other._n
-        if _nmax(self) * _nmax(other) >= _INT64_BOUND:
-            na, nb = na.astype(object), nb.astype(object)
-        return RationalMatrix._of(np.kron(na, nb), self._d * other._d)
-
-    def permute(self, order) -> "RationalMatrix":
-        """P^T M P for the permutation P e_i = e_order[i] of a square M: the
-        matrix (M[order[i], order[j]])_ij."""
-        if not self.is_square() or sorted(order) != list(range(self.rows)):
-            raise DimensionMismatchError(f"{order!r} is not a permutation of {self.rows} indices")
-        return self._like(self._n[np.ix_(order, order)])
 
     # -- access: Fractions on demand
 
@@ -788,21 +771,20 @@ def eta_sides(mats, p: int, q: int, left: bool) -> list[RationalMatrix]:
     return [m._like(signs[:, None] * m._n if left else m._n * signs) for m in mats]
 
 
-def phi_matrices(p: int, q: int, normalized: bool = True) -> list[RationalMatrix]:
+def phi_matrices(p: int, q: int) -> list[RationalMatrix]:
     """The m(m-1)/2 matrices phi_ij = -1/2 (E_ij - E_ji) eta_{p,q} of so(p,q),
-    m = p + q, pairs i < j in lexicographic order; ``normalized=False`` drops
-    the 1/2.  Row i of phi_ij holds -nu_j at column j and row j holds nu_i at
-    column i, so all of them are written into one int64 array of shape
-    (K, m, m) over D = 2 (D = 1 without the 1/2), and each slice is already
-    in lowest terms with bound 1: no entry is parsed and no Fraction made."""
+    m = p + q, pairs i < j in lexicographic order.  Row i of phi_ij holds
+    -nu_j at column j and row j holds nu_i at column i, so all of them are
+    written into one int64 array of shape (K, m, m) over D = 2, and each slice
+    is already in lowest terms with bound 1: no entry is parsed and no
+    Fraction made."""
     signs = np.diag(eta(p, q)._n)  # DimError for a negative p or q
     m = p + q
     i, j = np.triu_indices(m, 1)
     k = np.arange(i.size)
     n = np.zeros((i.size, m, m), dtype=np.int64)
     n[k, i, j], n[k, j, i] = -signs[j], signs[i]
-    d = 2 if normalized else 1
-    return [RationalMatrix._raw(x, d, 1) for x in n]
+    return [RationalMatrix._raw(x, 2, 1) for x in n]
 
 
 def eta_pairings(mats, ps) -> list[RationalMatrix]:
@@ -1073,13 +1055,6 @@ class SignatureForm:
 
 # ---------------------------------------------------------------------------
 # incremental sparse span: the package's one Gaussian elimination
-
-
-def matrix_to_sparse(m: RationalMatrix) -> dict:
-    """m row-major as a dict {i * cols + j: M_ij} of its nonzero entries."""
-    flat = m._n.ravel()
-    idx = np.flatnonzero(flat)
-    return {i: Fraction(x, m._d) for i, x in zip(idx.tolist(), flat[idx].tolist())}
 
 
 def _cancel(num: dict, comb: dict, pnum: dict, pcomb: dict, p: int) -> None:

@@ -70,11 +70,11 @@ def _so_image(source: MatrixSubspace, mats, p: int, q: int, what: str) -> Matrix
     return out
 
 
-def so_basis(p: int, q: int, normalized: bool = True) -> MatrixSubspace:
+def so_basis(p: int, q: int) -> MatrixSubspace:
     """Basis phi_ij = -1/2 (E_ij - E_ji) eta_{p,q}, pairs (i, j) with i < j
     in lexicographic order (``exactlin.phi_matrices``), certified independent
-    by ``MatrixSubspace``.  ``normalized=False`` drops the 1/2 factor."""
-    return MatrixSubspace(p + q, phi_matrices(p, q, normalized))
+    by ``MatrixSubspace``."""
+    return MatrixSubspace(p + q, phi_matrices(p, q))
 
 
 def so_pair_signs(p: int, q: int) -> list[int]:

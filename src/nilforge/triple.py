@@ -158,11 +158,6 @@ def clifford_triple_report(module: CliffordModule) -> TripleSystemReport:
     return _clifford_generated(module)[0]
 
 
-# the report's memo is _clifford_generated's, to clear or to bypass
-clifford_triple_report.cache_clear = _clifford_generated.cache_clear
-clifford_triple_report.__wrapped__ = lambda module: _clifford_generated.__wrapped__(module)[0]
-
-
 def clifford_ideal_probe(module: CliffordModule, seed: int) -> dict | None:
     """ideal_probe of the L of clifford_triple_report(module), read from the
     ad table that the report was built from; None when W is not a triple

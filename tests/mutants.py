@@ -10,9 +10,11 @@ check that no test can fail.
     python tests/mutants.py 0 2        # the mutants with these indices
 
 Each mutant runs ``pytest -x -q`` on a temporary copy of src/ and tests/,
-without the test that checks the old texts; the working tree is never
-edited.  Its likely killers run first: the test files that name the function
-whose body holds the mutated text (found with ``ast``).  The whole suite
+without the test that checks the old texts and with Hypothesis's shrinking
+off (``PROFILE``); the working tree is never edited.  Its likely killers run
+first: the test files that name the function whose body holds the mutated
+text (found with ``ast``), or, when no test file names it, those that name
+its callers, the package functions whose body names it.  The whole suite
 runs only if they all pass, so the verdict is still the whole suite's.  Exit
 status 1 if any mutant survives.
 """
@@ -34,6 +36,14 @@ ROOT = Path(__file__).resolve().parent.parent
 # the tier-1 test that each old text occurs once; every mutant fails it, so
 # it is left out of the mutant runs
 TEXT_CHECK = "tests/test_certificate_faults.py::test_mutant_text_occurs_once"
+
+# a plugin that each mutant run loads: any failing example kills a mutant, so
+# Hypothesis stops at the first one instead of shrinking it to a minimal one
+PROFILE = """from hypothesis import Phase, settings
+
+settings.register_profile("mutants", phases=set(Phase) - {Phase.shrink, Phase.explain})
+settings.load_profile("mutants")
+"""
 
 # (file under src/nilforge, exact old text, new text, reason)
 MUTANTS = [
@@ -338,6 +348,14 @@ MUTANTS = [
         '    "free": (_cmd_free, [("p", int, "P"), ("q", str, "Q")], _OUTPUT),\n',
         "_VERBS: free reads its Q as text, not as an integer",
     ),
+    (
+        "cli.py",
+        "    if not (digits.isascii() and digits.isdigit() and len(digits) <= 4000):"
+        '  # int() takes " 7" too\n',
+        '    if not (digits.isdigit() and len(digits) <= 4000):  # int() takes " 7" too\n',
+        "_integer: an integer field or seed of another script's digits, such as Arabic-Indic"
+        " 7, reads as an int",
+    ),
 ]
 
 
@@ -356,6 +374,41 @@ def _enclosing_names(text: str, line: int) -> list[str]:
     return [f for f in functions if not f.startswith("__")] or classes
 
 
+def _callers(package: Path, names: list[str]) -> list[str]:
+    """The package functions whose body names one of ``names``, one level up,
+    special methods left out: a method as ``Class.method``, as tests name it.  A
+    mutated function that no test file names is reached through them."""
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {
+            node: cls.name + "."
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+        }
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not node.name.startswith("__")
+                and any(getattr(n, "id", getattr(n, "attr", None)) in names for n in ast.walk(node))
+            ):
+                found.add(owner.get(node, "") + node.name)
+    return sorted(found - set(names))
+
+
+def _naming(tests: Path, names: list[str]) -> list[str]:
+    """The test files, relative to the copy's root, that name one of ``names``."""
+    if not names:
+        return []
+    word = re.compile(r"\b(%s)\b" % "|".join(map(re.escape, names)))
+    return sorted(
+        str(path.relative_to(tests.parent))
+        for path in tests.glob("test_*.py")
+        if word.search(path.read_text(encoding="utf-8"))
+    )
+
+
 def _run(index: int, entry) -> tuple[bool, str]:
     """Apply one mutant to a temporary copy and run the suite: (killed, by
     "first" for the likely killers, "suite" for the whole suite)."""
@@ -372,17 +425,17 @@ def _run(index: int, entry) -> tuple[bool, str]:
         mutated = text.replace(old, new)
         target.write_text(mutated, encoding="utf-8")
         names = _enclosing_names(mutated, mutated.count("\n", 0, text.index(old)) + 1)
-        word = re.compile(r"\b(%s)\b" % "|".join(map(re.escape, names))) if names else None
-        first = sorted(
-            str(path.relative_to(tmp))
-            for path in (tmp / "tests").glob("test_*.py")
-            if word and word.search(path.read_text(encoding="utf-8"))
+        first = _naming(tmp / "tests", names) or _naming(
+            tmp / "tests", _callers(tmp / "src" / "nilforge", names)
         )
-        env = dict(os.environ, PYTHONPATH=str(tmp / "src"), PYTHONDONTWRITEBYTECODE="1")
+        (tmp / "mutant_profile.py").write_text(PROFILE, encoding="utf-8")
+        path = os.pathsep.join([str(tmp / "src"), str(tmp)])
+        env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
 
         def pytest(*files: str) -> int:
             return subprocess.run(
                 [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
+                + ["-p", "mutant_profile"]
                 + ["--deselect", TEXT_CHECK, *files],
                 cwd=tmp,
                 env=env,

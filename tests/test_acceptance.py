@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from nilforge.catalog import heisenberg, n02, n11, n20, random_adapted_algebra
+from nilforge.catalog import heisenberg, n02, n11, n20
 from nilforge.clifford import SIGNATURE_CAP, CliffordSignature, build_module, verify_module
 from nilforge.exactlin import (
     MatrixSubspace,
@@ -15,7 +15,6 @@ from nilforge.exactlin import (
     SpanBuilder,
     commutator,
     eta,
-    matrix_to_sparse,
     rank,
     rat,
     signature,
@@ -34,9 +33,7 @@ from nilforge.standardform import (
 )
 from nilforge.triple import clifford_ideal_probe, clifford_triple_report
 
-
-def _unit(n, k):
-    return [1 if i == k else 0 for i in range(n)]
+from helpers import _unit, matrix_to_sparse, random_adapted_algebra
 
 
 def test_criterion_1_worked_example_goldens():

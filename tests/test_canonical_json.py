@@ -1,7 +1,6 @@
 """The canonical JSON writer against ``json.dumps(indent=2, sort_keys=True)``:
 byte-identical on every value it accepts, a TypeError on every other."""
 
-import json
 from fractions import Fraction
 
 import numpy as np
@@ -12,11 +11,9 @@ from hypothesis import strategies as st
 from nilforge.cli import canonical_json
 from nilforge.exactlin import RationalMatrix
 
+from helpers import _reference
+
 PROPS = settings(max_examples=200, deadline=None, derandomize=True)
-
-
-def _reference(value) -> str:
-    return json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 
 class Raw:

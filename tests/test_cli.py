@@ -153,7 +153,7 @@ def test_triple_verb_builds_the_ad_table_once(capsys, monkeypatch):
     monkeypatch.setattr(
         triple, "_ad_matrices", lambda l, *args: tables.append(l) or ad_matrices(l, *args)
     )
-    triple.clifford_triple_report.cache_clear()
+    triple._clifford_generated.cache_clear()
     code, d = _run_json(capsys, "triple", "2", "1")
     assert code == 0 and d["report"]["L_dim"] == 6
     assert len(tables) == 1

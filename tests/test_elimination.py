@@ -9,16 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilforge.errors import SingularMatrixError
-from nilforge.exactlin import (
-    RationalMatrix,
-    SpanBuilder,
-    inverse,
-    kernel_basis,
-    matrix_to_sparse,
-    rank,
-    rref,
-    solve,
-)
+from nilforge.exactlin import RationalMatrix, SpanBuilder, inverse, kernel_basis, rank, rref, solve
+
+from helpers import matrix_to_sparse
 
 PROPS = settings(max_examples=60, deadline=None, derandomize=True)
 ZERO = Fraction(0)

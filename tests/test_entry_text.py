@@ -3,15 +3,15 @@
 _TABLE_MIN entries of an int64 N whose values span fewer integers than it
 has entries), and the number of texts each path builds."""
 
-from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilforge import exactlin
 from nilforge.exactlin import RationalMatrix, _ratio_str, rat_to_str
+
+from helpers import texts
 
 PROPS = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -75,18 +75,6 @@ def test_to_json_matches_the_per_entry_reference(data):
 def test_empty_matrices(rows):
     m = RationalMatrix(rows)
     assert m.to_json() == {"rows": m.rows, "cols": 0, "entries": [[]] * m.rows}
-
-
-@pytest.fixture
-def texts(monkeypatch):
-    seen = Counter()
-
-    def counted(n, d):
-        seen["_ratio_str"] += 1
-        return _ratio_str(n, d)
-
-    monkeypatch.setattr(exactlin, "_ratio_str", counted)
-    return seen
 
 
 def test_a_large_ternary_matrix_builds_one_text_per_value(texts):

@@ -50,14 +50,12 @@ from nilforge.standardform import (
     standard_algebra,
 )
 
+from helpers import _form
+
 I2, I3 = RationalMatrix.identity(2), RationalMatrix.identity(3)
 ROT = RationalMatrix([[0, 1], [-1, 0]])  # E12 - E21, antisymmetric
 ROT3 = RationalMatrix([[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
 ZERO2 = RationalMatrix.zeros(2, 2)
-
-
-def _form(*diag):
-    return SignatureForm(RationalMatrix.diag(list(diag)))
 
 
 def _metric(form_v, structure=(ROT,), form_z=None, tag="adapted"):

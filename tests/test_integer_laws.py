@@ -5,13 +5,11 @@ the twisted-span path, and ``CliffordModule.to_json``'s eta; each against a
 reference, and with no Fraction built."""
 
 import random
-from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from nilforge import cli
-from nilforge.catalog import random_adapted_algebra
 from nilforge.clifford import CliffordModule, CliffordSignature, build_module, verify_module
 from nilforge.errors import BadInputError, NotSkewError
 from nilforge.exactlin import (
@@ -25,18 +23,7 @@ from nilforge.exactlin import (
 from nilforge.nilpotent import algebra_from_J, h_type_laws
 from nilforge.standardform import eta_twist, find_realizations, structure_space
 
-
-@pytest.fixture
-def fractions(monkeypatch):
-    seen = Counter()
-    new = Fraction.__new__
-
-    def counted(*args, **kwargs):
-        seen["Fraction"] += 1
-        return new(*args, **kwargs)
-
-    monkeypatch.setattr(Fraction, "__new__", counted)
-    return seen
+from helpers import fractions, random_adapted_algebra
 
 
 # a symmetric, non-diagonal, positive definite G_V and an antisymmetric A

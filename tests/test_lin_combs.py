@@ -5,7 +5,6 @@ Fraction."""
 
 import json
 import random
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,6 +15,8 @@ from nilforge import cli, triple
 from nilforge.clifford import CliffordSignature, build_module
 from nilforge.errors import DimensionMismatchError
 from nilforge.exactlin import MatrixSubspace, RationalMatrix, lin_comb, lin_combs
+
+from helpers import fractions
 
 PROPS = settings(max_examples=80, deadline=None, derandomize=True)
 
@@ -80,19 +81,6 @@ def test_wrong_length_coefficients_raise(coeffs):
     with pytest.raises(DimensionMismatchError):
         MatrixSubspace(2, [eye, j]).element(coeffs)
     assert MatrixSubspace(2, [eye, j]).element([1, 2]) == eye + j.scale(2)
-
-
-@pytest.fixture
-def fractions(monkeypatch):
-    seen = Counter()
-    new = Fraction.__new__
-
-    def counted(*args, **kwargs):
-        seen["Fraction"] += 1
-        return new(*args, **kwargs)
-
-    monkeypatch.setattr(Fraction, "__new__", counted)
-    return seen
 
 
 def _algebra_json(rng, m, n, d):

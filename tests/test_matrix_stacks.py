@@ -11,7 +11,6 @@ as a stack (a subspace's basis, a module's generators, an algebra's C).
 """
 
 import json
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -26,12 +25,13 @@ from nilforge.exactlin import (
     RationalMatrix,
     SignatureForm,
     StackText,
-    _ratio_str,
     independent_subset,
     jsonify,
 )
 from nilforge.nilpotent import NilpotentAlgebra2
 from nilforge.standardform import free_isomorphism
+
+from helpers import texts
 
 PROPS = settings(max_examples=200, deadline=None, derandomize=True)
 
@@ -158,18 +158,6 @@ def test_one_pass_per_denominator(row_passes):
     stack = StackText(mats, False)
     assert canonical_json(stack) == _reference(stack)
     assert row_passes == [(12, 4), (8, 4)]
-
-
-@pytest.fixture
-def texts(monkeypatch):
-    seen = Counter()
-
-    def counted(n, d):
-        seen["_ratio_str"] += 1
-        return _ratio_str(n, d)
-
-    monkeypatch.setattr(exactlin, "_ratio_str", counted)
-    return seen
 
 
 def test_the_stack_entry_count_picks_the_value_table(texts):

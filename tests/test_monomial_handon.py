@@ -16,6 +16,8 @@ from nilforge.clifford import CliffordSignature, build_module, verify_module
 from nilforge.exactlin import RationalMatrix, _int_form, _monomial
 from nilforge.nilpotent import h_type_laws
 
+from helpers import _laws_per_pair
+
 
 def _fresh(m: RationalMatrix, transposed: bool = False) -> RationalMatrix:
     """A copy of m (or of m^T) whose monomial form is not known yet."""
@@ -73,29 +75,6 @@ def _count_scans(monkeypatch, call):
     result = call()
     monkeypatch.setattr(exactlin, "_monomial", real)
     return len(scanned), result
-
-
-def _laws_per_pair(js, g_v, g_z):
-    """The per-pair law check ``h_type_laws`` made before ``polarized_match``."""
-    n = len(js)
-    gz, dz = _int_form(g_z)
-    gz = gz.tolist()
-    unit = RationalMatrix.from_relations([({i: 1}, dz) for i in range(g_v.rows)], g_v.rows)
-    g_unit = g_v * unit
-    jts = [j.transpose() for j in js]
-    gjs = [g_v * j for j in js]
-    pairs = [(k, l) for k in range(n) for l in range(k + 1, n)]
-    return {
-        "skew": all(gj.is_antisymmetric() for gj in gjs),
-        "square": all(j * j == unit.scale(-gz[k][k]) for k, j in enumerate(js)),
-        "anticommutation": all(
-            js[k] * js[l] + js[l] * js[k] == unit.scale(-2 * gz[k][l]) for k, l in pairs
-        ),
-        "orthogonality": all(jts[k] * gjs[k] == g_unit.scale(gz[k][k]) for k in range(n))
-        and all(
-            jts[k] * gjs[l] + jts[l] * gjs[k] == g_unit.scale(2 * gz[k][l]) for k, l in pairs
-        ),
-    }
 
 
 @pytest.mark.parametrize("r, s", [(6, 0), (3, 3)])

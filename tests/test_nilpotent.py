@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilforge.catalog import heisenberg, n02, n11, n20, random_adapted_algebra
+from nilforge.catalog import heisenberg, n02, n11, n20
 from nilforge.clifford import CliffordSignature, build_module
 from nilforge.errors import (
     DegenerateFormError,
@@ -31,9 +31,7 @@ from nilforge.nilpotent import (
 )
 from nilforge.standardform import free_algebra
 
-
-def _unit(n, k):
-    return [1 if i == k else 0 for i in range(n)]
+from helpers import _unit, random_adapted_algebra
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,10 @@ from contextlib import redirect_stdout
 import pytest
 
 from nilforge import cli, lattice
-from nilforge.exactlin import RationalMatrix, SignatureForm, SpanBuilder
+from nilforge.exactlin import RationalMatrix, SpanBuilder
 from nilforge.nilpotent import NilpotentAlgebra2, algebra_from_J
+
+from helpers import _form
 
 SIGNATURES = [(r, t - r) for t in range(1, 5) for r in range(t + 1)] + [(3, 3)]
 
@@ -87,10 +89,6 @@ def test_build_eliminates_the_J_list_once(r, s, monkeypatch):
 
 def _rotation():
     return RationalMatrix([[0, 1], [-1, 0]])
-
-
-def _form(*diag):
-    return SignatureForm(RationalMatrix.diag(list(diag)))
 
 
 def test_dependent_J_list_gives_a_raw_algebra_in_one_elimination(monkeypatch):

@@ -22,37 +22,14 @@ from hypothesis import strategies as st
 from nilforge import exactlin
 from nilforge.clifford import CliffordSignature, build_module, verify_module
 from nilforge.errors import DimensionMismatchError
-from nilforge.exactlin import RationalMatrix, _int_form, inverse, lin_combs, polarized_match
+from nilforge.exactlin import RationalMatrix, inverse, lin_combs, polarized_match
 from nilforge.nilpotent import h_type_laws
+
+from helpers import _laws_per_pair
 
 PROPS = settings(max_examples=150, deadline=None, derandomize=True)
 
 SIGNATURES = [(r, t - r) for t in range(1, 7) for r in range(t + 1)]
-
-
-def _laws_per_pair(js, g_v, g_z):
-    """The per-pair law check ``h_type_laws`` made before ``polarized_match``:
-    one product, sum and comparison for every pair of maps."""
-    js = list(js)
-    n = len(js)
-    gz, dz = _int_form(g_z)
-    gz = gz.tolist()
-    unit = RationalMatrix.from_relations([({i: 1}, dz) for i in range(g_v.rows)], g_v.rows)
-    g_unit = g_v * unit
-    jts = [j.transpose() for j in js]
-    gjs = [g_v * j for j in js]
-    pairs = [(k, l) for k in range(n) for l in range(k + 1, n)]
-    return {
-        "skew": all(gj.is_antisymmetric() for gj in gjs),
-        "square": all(j * j == unit.scale(-gz[k][k]) for k, j in enumerate(js)),
-        "anticommutation": all(
-            js[k] * js[l] + js[l] * js[k] == unit.scale(-2 * gz[k][l]) for k, l in pairs
-        ),
-        "orthogonality": all(jts[k] * gjs[k] == g_unit.scale(gz[k][k]) for k in range(n))
-        and all(
-            jts[k] * gjs[l] + jts[l] * gjs[k] == g_unit.scale(2 * gz[k][l]) for k, l in pairs
-        ),
-    }
 
 
 def _module(r, s):

@@ -25,9 +25,6 @@ PACKAGE = Path(nilforge.__file__).resolve().parent
 UNREACHED = {
     # references that a test checks a kept route against
     "exactlin.solve": "the solver test_kernel_paths checks inverse against",
-    "exactlin.matrix_to_sparse": "the reference span of test_span_reference",
-    "exactlin.RationalMatrix.kron": "the dense recursion of test_signed_permutation_build",
-    "exactlin.RationalMatrix.permute": "the dense recursion of test_signed_permutation_build",
     "exactlin.jsonify": "plain JSON: every to_json, and the route canonical_json is held to",
     "exactlin.EntriesText.lists": "a matrix's entries as jsonify gives them",
     "exactlin.RationalMatrix.to_json": "a matrix's plain JSON; the writer reads _json_parts",
@@ -66,7 +63,6 @@ UNREACHED = {
     "exactlin._closure": "the probe's exact fallback for a trial left open, and generated_ideal",
     # the basic matrix, form and subspace API
     "exactlin.rat": "a rational from an int, Fraction or literal",
-    "exactlin.rat_from_str": "a rational from its literal",
     "exactlin.RationalMatrix.__rmul__": "c * M",
     "exactlin.RationalMatrix.__sub__": "M - N",
     "exactlin.RationalMatrix.apply": "M v",
@@ -82,7 +78,6 @@ UNREACHED = {
     "exactlin.MatrixSubspace.element": "the matrix with given coordinates over the basis",
     "nilpotent.MetricAlgebra.n": "the center dimension of a metric algebra",
     "clifford.CliffordModule.from_json": "a module read back from its JSON; no verb reads one",
-    "catalog.random_adapted_algebra": "random adapted algebras for the property tests",
 }
 
 

@@ -34,7 +34,8 @@ from nilforge.nilpotent import (
     algebra_from_J,
     scaling_isomorphism,
 )
-from test_input_rejections import ROT, ROT3, _form, _metric
+from helpers import _form
+from test_input_rejections import ROT, ROT3, _metric
 
 PROPS = settings(max_examples=40, deadline=None, derandomize=True)
 

@@ -4,8 +4,9 @@
 arrays (cols, vals) and makes each generator once, through
 ``RationalMatrix.signed_permutation``, which proves the monomial form it
 attaches.  The reference here is the dense recursion it replaced: the base
-tables as matrices, each doubling step through ``RationalMatrix.kron`` and
-the final sort through ``RationalMatrix.permute``.
+tables as matrices, each doubling step through a dense Kronecker product
+and the final sort through a basis permutation (``helpers.kron`` and
+``helpers.permute``).
 """
 
 import random
@@ -17,6 +18,8 @@ from nilforge import exactlin
 from nilforge.clifford import CliffordSignature, build_module, verify_module
 from nilforge.errors import BadInputError, DimensionMismatchError
 from nilforge.exactlin import RationalMatrix, SignatureForm, _int_form, _monomial
+
+from helpers import kron, permute
 
 SIGNATURES = [(r, n - r) for n in range(1, 9) for r in range(n + 1)]
 
@@ -59,17 +62,17 @@ def _dense_module(r: int, s: int):
     path = [f"base({br},{bs})"]
     for kind in "r" * (r - br) + "s" * (s - bs):
         ident = RationalMatrix.identity(len(diag))
-        r_gens = [g.kron(_E) for g in r_gens]
-        s_gens = [g.kron(_E) for g in s_gens]
+        r_gens = [kron(g, _E) for g in r_gens]
+        s_gens = [kron(g, _E) for g in s_gens]
         if kind == "r":
-            r_gens.append(ident.kron(_Q))
+            r_gens.append(kron(ident, _Q))
             diag = tuple(x for d in diag for x in (d, d))
         else:
-            s_gens.append(ident.kron(_P))
+            s_gens.append(kron(ident, _P))
             diag = tuple(x for d in diag for x in (d, -d))
         path.append(f"add_{kind}")
     order = [i for i, d in enumerate(diag) if d > 0] + [i for i, d in enumerate(diag) if d < 0]
-    gens = [g.permute(order) for g in r_gens + s_gens]
+    gens = [permute(g, order) for g in r_gens + s_gens]
     form = SignatureForm(RationalMatrix.diag([diag[i] for i in order]))
     return gens, form, tuple(path)
 

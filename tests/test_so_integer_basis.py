@@ -21,10 +21,10 @@ from nilforge.standardform import so_basis
 SIGNATURES = [(p, m - p) for m in range(9) for p in range(m + 1)]
 
 
-def _rows_so_basis(p: int, q: int, normalized: bool = True) -> MatrixSubspace:
+def _rows_so_basis(p: int, q: int) -> MatrixSubspace:
     """The Python-rows construction: one Fraction-valued row list per phi_ij."""
     m = p + q
-    half = Fraction(1, 2) if normalized else 1
+    half = Fraction(1, 2)
     basis = []
     for i in range(m):
         for j in range(i + 1, m):
@@ -35,22 +35,20 @@ def _rows_so_basis(p: int, q: int, normalized: bool = True) -> MatrixSubspace:
     return MatrixSubspace(m, basis)
 
 
-@pytest.mark.parametrize("normalized", [True, False])
 @pytest.mark.parametrize("p, q", SIGNATURES)
-def test_the_integer_basis_is_the_python_rows_basis(p, q, normalized):
-    ours, ref = so_basis(p, q, normalized), _rows_so_basis(p, q, normalized)
+def test_the_integer_basis_is_the_python_rows_basis(p, q):
+    ours, ref = so_basis(p, q), _rows_so_basis(p, q)
     assert ours.ambient_dim == ref.ambient_dim == p + q
     assert ours.basis == ref.basis
     assert len(ours.basis) == (p + q) * (p + q - 1) // 2
 
 
-@pytest.mark.parametrize("normalized", [True, False])
 @pytest.mark.parametrize("p, q", [(2, 1), (0, 4), (3, 3), (5, 3), (0, 8)])
-def test_the_integer_basis_is_canonical(p, q, normalized):
-    for phi in phi_matrices(p, q, normalized):
+def test_the_integer_basis_is_canonical(p, q):
+    for phi in phi_matrices(p, q):
         assert_canonical(phi)
         assert phi._n.dtype.name == "int64"
-        assert phi._d == (2 if normalized else 1)  # the least D of entries +-1/2 or +-1
+        assert phi._d == 2  # the least D of entries +-1/2
         assert phi._max == 1
         assert hash(phi) == hash(RationalMatrix(phi.to_json()["entries"]))
 
@@ -60,7 +58,7 @@ def test_a_negative_signature_raises_dim_error(p, q):
     with pytest.raises(DimError):
         so_basis(p, q)
     with pytest.raises(DimError):
-        phi_matrices(p, q, False)
+        phi_matrices(p, q)
 
 
 @pytest.fixture

@@ -9,7 +9,9 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilforge.exactlin import RationalMatrix, SpanBuilder, matrix_to_sparse, rat, rat_to_str, rref
+from nilforge.exactlin import RationalMatrix, SpanBuilder, rat, rat_to_str, rref
+
+from helpers import matrix_to_sparse
 
 PROPS = settings(max_examples=80, deadline=None, derandomize=True)
 ZERO = Fraction(0)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilforge.catalog import n11, n20, random_adapted_algebra
+from nilforge.catalog import n11, n20
 from nilforge.errors import (
     DegenerateWError,
     DimensionMismatchError,
@@ -47,6 +47,8 @@ from nilforge.standardform import (
     standard_algebra,
     structure_space,
 )
+
+from helpers import random_adapted_algebra
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +216,7 @@ def test_free_algebra_structure_constants_are_signs():
 
 
 def test_free_algebra_unnormalized_basis_needs_rescale_2():
-    std = standard_algebra(2, 1, so_basis(2, 1, normalized=False))
+    std = standard_algebra(2, 1, MatrixSubspace(3, [phi.scale(2) for phi in so_basis(2, 1).basis]))
     d, rescaled = integer_rescale(std.algebra)
     assert d == 2
     assert all(

@@ -18,7 +18,6 @@ from nilforge.exactlin import (
     SpanBuilder,
     commutator,
     independent_subset,
-    matrix_to_sparse,
     signature,
 )
 from nilforge.standardform import so_basis, structure_space
@@ -33,6 +32,8 @@ from nilforge.triple import (
     theta_closure,
     triple_center,
 )
+
+from helpers import matrix_to_sparse
 
 
 def _so3_cross_basis():

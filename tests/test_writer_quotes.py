@@ -3,17 +3,13 @@ their text adds only the two quotes, no entry needs an escape and each row is
 one join with the quotes in its separators.  Entries that need an escape keep
 the quote per entry and still match ``json.dumps``."""
 
-import json
-
 import pytest
 
 from nilforge import cli
 from nilforge.cli import canonical_json
 from nilforge.exactlin import RationalMatrix
 
-
-def _reference(value) -> str:
-    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+from helpers import _reference
 
 
 class Raw:

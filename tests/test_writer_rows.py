@@ -3,14 +3,14 @@ of strings (a matrix's ``entries``) against ``json.dumps(indent=2,
 sort_keys=True)``, with empty rows, bare strings among the rows, escapes
 and non-ASCII text falling back or passing through unchanged."""
 
-import json
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilforge import cli
 from nilforge.cli import canonical_json
 from nilforge.exactlin import RationalMatrix
+
+from helpers import _reference
 
 PROPS = settings(max_examples=300, deadline=None, derandomize=True)
 
@@ -26,10 +26,6 @@ rows = st.one_of(
     text,  # a bare string among the rows
 )
 matrices = st.lists(rows, min_size=1, max_size=5)
-
-
-def _reference(value) -> str:
-    return json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 
 class Raw:
