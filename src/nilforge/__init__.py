@@ -63,6 +63,7 @@ from .standardform import (
     orbit_witness_check,
     quotient_by_center_subspace,
     reduction_isomorphism,
+    reductions,
     so_basis,
     so_pair_signs,
     standard_algebra,

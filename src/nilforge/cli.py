@@ -41,7 +41,7 @@ from .standardform import (
     free_algebra,
     free_isomorphism,
     orbit_witness_check,
-    reduction_isomorphism,
+    reductions,
     structure_space,
 )
 from .triple import clifford_ideal_probe, clifford_triple_report
@@ -214,23 +214,10 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    a = load_algebra(args.input)
-    realizations = find_realizations(a)
-    reductions = []
-    # tr(eta C eta C') = tr(C eta C' eta): the left twist that the reduction
-    # uses has the Gram, hence the signature, of the right twist found here
-    for real in realizations:
-        t, target = reduction_isomorphism(a, real["p"], real["q"])
-        reductions.append(
-            {
-                "p": real["p"],
-                "q": real["q"],
-                "signature": real["signature"],
-                "T": t,
-                "standard_structure": StackText(target.algebra.structure, objects=True),
-            }
-        )
-    _emit({"realizations": realizations, "reductions": reductions}, args.output)
+    found = reductions(load_algebra(args.input))
+    texts = [StackText(target.algebra.structure, objects=True) for _, _, target in found]
+    steps = [{**real, "T": t, "standard_structure": x} for (real, t, _), x in zip(found, texts)]
+    _emit({"realizations": [real for real, _, _ in found], "reductions": steps}, args.output)
     return 0
 
 

@@ -35,9 +35,10 @@ product.  A signed permutation built from its index arrays
 with no scan.  With the entries vec(M_l) of matrices stacked as rows, the
 linear combinations sum_l A_kl M_l for all rows k of A are one product
 (``lin_combs``, and ``skew_combs`` for M_l = -G J_l, made by one product of
-G with the J_l side by side), and so are all traces tr(X_a Y_b) =
-vec(X_a) . vec(Y_b^T) (``trace_pairing``) and the trace Grams of every eta
-twist (``eta_pairings``).
+G with the J_l side by side; ``_combs_each`` stacks the M of several
+coefficient matrices once, for the reduction's structures and certificate),
+and so are all traces tr(X_a Y_b) = vec(X_a) . vec(Y_b^T) (``trace_pairing``)
+and the trace Grams of every eta twist (``eta_pairings``).
 
 One fraction-free step, ``_cancel``, clears a pivot column from a row of
 Python ints by gcd steps, and every elimination is made of it.
@@ -1228,10 +1229,13 @@ class MatrixSubspace:
     ``relation``, ``coords`` and ``equals`` is built on their first call.
     ``mapped`` does not check that the map is one-to-one: handed dependent
     images, it returns a subspace with a dependent basis, and what that
-    subspace answers is undefined.  Its supported callers are these three,
+    subspace answers is undefined.  Its supported callers are these four,
     each with its one-to-one argument:
 
     - ``standardform.eta_twist``: X -> eta X and X -> X eta, eta invertible;
+    - ``standardform._standard_targets``: the left twist C -> eta C of an
+      algebra's structure span, and C'_k = -sum_l (G^{-1})_kl C^l on it, an
+      invertible recombination for the non-degenerate trace Gram G;
     - ``standardform.gl_action``: Z -> A Z A^eta, A rank-checked invertible,
       so is A^eta = eta A^T eta;
     - ``nilpotent.algebra_from_J``: C_k = sum_l (G_Z^{-1})_kl (-G_V J_l) on
@@ -1395,6 +1399,30 @@ def _stack_combs(a: RationalMatrix, stack: RationalMatrix, dim: int) -> list[Rat
     # every output's content in one pass over the product's rows
     contents = np.gcd.reduce(prod, axis=1).tolist()
     return [RationalMatrix._of(n.reshape(dim, dim), d, c) for n, c in zip(prod, contents)]
+
+
+def _combs_each(coeffs, mats, dim: int) -> list[list[RationalMatrix]]:
+    """``lin_combs(A, M, dim)`` for each coefficient matrix A of ``coeffs``,
+    with M the list of ``mats`` at A's index, or its one list for every A:
+    all the M are stacked once, over their least common denominator."""
+    stack = _vec_stack([m for ms in mats for m in ms])
+    parts = [stack._like(n) for n in np.split(stack._n, len(mats) or 1)]
+    return [_stack_combs(a, parts[i % len(parts)], dim) for i, a in enumerate(coeffs)]
+
+
+def _twist_laws(twists, ps, m: int) -> bool:
+    """Whether, for twists[i] a list of left twists D = eta X of m x m
+    matrices X with eta = eta(p, m - p) for p = ps[i], every D lies in
+    so(p, m - p), eta D^T eta = -D, and every eta D, the form eta times D as a
+    J-map, is antisymmetric: both laws read off the numerators of all the
+    twists, stacked once."""
+    if not twists:
+        return True
+    n = np.array([[x._n for x in ds] for ds in twists])
+    signs = np.array([np.diag(eta(p, m - p)._n) for p in ps])[:, None, :, None]
+    flipped = signs * n  # eta D: row i of D times nu_i
+    in_so = flipped.swapaxes(2, 3) * signs == -n  # (eta D^T eta)_ij = nu_i nu_j D_ji
+    return bool(in_so.all() and (flipped == -flipped.swapaxes(2, 3)).all())
 
 
 def lin_comb(coeffs, mats, dim: int) -> RationalMatrix:

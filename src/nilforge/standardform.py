@@ -7,10 +7,14 @@ isomorphic to the standard algebra R^{p,q} (+) W built from the duality
 
     <[v, w], z>_so(p,q) = <z v, w>_{p,q},
 
-and ``reduction_isomorphism`` constructs and certifies that isomorphism.
-The module also provides the free algebra F_2(p,q), the GL(m) action
-rho(A) Z = A Z A^eta on so(p,q) subspaces, free-algebra automorphisms and
-central quotients.
+and ``reductions`` constructs and certifies that isomorphism for every p
+with a non-degenerate trace form, in one pass: one Gram and one inertia per
+p, read off ``find_realizations``' single product, every standard structure
+C' = -G^{-1} C from one stack of the C^k, and a certificate that multiplies
+back, G C' = -C, with the Gram and not its inverse (``reduction_isomorphism``
+is its one-p view).  The module also provides the free algebra F_2(p,q),
+the GL(m) action rho(A) Z = A Z A^eta on so(p,q) subspaces, free-algebra
+automorphisms and central quotients.
 """
 
 from __future__ import annotations
@@ -32,6 +36,8 @@ from .exactlin import (
     MatrixSubspace,
     RationalMatrix,
     SignatureForm,
+    _combs_each,
+    _twist_laws,
     block_diag,
     diagonal_entries,
     eta,
@@ -45,11 +51,10 @@ from .exactlin import (
     nu,
     phi_matrices,
     rank,
-    signature,
     trace_gram,
     trace_pairing,
 )
-from .nilpotent import NilpotentAlgebra2, algebra_from_J
+from .nilpotent import MetricAlgebra, NilpotentAlgebra2, algebra_from_J
 
 
 def in_so(m: RationalMatrix, p: int, q: int) -> bool:
@@ -115,22 +120,26 @@ def eta_twist(c: MatrixSubspace, p: int, q: int, side: str = "right") -> MatrixS
     return _so_image(c, eta_sides(c.basis, p, q, side == "left"), p, q, "eta twist")
 
 
-def find_realizations(a: NilpotentAlgebra2) -> list[dict]:
-    """All (p, q) with p+q = m whose right-twisted structure space carries a
-    non-degenerate trace Gram; ascending p.  May be empty.
+def _trace_forms(a: NilpotentAlgebra2, ps, what: str) -> list[tuple[dict, SignatureForm]]:
+    """(realization, trace form) for each p in ps, q = m - p, whose twisted
+    structure space carries a non-degenerate trace Gram; ``what`` names the
+    caller in the NotAdaptedError.
 
     The Gram -tr(C^k eta C^l eta) of the twisted basis C^k eta is read as
     tr(C^k (C^l)^eta), as C^l is antisymmetric, for every p at once; the
-    adapted check has made the C^k a basis, and each C^k eta lies in so(p, q)."""
+    adapted check has made the C^k a basis, and each C^k eta lies in so(p, q).
+    tr(eta C eta C') = tr(C eta C' eta): the left twist eta C^k that the
+    reduction uses has this Gram, hence this form and its one inertia."""
     if a.tag != "adapted":
-        raise NotAdaptedError("find_realizations requires an adapted algebra")
-    out = []
-    grams = eta_pairings(a.structure, range(a.m + 1))
-    for p, gram in enumerate(grams):
-        sp, sq, nullity = signature(gram)
-        if nullity == 0:
-            out.append({"p": p, "q": a.m - p, "signature": (sp, sq)})
-    return out
+        raise NotAdaptedError(f"{what} requires an adapted algebra")
+    pairs = zip(ps, map(SignatureForm, eta_pairings(a.structure, ps)))
+    return [({"p": p, "q": a.m - p, "signature": (f.p, f.q)}, f) for p, f in pairs if not f.nullity]
+
+
+def find_realizations(a: NilpotentAlgebra2) -> list[dict]:
+    """All (p, q) with p+q = m whose right-twisted structure space carries a
+    non-degenerate trace Gram, with its signature; ascending p.  May be empty."""
+    return [real for real, _ in _trace_forms(a, range(a.m + 1), "find_realizations")]
 
 
 def standard_algebra(p: int, q: int, w: MatrixSubspace) -> StandardPseudoMetricAlgebra:
@@ -151,26 +160,65 @@ def standard_algebra(p: int, q: int, w: MatrixSubspace) -> StandardPseudoMetricA
     return StandardPseudoMetricAlgebra(p=p, q=q, W=w, gram_W=gram, algebra=ma.algebra)
 
 
+def _standard_targets(a: NilpotentAlgebra2, kept) -> list[StandardPseudoMetricAlgebra]:
+    """The standard algebra R^{p,q} (+) W of the left twist W = span{eta C^k}
+    for each (realization, trace form G) in ``kept``, with the checks of
+    ``standard_algebra``: each law that is the same for every p (the twist
+    lies in so(p,q); G_V J = eta eta C^k is antisymmetric) runs once for all
+    p, and as G_V J = C^k every structure C'_k = -sum_l (G^{-1})_kl C^l is a
+    product with one stack of the C^k.  W and the C' inherit independence
+    from the C^k (``MatrixSubspace.mapped``): eta is invertible, and so is G."""
+    m, ps = a.m, [real["p"] for real, _ in kept]
+    twists = [eta_sides(a.structure, p, m - p, True) for p in ps]
+    if not _twist_laws(twists, ps, m):
+        raise HomomorphismError("eta twist does not land in so(p,q), or eta D is not skew")
+    structures = _combs_each([-form.inverse_matrix() for _, form in kept], [a.structure], m)
+    targets = []
+    for p, twist, (_, form), c in zip(ps, twists, kept, map(tuple, structures)):
+        w, gv = a.structure_span.mapped(twist), SignatureForm.standard(p, m - p)
+        algebra = MetricAlgebra(NilpotentAlgebra2(m, a.n, c, gv, form, "adapted", span=w.mapped(c)))
+        targets.append(StandardPseudoMetricAlgebra(p, m - p, w, form.matrix, algebra.algebra))
+    return targets
+
+
+def _reduction_pass(a: NilpotentAlgebra2, kept) -> list[tuple]:
+    """(T, standard algebra) for each (realization, trace form G) in ``kept``.
+
+    T fixes the V basis and sends z_k to -rho_k, where rho_k is the
+    trace-form dual basis of D^k = eta C^k: T = diag(I_m, -G^{-1}).  The
+    homomorphism law T([v_i, v_j]) = [T v_i, T v_j] on all basis pairs reads
+    C' = -G^{-1} C for the standard structure C'; it is certified by
+    multiplying back, G C' = -C, with G itself and not its inverse, with the
+    C' of every p stacked once."""
+    targets = _standard_targets(a, kept)
+    back = _combs_each([t.gram_W for t in targets], [t.algebra.structure for t in targets], a.m)
+    if any(tuple(b) != tuple(-c for c in a.structure) for b in back):
+        raise HomomorphismError("reduction certificate failed; convention bug")
+    ident = RationalMatrix.identity(a.m)
+    return [(block_diag(ident, -t.algebra.form_Z.inverse_matrix()), t) for t in targets]
+
+
+def reductions(a: NilpotentAlgebra2) -> list[tuple]:
+    """Each realization that ``find_realizations`` lists, as (realization, T,
+    standard algebra) with T the certified isomorphism onto the standard
+    algebra of the left twist, all in one pass: one Gram and one inertia per
+    p, and every standard structure from one stack of the C^k."""
+    kept = _trace_forms(a, range(a.m + 1), "find_realizations")
+    return [(real, *iso) for (real, _), iso in zip(kept, _reduction_pass(a, kept))]
+
+
 def reduction_isomorphism(
     a: NilpotentAlgebra2, p: int, q: int
 ) -> tuple[RationalMatrix, StandardPseudoMetricAlgebra]:
-    """Certified isomorphism onto the standard algebra of the left twist.
-
-    T fixes the V basis and sends z_k to -rho_k, where rho_k is the
-    trace-form dual basis of D^k = eta C^k.  The homomorphism law
-    T([v_i, v_j]) = [T v_i, T v_j] is certified on all basis pairs.
-    """
-    if a.tag != "adapted":
-        raise NotAdaptedError("reduction requires an adapted algebra")
-    target = standard_algebra(p, q, eta_twist(structure_space(a), p, q, "left"))
-    neg_g_inv = -target.algebra.form_Z.inverse_matrix()
-    # z_k -> -rho_k = -sum_l (G^{-1})_{lk} D^l: T = diag(I_m, -G^{-1})
-    t = block_diag(RationalMatrix.identity(a.m), neg_g_inv)
-    # certify on all basis pairs: the k-th coordinate of T([v_i, v_j]) is
-    # -sum_l (G^{-1})_{kl} C^l_ij (both sides antisymmetric)
-    if tuple(lin_combs(neg_g_inv, a.structure, a.m)) != target.algebra.structure:
-        raise HomomorphismError("reduction certificate failed; convention bug")
-    return t, target
+    """Certified isomorphism onto the standard algebra of the left twist, for
+    one (p, q): the entry of ``reductions`` for p, DegenerateWError when the
+    trace form degenerates there."""
+    kept = _trace_forms(a, [p], "reduction")
+    if p + q != a.m:
+        raise DimError(f"p+q = {p + q} != ambient {a.m}")
+    if not kept:
+        raise DegenerateWError("trace form degenerates on W")
+    return _reduction_pass(a, kept)[0]
 
 
 @lru_cache(maxsize=None)

@@ -79,9 +79,10 @@ MUTANTS = [
     ),
     (
         "standardform.py",
-        "    if tuple(lin_combs(neg_g_inv, a.structure, a.m)) != target.algebra.structure:\n",
+        "    if any(tuple(b) != tuple(-c for c in a.structure) for b in back):\n",
         "    if False:\n",
-        "reduction_isomorphism: T([v_i, v_j]) is not compared with the standard structure",
+        "_reduction_pass: the standard structure is not multiplied back (G C' = -C), so"
+        " T([v_i, v_j]) is not compared with it",
     ),
     (
         "exactlin.py",
@@ -185,9 +186,10 @@ MUTANTS = [
     ),
     (
         "standardform.py",
-        "    grams = eta_pairings(a.structure, range(a.m + 1))\n",
-        "    grams = eta_pairings(a.structure, [(p + 1) % (a.m + 1) for p in range(a.m + 1)])\n",
-        "find_realizations: the Gram of p is built from the sign rows of p + 1",
+        "    pairs = zip(ps, map(SignatureForm, eta_pairings(a.structure, ps)))\n",
+        "    pairs = zip(ps, map(SignatureForm, eta_pairings(a.structure,"
+        " [(p + 1) % (a.m + 1) for p in ps])))\n",
+        "_trace_forms: the Gram of p is built from the sign rows of p + 1",
     ),
     (
         "exactlin.py",
@@ -355,6 +357,13 @@ MUTANTS = [
         '    if not (digits.isdigit() and len(digits) <= 4000):  # int() takes " 7" too\n',
         "_integer: an integer field or seed of another script's digits, such as Arabic-Indic"
         " 7, reads as an int",
+    ),
+    (
+        "standardform.py",
+        "    structures = _combs_each([-form.inverse_matrix() for _, form in kept], [a.structure], m)\n",
+        "    structures = _combs_each([-form.inverse_matrix() for _, form in kept[1:] + kept[:1]],"
+        " [a.structure], m)\n",
+        "_standard_targets: realization i is handed the G^{-1} of realization i + 1",
     ),
 ]
 

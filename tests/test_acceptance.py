@@ -10,7 +10,6 @@ import pytest
 from nilforge.catalog import heisenberg, n02, n11, n20
 from nilforge.clifford import SIGNATURE_CAP, CliffordSignature, build_module, verify_module
 from nilforge.exactlin import (
-    MatrixSubspace,
     RationalMatrix,
     SpanBuilder,
     commutator,

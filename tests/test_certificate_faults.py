@@ -106,18 +106,20 @@ def test_free_automorphism_rejects_an_s_hom_outside_so():
 
 
 def _perturb_standard_target(monkeypatch):
-    """standard_algebra whose C^1 has entry (0, 1) raised by 1 (and (1, 0)
-    lowered, so the target stays an adapted algebra)."""
-    real = standardform.standard_algebra
+    """The reduce targets' construction with each target's C^1 entry (0, 1)
+    raised by 1 (and (1, 0) lowered, so the target stays an adapted algebra)."""
+    real = standardform._standard_targets
 
-    def perturbed(p, q, w):
-        std = real(p, q, w)
-        c = std.algebra.structure
-        bump = _unit(c[0].rows, 0, 1) - _unit(c[0].rows, 1, 0)
-        wrong = dataclasses.replace(std.algebra, structure=(c[0] + bump,) + c[1:])
-        return dataclasses.replace(std, algebra=wrong)
+    def perturbed(a, kept):
+        targets = []
+        for std in real(a, kept):
+            c = std.algebra.structure
+            bump = _unit(c[0].rows, 0, 1) - _unit(c[0].rows, 1, 0)
+            wrong = dataclasses.replace(std.algebra, structure=(c[0] + bump,) + c[1:])
+            targets.append(dataclasses.replace(std, algebra=wrong))
+        return targets
 
-    monkeypatch.setattr(standardform, "standard_algebra", perturbed)
+    monkeypatch.setattr(standardform, "_standard_targets", perturbed)
 
 
 def test_reduction_rejects_a_perturbed_target(monkeypatch):

@@ -11,7 +11,6 @@ import random
 import pytest
 
 from nilforge.clifford import (
-    SIGNATURE_CAP,
     CliffordModule,
     CliffordSignature,
     build_module,

@@ -12,7 +12,6 @@ from nilforge.catalog import heisenberg, n02, n11, n20
 from nilforge.clifford import CliffordSignature, build_module
 from nilforge.errors import (
     DegenerateFormError,
-    HomomorphismError,
     NotAntisymmetricError,
     NotSkewError,
     PreconditionError,

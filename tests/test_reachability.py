@@ -51,6 +51,7 @@ UNREACHED = {
     "standardform.free_bracket": "the bracket of the free metric algebra F_2(p,q)",
     "standardform.apply_free_automorphism": "the automorphism of F_2(p,q) that (A, s_hom) induces",
     "standardform.quotient_by_center_subspace": "a standard algebra modulo a center subspace",
+    "standardform.reduction_isomorphism": "the one-p view of reductions, which the reduce verb calls",
     "nilpotent.NilpotentAlgebra2.tagged": "the adapted-or-raw tag of quotient_by_center_subspace",
     "triple.triple_center": "the center of a Lie triple system",
     "triple.generated_algebra": "L = W + [W, W], certified, for any W",

@@ -28,7 +28,7 @@ from nilforge.exactlin import (
     trace_gram,
 )
 from nilforge.lattice import integer_rescale
-from nilforge.nilpotent import MetricAlgebra, bracket
+from nilforge.nilpotent import bracket
 from nilforge.standardform import (
     apply_free_automorphism,
     eta_conjugate,

@@ -11,7 +11,7 @@ import random
 import pytest
 
 from nilforge.clifford import CliffordSignature, build_module
-from nilforge.errors import HomomorphismError, NotClosedError
+from nilforge.errors import NotClosedError
 from nilforge.exactlin import (
     MatrixSubspace,
     RationalMatrix,
