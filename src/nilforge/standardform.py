@@ -9,12 +9,15 @@ isomorphic to the standard algebra R^{p,q} (+) W built from the duality
 
 and ``reductions`` constructs and certifies that isomorphism for every p
 with a non-degenerate trace form, in one pass: one Gram and one inertia per
-p, read off ``find_realizations``' single product, every standard structure
-C' = -G^{-1} C from one stack of the C^k, and a certificate that multiplies
-back, G C' = -C, with the Gram and not its inverse (``reduction_isomorphism``
-is its one-p view).  The module also provides the free algebra F_2(p,q),
-the GL(m) action rho(A) Z = A Z A^eta on so(p,q) subspaces, free-algebra
-automorphisms and central quotients.
+p, read off ``find_realizations``' single product, and a certificate that
+multiplies back, G C' = -C, with the Gram and not its inverse
+(``reduction_isomorphism`` is its one-p view).  Every standard algebra, the
+free algebra's and each reduction's, is built by one constructor,
+``_standard``, through ``nilpotent.algebra_from_J``: the reduction's
+structure C' = -G^{-1} C is the J-map construction for J_k = eta C^k.  The
+module also provides the free algebra F_2(p,q), the GL(m) action
+rho(A) Z = A Z A^eta on so(p,q) subspaces, free-algebra automorphisms and
+central quotients.
 """
 
 from __future__ import annotations
@@ -36,8 +39,6 @@ from .exactlin import (
     MatrixSubspace,
     RationalMatrix,
     SignatureForm,
-    _combs_each,
-    _twist_laws,
     block_diag,
     diagonal_entries,
     eta,
@@ -54,7 +55,7 @@ from .exactlin import (
     trace_gram,
     trace_pairing,
 )
-from .nilpotent import MetricAlgebra, NilpotentAlgebra2, algebra_from_J
+from .nilpotent import NilpotentAlgebra2, algebra_from_J
 
 
 def in_so(m: RationalMatrix, p: int, q: int) -> bool:
@@ -142,43 +143,38 @@ def find_realizations(a: NilpotentAlgebra2) -> list[dict]:
     return [real for real, _ in _trace_forms(a, range(a.m + 1), "find_realizations")]
 
 
+def _standard(p: int, q: int, w: MatrixSubspace, form) -> StandardPseudoMetricAlgebra:
+    """R^{p,q} (+) W for the non-degenerate trace form ``form`` of W: the
+    metric algebra whose J-map sends the k-th basis vector of W to itself,
+    for the form eta_{p,q} on V.  ``algebra_from_J``'s skew check for
+    G_V = eta_{p,q} is the so(p,q) membership of W (NotSkewError), and W
+    itself is handed to it, so the standard structure is certified
+    independent from W's basis, with no elimination.  Every standard algebra
+    is built here."""
+    ma = algebra_from_J(w, SignatureForm.standard(p, q), form)
+    return StandardPseudoMetricAlgebra(p=p, q=q, W=w, gram_W=form.matrix, algebra=ma.algebra)
+
+
 def standard_algebra(p: int, q: int, w: MatrixSubspace) -> StandardPseudoMetricAlgebra:
-    """The standard pseudo-metric algebra R^{p,q} (+) W: the metric algebra
-    whose J-map sends the k-th basis vector of W to itself, for the form
-    eta_{p,q} on V and the trace form on W.  ``algebra_from_J``'s skew check
-    for G_V = eta_{p,q} is the so(p,q) membership of W (NotSkewError).  W
-    itself is handed to ``algebra_from_J``, so the standard structure is
-    certified independent from W's basis, with no elimination."""
+    """The standard pseudo-metric algebra R^{p,q} (+) W, with the trace
+    metric on W (``_standard``)."""
     m = p + q
     if w.ambient_dim != m:
         raise DimError(f"W ambient {w.ambient_dim} != p+q = {m}")
-    gram = trace_gram(w)
-    form_z = SignatureForm(gram)
+    form_z = SignatureForm(trace_gram(w))
     if not form_z.is_nondegenerate():
         raise DegenerateWError("trace form degenerates on W")
-    ma = algebra_from_J(w, SignatureForm.standard(p, q), form_z)
-    return StandardPseudoMetricAlgebra(p=p, q=q, W=w, gram_W=gram, algebra=ma.algebra)
+    return _standard(p, q, w, form_z)
 
 
 def _standard_targets(a: NilpotentAlgebra2, kept) -> list[StandardPseudoMetricAlgebra]:
     """The standard algebra R^{p,q} (+) W of the left twist W = span{eta C^k}
-    for each (realization, trace form G) in ``kept``, with the checks of
-    ``standard_algebra``: each law that is the same for every p (the twist
-    lies in so(p,q); G_V J = eta eta C^k is antisymmetric) runs once for all
-    p, and as G_V J = C^k every structure C'_k = -sum_l (G^{-1})_kl C^l is a
-    product with one stack of the C^k.  W and the C' inherit independence
-    from the C^k (``MatrixSubspace.mapped``): eta is invertible, and so is G."""
-    m, ps = a.m, [real["p"] for real, _ in kept]
-    twists = [eta_sides(a.structure, p, m - p, True) for p in ps]
-    if not _twist_laws(twists, ps, m):
-        raise HomomorphismError("eta twist does not land in so(p,q), or eta D is not skew")
-    structures = _combs_each([-form.inverse_matrix() for _, form in kept], [a.structure], m)
-    targets = []
-    for p, twist, (_, form), c in zip(ps, twists, kept, map(tuple, structures)):
-        w, gv = a.structure_span.mapped(twist), SignatureForm.standard(p, m - p)
-        algebra = MetricAlgebra(NilpotentAlgebra2(m, a.n, c, gv, form, "adapted", span=w.mapped(c)))
-        targets.append(StandardPseudoMetricAlgebra(p, m - p, w, form.matrix, algebra.algebra))
-    return targets
+    for each (realization, trace form G) in ``kept``, G being W's trace form
+    (``_trace_forms``).  W inherits independence from the C^k
+    (``MatrixSubspace.mapped``), as eta is invertible."""
+    ps = [(real["p"], real["q"]) for real, _ in kept]
+    twists = [a.structure_span.mapped(eta_sides(a.structure, p, q, True)) for p, q in ps]
+    return [_standard(p, q, w, form) for (p, q), w, (_, form) in zip(ps, twists, kept)]
 
 
 def _reduction_pass(a: NilpotentAlgebra2, kept) -> list[tuple]:
@@ -188,21 +184,22 @@ def _reduction_pass(a: NilpotentAlgebra2, kept) -> list[tuple]:
     trace-form dual basis of D^k = eta C^k: T = diag(I_m, -G^{-1}).  The
     homomorphism law T([v_i, v_j]) = [T v_i, T v_j] on all basis pairs reads
     C' = -G^{-1} C for the standard structure C'; it is certified by
-    multiplying back, G C' = -C, with G itself and not its inverse, with the
-    C' of every p stacked once."""
+    multiplying back, G C' = -C, with G itself and not its inverse, one
+    ``lin_combs`` product per realization."""
     targets = _standard_targets(a, kept)
-    back = _combs_each([t.gram_W for t in targets], [t.algebra.structure for t in targets], a.m)
+    forms = [form for _, form in kept]
+    back = [lin_combs(g.matrix, t.algebra.structure, a.m) for g, t in zip(forms, targets)]
     if any(tuple(b) != tuple(-c for c in a.structure) for b in back):
         raise HomomorphismError("reduction certificate failed; convention bug")
     ident = RationalMatrix.identity(a.m)
-    return [(block_diag(ident, -t.algebra.form_Z.inverse_matrix()), t) for t in targets]
+    return [(block_diag(ident, -g.inverse_matrix()), t) for g, t in zip(forms, targets)]
 
 
 def reductions(a: NilpotentAlgebra2) -> list[tuple]:
     """Each realization that ``find_realizations`` lists, as (realization, T,
     standard algebra) with T the certified isomorphism onto the standard
     algebra of the left twist, all in one pass: one Gram and one inertia per
-    p, and every standard structure from one stack of the C^k."""
+    p, and each standard algebra built by ``_standard``."""
     kept = _trace_forms(a, range(a.m + 1), "find_realizations")
     return [(real, *iso) for (real, _), iso in zip(kept, _reduction_pass(a, kept))]
 
@@ -213,9 +210,9 @@ def reduction_isomorphism(
     """Certified isomorphism onto the standard algebra of the left twist, for
     one (p, q): the entry of ``reductions`` for p, DegenerateWError when the
     trace form degenerates there."""
-    kept = _trace_forms(a, [p], "reduction")
     if p + q != a.m:
         raise DimError(f"p+q = {p + q} != ambient {a.m}")
+    kept = _trace_forms(a, [p], "reduction")
     if not kept:
         raise DegenerateWError("trace form degenerates on W")
     return _reduction_pass(a, kept)[0]

@@ -360,10 +360,16 @@ MUTANTS = [
     ),
     (
         "standardform.py",
-        "    structures = _combs_each([-form.inverse_matrix() for _, form in kept], [a.structure], m)\n",
-        "    structures = _combs_each([-form.inverse_matrix() for _, form in kept[1:] + kept[:1]],"
-        " [a.structure], m)\n",
-        "_standard_targets: realization i is handed the G^{-1} of realization i + 1",
+        "    return [_standard(p, q, w, form) for (p, q), w, (_, form) in zip(ps, twists, kept)]\n",
+        "    return [_standard(p, q, w, form) for (p, q), w, (_, form)"
+        " in zip(ps, twists, kept[1:] + kept[:1])]\n",
+        "_standard_targets: realization i is handed the trace form of realization i + 1",
+    ),
+    (
+        "standardform.py",
+        "    ma = algebra_from_J(w, SignatureForm.standard(p, q), form)\n",
+        "    ma = algebra_from_J(w, SignatureForm.standard(q, p), form)\n",
+        "_standard: the form on V is eta_{q,p}, not eta_{p,q}",
     ),
 ]
 

@@ -1,10 +1,13 @@
-"""The ``reduce`` verb against a copy of its flow.
+"""The ``reduce`` verb against a route of its own, per p.
 
-``reduce`` runs ``find_realizations``, then ``reduction_isomorphism`` for
-each p it lists.  The twists and standard algebras now inherit independence
-through ``MatrixSubspace.mapped`` instead of eliminating it again; the
-output must stay byte for byte that of the flow copied here, on every shape
-of the benchmark's ``reduce-small`` inputs and on algebras with degenerate p.
+``reduce`` lists each p whose twisted trace form is non-degenerate and maps
+the algebra onto the standard algebra of the left twist.  The expected text
+here shares neither ``reductions`` nor ``algebra_from_J`` with the verb: for
+each p it takes the left twist ``eta_twist``, its ``trace_gram`` and a
+``SignatureForm`` on it, T = diag(I, -G^{-1}) and C' = -G^{-1} C by
+``lin_combs`` on the input's C^k.  The output must stay byte for byte that
+text, on every shape of the benchmark's ``reduce-small`` inputs and on
+algebras with degenerate p.
 """
 
 import io
@@ -17,9 +20,9 @@ import pytest
 
 from nilforge import cli
 from nilforge.errors import DependentBasisError, NotAdaptedError
-from nilforge.exactlin import RationalMatrix
+from nilforge.exactlin import RationalMatrix, SignatureForm, block_diag, lin_combs, trace_gram
 from nilforge.nilpotent import NilpotentAlgebra2
-from nilforge.standardform import find_realizations, reduction_isomorphism
+from nilforge.standardform import eta_twist, find_realizations, structure_space
 
 # every (m, n, d) of the benchmark's reduce-small inputs: 2 <= m <= 6,
 # 1 <= n <= min(3, C(m, 2)), entries in {-2..2} / d
@@ -32,17 +35,20 @@ SHAPES = [
 
 
 def _copied_flow(a: NilpotentAlgebra2) -> str:
-    realizations = find_realizations(a)
-    reductions = []
-    for real in realizations:
-        t, target = reduction_isomorphism(a, real["p"], real["q"])
+    realizations, reductions = [], []
+    for p in range(a.m + 1):
+        q = a.m - p
+        form = SignatureForm(trace_gram(eta_twist(structure_space(a), p, q, "left")))
+        if form.nullity:
+            continue
+        real = {"p": p, "q": q, "signature": (form.p, form.q)}
+        neg_g_inv = -form.inverse_matrix()
+        realizations.append(real)
         reductions.append(
-            {
-                "p": real["p"],
-                "q": real["q"],
-                "signature": real["signature"],
-                "T": t,
-                "standard_structure": list(target.algebra.structure),
+            real
+            | {
+                "T": block_diag(RationalMatrix.identity(a.m), neg_g_inv),
+                "standard_structure": lin_combs(neg_g_inv, a.structure, a.m),
             }
         )
     return cli.canonical_json({"realizations": realizations, "reductions": reductions})
