@@ -5,9 +5,10 @@ value.  A usage error, argparse's ``--out`` and ``-oFILE`` forms among them, wri
 to stderr, nothing to stdout, and exits 2.  Reading argv imports and builds nothing; the
 README's CLI section gives its cost.  Output is canonical JSON (sorted keys, 2-space indent,
 "a/b" rationals) on stdout.  Exit codes: 0 success, 1 a verification check ran and failed, 2
-usage or input error (the package's own error codes), 3 an internal fault (ERR_INTERNAL: any
-other exception, with its traceback on stderr).  NILFORGE_SEED seeds the randomized ideal
-probe of the triple verb.
+usage or input error (the package's own error codes), 3 an internal fault: exit 3 for a failed
+certificate (ERR_HOMOMORPHISM from ``errors.certify``, its one JSON error line on stdout as for
+exit 2), and for any other exception (ERR_INTERNAL, with its traceback on stderr).
+NILFORGE_SEED seeds the randomized ideal probe of the triple verb.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from types import SimpleNamespace
 
 from .catalog import BY_NAME
 from .clifford import CliffordSignature, build_module, verify_module
-from .errors import BadInputError, NilforgeError
+from .errors import BadInputError, CertificateError, NilforgeError
 from .exactlin import (
     EntriesText,
     MatrixSubspace,
@@ -425,8 +426,8 @@ def main(argv=None) -> int:
     except BrokenPipeError:  # the reader closed stdout: nothing more goes there
         os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())  # nor at the exit-time flush
         out, code, detail, status = sys.stderr, "ERR_BAD_INPUT", "stdout was closed", 2
-    except NilforgeError as exc:
-        code, detail, status = exc.code, str(exc), 2
+    except NilforgeError as exc:  # a failed certificate is the program's fault, not the input's
+        code, detail, status = exc.code, str(exc), 3 if isinstance(exc, CertificateError) else 2
     except Exception as exc:  # a fault of the program, not of its input
         traceback.print_exc()
         code, detail, status = "ERR_INTERNAL", f"{type(exc).__name__}: {exc}", 3

@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import BadInputError, HomomorphismError, UnsupportedSignatureError
+from .errors import BadInputError, UnsupportedSignatureError, certify
 from .exactlin import RationalMatrix, SignatureForm, StackText, _int_form, jsonify, nu
 from .nilpotent import h_type_laws
 
@@ -212,10 +212,9 @@ def build_module(sig: CliffordSignature) -> CliffordModule:
         generators=tuple(RationalMatrix.signed_permutation(*g) for g in r_gens + s_gens),
         construction_path=tuple(path),
     )
-    report = verify_module(module)
-    if not report["passed"]:
-        # the recursion is self-certifying; a failure here is a builder bug
-        raise HomomorphismError(f"constructed module for ({sig.r},{sig.s}) failed verification")
+    # the recursion is self-certifying; a failure here is a builder bug
+    passed = verify_module(module)["passed"]
+    certify(f"constructed module for ({sig.r},{sig.s}) failed verification", passed)
     return module
 
 

@@ -2,7 +2,8 @@
 
 Every error carries a ``code`` string that the CLI forwards verbatim in its
 JSON error payload, so library consumers and the golden test suite can match
-on codes instead of message text.
+on codes instead of message text.  Every certificate of the package goes
+through ``certify``, whose ``CertificateError`` the CLI reports with exit 3.
 """
 
 from __future__ import annotations
@@ -83,9 +84,23 @@ class PreconditionError(NilforgeError):
 
 
 class HomomorphismError(NilforgeError):
-    """Internal certification failed; indicates a convention bug."""
+    """A map is not the homomorphism it must be.  Raised plainly, it rejects a
+    caller's input (exit 2); raised by ``certify`` as a ``CertificateError``,
+    it is a fault of the program: exit 3 for a failed certificate."""
 
     code = "ERR_HOMOMORPHISM"
+
+
+class CertificateError(HomomorphismError):
+    """A certificate failed: no input can make one fail, so the program is at
+    fault.  Raised only by ``certify``."""
+
+
+def certify(name: str, ok: bool) -> None:
+    """The one certificate gate: raise ``CertificateError(name)`` unless ``ok``.
+    ``name`` says what failed, and no two certificates share one."""
+    if not ok:
+        raise CertificateError(name)
 
 
 class UnsupportedSignatureError(NilforgeError):

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import lcm
 
 from .clifford import CliffordModule, CliffordSignature, build_module
-from .errors import HomomorphismError
+from .errors import certify
 from .exactlin import MatrixSubspace, RationalMatrix, SignatureForm, _int_form, eta
 from .nilpotent import MetricAlgebra, NilpotentAlgebra2, algebra_from_J
 from .standardform import standard_algebra
@@ -121,8 +121,8 @@ def pseudo_H_pipeline_report(r: int, s: int) -> dict:
         std.algebra.structure[k] == n_alg.structure[k].scale(Fraction(1, two_l))
         for k in range(n)
     )
-    if not (trace_identity and gram_ok and iso_ok):
-        raise HomomorphismError("pseudo H-type lattice pipeline failed certification")
+    ok = trace_identity and gram_ok and iso_ok
+    certify("pseudo H-type lattice pipeline failed certification", ok)
     d_std = _rescale_factor(std.algebra)
     verdict = lattice_verdict(n_alg.algebra)
     return {

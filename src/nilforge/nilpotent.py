@@ -25,10 +25,10 @@ from .errors import (
     DegenerateRestrictionError,
     DependentBasisError,
     DimensionMismatchError,
-    HomomorphismError,
     NotAntisymmetricError,
     NotSkewError,
     PreconditionError,
+    certify,
 )
 from .exactlin import (
     ZERO,
@@ -412,4 +412,4 @@ def scaling_isomorphism(a1: MetricAlgebra, a2: MetricAlgebra) -> ScalingOutcome:
     for sign, status in ((1, "isometry"), (-1, "anti-isometry")):
         if all(x == c2.scale(sign) for x, c2 in zip(pulled, a2.structure)):
             return ScalingOutcome(status, s, tuple(cp), phi_v, sign, True)
-    raise HomomorphismError("neither isometry variant certifies; convention bug")
+    certify("neither isometry variant certifies; convention bug", False)

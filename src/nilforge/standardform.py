@@ -34,6 +34,7 @@ from .errors import (
     NotAdaptedError,
     PreconditionError,
     SingularAError,
+    certify,
 )
 from .exactlin import (
     MatrixSubspace,
@@ -66,13 +67,12 @@ def in_so(m: RationalMatrix, p: int, q: int) -> bool:
 def _so_image(source: MatrixSubspace, mats, p: int, q: int, what: str) -> MatrixSubspace:
     """The span of ``mats``, the images of the basis of ``source`` under a
     map that is one-to-one on it, certified to lie in so(p,q) on its basis;
-    ``what`` names the map in the HomomorphismError.  The images are
+    ``what`` names the map in the certificate.  The images are
     independent because the basis is (``MatrixSubspace.mapped``): the eta
     twists X -> eta X and X -> X eta are one-to-one as eta is invertible, and
     Z -> A Z A^eta is, as ``gl_action`` checks A invertible first."""
     out = source.mapped(mats)
-    if not all(in_so(b, p, q) for b in out.basis):
-        raise HomomorphismError(f"{what} does not land in so({p},{q})")
+    certify(f"{what} does not land in so({p},{q})", all(in_so(b, p, q) for b in out.basis))
     return out
 
 
@@ -189,8 +189,8 @@ def _reduction_pass(a: NilpotentAlgebra2, kept) -> list[tuple]:
     targets = _standard_targets(a, kept)
     forms = [form for _, form in kept]
     back = [lin_combs(g.matrix, t.algebra.structure, a.m) for g, t in zip(forms, targets)]
-    if any(tuple(b) != tuple(-c for c in a.structure) for b in back):
-        raise HomomorphismError("reduction certificate failed; convention bug")
+    neg_c = tuple(-c for c in a.structure)
+    certify("reduction certificate failed; convention bug", all(tuple(b) == neg_c for b in back))
     ident = RationalMatrix.identity(a.m)
     return [(block_diag(ident, -g.inverse_matrix()), t) for g, t in zip(forms, targets)]
 
@@ -309,8 +309,7 @@ def apply_free_automorphism(
         for i in range(m)
         for j in range(i + 1, m)
     )
-    if images != brackets:
-        raise HomomorphismError("free automorphism certificate failed")
+    certify("free automorphism certificate failed", images == brackets)
     new_v = a.apply(x[0])
     new_z = lin_comb(x[0], s_hom, m)
     if x[1] is not None:
@@ -349,8 +348,7 @@ def quotient_by_center_subspace(
     # [e_i, e_j] = sum_l C^l_ij w_l, so the t-th complement coordinate of the
     # bracket is sum_l x_lt C^l_ij, x_lt that coordinate of w_l
     rels = [k_comp.relation(b) for b in w.basis]
-    if None in rels:
-        raise HomomorphismError("W lies outside K (+) complement")
+    certify("W lies outside K (+) complement", None not in rels)
     comp_rels = [({i - k.dim: x for i, x in num.items() if i >= k.dim}, den) for num, den in rels]
     change = RationalMatrix.from_relations(comp_rels, nq).transpose()
     gram = -trace_pairing(comp, comp)

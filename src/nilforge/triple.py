@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .clifford import CliffordModule
-from .errors import HomomorphismError, NotClosedError
+from .errors import NotClosedError, certify
 from .exactlin import (
     MatrixSubspace,
     RationalMatrix,
@@ -173,8 +173,7 @@ def _ideal_split(
     where J_1, J_2, J_3 open L's basis: [h, l_b] = ad_h e_b."""
     j1, j2, j3 = module.generators
     rels = [l.relation(j1 + (j2 * j3).scale(lam)) for lam in (1, -1)]
-    if None in rels:
-        raise HomomorphismError("h_pm lies outside L")
+    certify("h_pm lies outside L", None not in rels)
     # each part's rows: h, then columns 1 and 2 of ad_h, which sel picks from ad_h^T
     first = RationalMatrix([[1], [0], [0]])
     sel = RationalMatrix.from_relations([({}, 1), ({1: 1}, 1), ({2: 1}, 1)], l.dim)
@@ -183,13 +182,10 @@ def _ideal_split(
         first * RationalMatrix.from_relations([rel], l.dim) + sel * ad_h.transpose()
         for rel, ad_h in zip(rels, ad_hs)
     ]
-    if l.dim != 6 or rank(*parts) != 6:
-        raise HomomorphismError("h_+ and h_- do not make a basis of L")
-    h_plus, h_minus = parts
-    if not _brackets_inside(ads, h_plus, h_minus, RationalMatrix.zeros(0, 0)):
-        raise HomomorphismError("h_+ and h_- do not commute")
-    if not all(_brackets_inside(ads, RationalMatrix.identity(6), part, part) for part in parts):
-        raise HomomorphismError("split summand is not an ideal of L")
+    certify("h_+ and h_- do not make a basis of L", l.dim == 6 and rank(*parts) == 6)
+    certify("h_+ and h_- do not commute", _brackets_inside(ads, *parts, RationalMatrix.zeros(0, 0)))
+    ideals = all(_brackets_inside(ads, RationalMatrix.identity(6), part, part) for part in parts)
+    certify("split summand is not an ideal of L", ideals)
     dim = l.ambient_dim
     return tuple(MatrixSubspace(dim, lin_combs(part, l.basis, dim)) for part in parts)
 

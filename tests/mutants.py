@@ -1,10 +1,11 @@
 """Checked-in certificate mutants and a runner that tries each one.
 
-Each entry switches off one certificate of the package, or breaks one exact
-kernel that the certificates compute with: the exact old text, which must
-occur once under src/nilforge, is replaced by the new text.  A mutant is
-killed when the test suite fails against it; a mutant that survives names a
-check that no test can fail.
+Each entry switches off one certificate of the package, breaks one exact
+kernel that the certificates compute with, or breaks the gate that reports a
+failed certificate (``errors.certify`` and its exit status): the exact old
+text, which must occur once under src/nilforge, is replaced by the new text.
+A mutant is killed when the test suite fails against it; a mutant that
+survives names a check that no test can fail.
 
     python tests/mutants.py            # every mutant
     python tests/mutants.py 0 2        # the mutants with these indices
@@ -49,26 +50,27 @@ settings.load_profile("mutants")
 MUTANTS = [
     (
         "standardform.py",
-        "    if not all(in_so(b, p, q) for b in out.basis):\n",
-        "    if False:\n",
+        '    certify(f"{what} does not land in so({p},{q})",'
+        " all(in_so(b, p, q) for b in out.basis))\n",
+        '    certify(f"{what} does not land in so({p},{q})", True)\n',
         "_so_image: images of eta_twist and gl_action are not checked to lie in so(p,q)",
     ),
     (
         "standardform.py",
-        "    if images != brackets:\n",
-        "    if False:\n",
+        '    certify("free automorphism certificate failed", images == brackets)\n',
+        '    certify("free automorphism certificate failed", True)\n',
         "apply_free_automorphism: rho(A) phi_ij is not compared with [A e_i, A e_j]",
     ),
     (
         "lattice.py",
-        "    if not (trace_identity and gram_ok and iso_ok):\n",
-        "    if False:\n",
+        '    certify("pseudo H-type lattice pipeline failed certification", ok)\n',
+        '    certify("pseudo H-type lattice pipeline failed certification", True)\n',
         "pseudo_H_pipeline_report: trace identity, Gram and isomorphism go unchecked",
     ),
     (
         "clifford.py",
-        '    if not report["passed"]:\n',
-        "    if False:\n",
+        '    certify(f"constructed module for ({sig.r},{sig.s}) failed verification", passed)\n',
+        '    certify(f"constructed module for ({sig.r},{sig.s}) failed verification", True)\n',
         "build_module: a module that fails verify_module is returned",
     ),
     (
@@ -79,8 +81,9 @@ MUTANTS = [
     ),
     (
         "standardform.py",
-        "    if any(tuple(b) != tuple(-c for c in a.structure) for b in back):\n",
-        "    if False:\n",
+        '    certify("reduction certificate failed; convention bug",'
+        " all(tuple(b) == neg_c for b in back))\n",
+        '    certify("reduction certificate failed; convention bug", True)\n',
         "_reduction_pass: the standard structure is not multiplied back (G C' = -C), so"
         " T([v_i, v_j]) is not compared with it",
     ),
@@ -104,7 +107,7 @@ MUTANTS = [
     ),
     (
         "exactlin.py",
-        "    contents = np.gcd.reduce(prod, axis=1).tolist()\n",
+        "    contents = np.gcd.reduce(prod, axis=1).tolist() if d > 1 else [None] * len(prod)\n",
         "    contents = [1] * len(prod)\n",
         "lin_combs: _of is handed content 1 for every row, so no output is reduced",
     ),
@@ -140,8 +143,8 @@ MUTANTS = [
     ),
     (
         "standardform.py",
-        '    if None in rels:\n        raise HomomorphismError("W lies outside K (+) complement")\n',
-        '    if False:\n        raise HomomorphismError("W lies outside K (+) complement")\n',
+        '    certify("W lies outside K (+) complement", None not in rels)\n',
+        '    certify("W lies outside K (+) complement", True)\n',
         "quotient_by_center_subspace: W is not checked to lie in K (+) complement",
     ),
     (
@@ -266,27 +269,27 @@ MUTANTS = [
     ),
     (
         "triple.py",
-        '    if None in rels:\n        raise HomomorphismError("h_pm lies outside L")\n',
-        '    if False:\n        raise HomomorphismError("h_pm lies outside L")\n',
+        '    certify("h_pm lies outside L", None not in rels)\n',
+        '    certify("h_pm lies outside L", True)\n',
         "_ideal_split: h_pm is not checked to lie in L",
     ),
     (
         "triple.py",
-        "    if l.dim != 6 or rank(*parts) != 6:\n",
-        "    if False:\n",
+        '    certify("h_+ and h_- do not make a basis of L", l.dim == 6 and rank(*parts) == 6)\n',
+        '    certify("h_+ and h_- do not make a basis of L", True)\n',
         "_ideal_split: h_+ and h_- are not checked to make a basis of L",
     ),
     (
         "triple.py",
-        "    if not _brackets_inside(ads, h_plus, h_minus, RationalMatrix.zeros(0, 0)):\n",
-        "    if False:\n",
+        '    certify("h_+ and h_- do not commute",'
+        " _brackets_inside(ads, *parts, RationalMatrix.zeros(0, 0)))\n",
+        '    certify("h_+ and h_- do not commute", True)\n',
         "_ideal_split: h_+ and h_- are not checked to commute",
     ),
     (
         "triple.py",
-        "    if not all(_brackets_inside(ads, RationalMatrix.identity(6), part, part)"
-        " for part in parts):\n",
-        "    if False:\n",
+        '    certify("split summand is not an ideal of L", ideals)\n',
+        '    certify("split summand is not an ideal of L", True)\n',
         "_ideal_split: the summands are not checked to be ideals of L",
     ),
     (
@@ -370,6 +373,18 @@ MUTANTS = [
         "    ma = algebra_from_J(w, SignatureForm.standard(p, q), form)\n",
         "    ma = algebra_from_J(w, SignatureForm.standard(q, p), form)\n",
         "_standard: the form on V is eta_{q,p}, not eta_{p,q}",
+    ),
+    (
+        "errors.py",
+        "    if not ok:\n",
+        "    if False:\n",
+        "certify: no certificate ever fails",
+    ),
+    (
+        "cli.py",
+        "3 if isinstance(exc, CertificateError) else 2\n",
+        "2\n",
+        "main: a failed certificate exits 2, as bad input does",
     ),
 ]
 

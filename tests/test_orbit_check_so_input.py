@@ -2,8 +2,8 @@
 
 W1 comes from the user, so a basis matrix outside so(p,q) is
 ``ERR_PRECONDITION`` (exit 2), not ``ERR_HOMOMORPHISM``, the code kept for
-an internal certificate failing.  It is rejected before any product or rank,
-and after the ambient checks.
+an internal certificate failing: exit 3 for a failed certificate.  It is
+rejected before any product or rank, and after the ambient checks.
 """
 
 import pytest

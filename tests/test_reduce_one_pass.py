@@ -1,14 +1,20 @@
-"""``reduce`` in one pass over its realizations, against the per-p flow.
+"""``reduce`` in one pass over its realizations: its bookkeeping and its costs.
 
-``standardform.reductions`` reads one Gram and one inertia per p off
-``find_realizations``' single ``eta_pairings`` product, builds every standard
-structure C'_p = -G_p^{-1} C from one stack of the C^k, and certifies each
-by multiplying back, G_p C'_p = -C.  Before it, ``reduce`` ran this per p:
-the left twist, its ``trace_gram``, a ``SignatureForm`` on it (a second
-inertia), ``algebra_from_J`` and a ``lin_combs`` certificate with the same
-G^{-1}.  That flow is copied here verbatim, and the verb must print its text
-byte for byte, on every shape of the benchmark's ``reduce-small`` inputs
-over several seeds, on algebras with degenerate p and on Grams past int64.
+``standardform.reductions`` reads one Gram and one inertia per p off a single
+``eta_pairings`` product, builds each realization's standard algebra through
+``algebra_from_J`` on the left twist, and certifies it by multiplying back,
+G_p C'_p = -C, one ``lin_combs`` product per realization.  The per-p flow
+copied here (the left twist, its ``trace_gram``, a ``SignatureForm`` on it,
+``algebra_from_J`` and a ``lin_combs`` check with G^{-1}) shares
+``algebra_from_J`` with the verb, so its byte comparisons check which p are
+listed, with which forms, T's and output text, not how C'_p is built; the
+independent reference for that is ``tests/test_reduce_flow.py::_copied_flow``.
+The file checks the verb's text against the copy on every shape of the
+benchmark's ``reduce-small`` inputs over several seeds, on algebras with
+degenerate p and on Grams past int64; that ``reductions`` lists what
+``find_realizations`` lists and agrees with its one-p view
+``reduction_isomorphism``, which keeps its errors; and that a call takes one
+inertia per p, no ``trace_pairing`` and one inverse per realization.
 """
 
 import io

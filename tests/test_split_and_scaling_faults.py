@@ -3,7 +3,9 @@ checks of the (3,0)/(1,2) ideal split in ``triple._ideal_split`` and the
 (anti-)isometry certificate at the end of ``scaling_isomorphism``.
 
 Each test breaks one link, the subspace handed in or one helper the check
-reads, and expects the certificate's ``HomomorphismError``.
+reads, and expects the certificate's ``HomomorphismError`` (a
+``CertificateError`` from ``errors.certify``, which the CLI reports with
+exit 3 for a failed certificate).
 ``tests/mutants.py`` switches each of these checks off in turn.
 """
 
