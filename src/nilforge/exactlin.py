@@ -1395,8 +1395,8 @@ def _stack_combs(a: RationalMatrix, stack: RationalMatrix, dim: int) -> list[Rat
     """The dim x dim matrices whose entries are row k of A times the stacked
     vec(M_l), one for each row k, in lowest terms."""
     prod, d = _product_numerators(a, stack, False), a._d * stack._d
-    # every output's content in one pass over the product's rows, which _of reads at D > 1 only
-    contents = np.gcd.reduce(prod, axis=1).tolist() if d > 1 else [None] * len(prod)
+    # every output's content in one pass over the product's rows
+    contents = np.gcd.reduce(prod, axis=1).tolist()
     return [RationalMatrix._of(n.reshape(dim, dim), d, c) for n, c in zip(prod, contents)]
 
 

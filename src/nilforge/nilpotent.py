@@ -409,7 +409,8 @@ def scaling_isomorphism(a1: MetricAlgebra, a2: MetricAlgebra) -> ScalingOutcome:
     phi_v = b * RationalMatrix.diag([sqrts[lam] for lam, _ in eigvecs]) * inverse(b)
     phi_t = phi_v.transpose()
     pulled = [phi_t * c1 * phi_v for c1 in a1.structure]  # once for both signs
-    for sign, status in ((1, "isometry"), (-1, "anti-isometry")):
-        if all(x == c2.scale(sign) for x, c2 in zip(pulled, a2.structure)):
-            return ScalingOutcome(status, s, tuple(cp), phi_v, sign, True)
-    certify("neither isometry variant certifies; convention bug", False)
+    pairs = list(zip(pulled, a2.structure))
+    sign = next((g for g in (1, -1) if all(x == c2.scale(g) for x, c2 in pairs)), 0)
+    certify("neither isometry variant certifies; convention bug", sign != 0)
+    status = "isometry" if sign == 1 else "anti-isometry"
+    return ScalingOutcome(status, s, tuple(cp), phi_v, sign, True)

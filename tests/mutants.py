@@ -107,7 +107,7 @@ MUTANTS = [
     ),
     (
         "exactlin.py",
-        "    contents = np.gcd.reduce(prod, axis=1).tolist() if d > 1 else [None] * len(prod)\n",
+        "    contents = np.gcd.reduce(prod, axis=1).tolist()\n",
         "    contents = [1] * len(prod)\n",
         "lin_combs: _of is handed content 1 for every row, so no output is reduced",
     ),

@@ -6,22 +6,21 @@ of the program, never bad input.  The source guard keeps every raise of
 ``HomomorphismError`` and ``CertificateError`` inside ``certify``, apart from
 the two input checks of ``apply_free_automorphism``; the name list keeps one
 name per certificate.  Each verb that reaches a certificate is then run once
-per certificate it reaches, with that one forced to fail by wrapping its
-module's ``certify``: the verb must exit 3 and print only the one JSON error
-line on stdout, with no traceback.
+per certificate it reaches, with that one forced to fail by wrapping
+``certify`` in every module whose source calls it (each call is the bare
+name, so the wrap sees it): the verb must exit 3 and print only the one JSON
+error line on stdout, with no traceback.
 """
 
 import ast
+import importlib
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
 import nilforge
-from nilforge import cli, clifford, errors, exactlin, lattice, nilpotent, standardform, triple
+from nilforge import cli, errors, nilpotent
 from nilforge.catalog import n20
 from nilforge.errors import CertificateError, HomomorphismError, certify
 from nilforge.exactlin import RationalMatrix
@@ -29,7 +28,6 @@ from nilforge.standardform import apply_free_automorphism
 from test_reachability import _matrix, _write
 
 PACKAGE = Path(nilforge.__file__).resolve().parent
-MODULES = [clifford, lattice, nilpotent, standardform, triple]
 
 # every certify call's name as its source text, once
 NAMES = [
@@ -65,13 +63,32 @@ def _functions(tree):
     return walk(tree, None)
 
 
+def _name(node):
+    """The name a Name or Attribute node ends in."""
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+# (module name, source, call) for each certify call, bare or as errors.certify
+CALLS = [
+    (module, text, node)
+    for module, text, tree in _trees()
+    for node in ast.walk(tree)
+    if isinstance(node, ast.Call) and _name(node.func) == "certify"
+]
+# every module of the package, and those whose certify calls the forced runs wrap
+PACKAGE_MODULES = [
+    importlib.import_module(f"nilforge.{m}") for m, _, _ in _trees() if m != "__init__"
+]
+MODULES = [importlib.import_module(f"nilforge.{m}") for m in sorted({m for m, _, _ in CALLS})]
+
+
 def test_only_certify_and_the_two_input_checks_raise_a_homomorphism_error():
     raised = []
     for module, _, tree in _trees():
         for function, node in _functions(tree):
             if isinstance(node, ast.Raise) and node.exc is not None:
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-                name = getattr(exc, "id", getattr(exc, "attr", None))
+                name = _name(exc)
                 if name in ("HomomorphismError", "CertificateError"):
                     raised.append((module, function, name))
     assert sorted(raised) == [
@@ -82,14 +99,14 @@ def test_only_certify_and_the_two_input_checks_raise_a_homomorphism_error():
 
 
 def test_every_certify_name_is_listed_once():
-    names = [
-        ast.get_source_segment(text, node.args[0])
-        for _, text, tree in _trees()
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "certify"
-    ]
+    names = [ast.get_source_segment(text, node.args[0]) for _, text, node in CALLS]
     assert len(set(NAMES)) == len(NAMES)
     assert sorted(names) == sorted(NAMES)
+
+
+def test_every_certify_call_is_the_bare_name_that_the_forced_runs_wrap():
+    # errors.certify(...) would bypass the wrapped module attribute
+    assert all(isinstance(node.func, ast.Name) for _, _, node in CALLS)
 
 
 def test_certify_raises_a_certificate_error_only_when_the_check_fails():
@@ -151,7 +168,7 @@ def _verbs(tmp: Path) -> dict[str, list[str]]:
 
 def _clear_memos():
     """Clear each lru_cache of the package, so that a memoized build certifies again."""
-    for module in (*MODULES, exactlin):
+    for module in PACKAGE_MODULES:
         for value in vars(module).values():
             if callable(getattr(value, "cache_clear", None)):
                 value.cache_clear()
@@ -189,22 +206,11 @@ def test_each_forced_certificate_exits_3_with_one_error_line(monkeypatch, capsys
         assert "Traceback" not in out
 
 
-def test_a_forced_certificate_exits_3_in_a_process_of_its_own():
-    script = (
-        "import sys\n"
-        "from nilforge import cli, clifford, errors\n"
-        "clifford.certify = lambda name, ok: errors.certify(name, False)\n"
-        "sys.exit(cli.main(['clifford', '2', '1']))\n"
-    )
-    src = str(PACKAGE.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
-    line = {
-        "detail": "ERR_HOMOMORPHISM: constructed module for (2,1) failed verification",
-        "error": "ERR_HOMOMORPHISM",
-    }
-    assert (done.returncode, done.stdout, done.stderr) == (
-        3,
-        json.dumps(line, sort_keys=True) + "\n",
-        "",
-    )
+
+def test_scaling_isomorphism_fails_its_certificate_only_when_forced(monkeypatch):
+    # no verb reaches scaling_isomorphism, so it is forced here directly
+    a = n20().algebra
+    assert nilpotent.scaling_isomorphism(a, a).status == "isometry"
+    monkeypatch.setattr(nilpotent, "certify", lambda name, ok: errors.certify(name, False))
+    with pytest.raises(CertificateError, match="neither isometry variant certifies"):
+        nilpotent.scaling_isomorphism(a, a)
